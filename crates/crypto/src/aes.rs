@@ -88,6 +88,13 @@ fn gf_mul(mut a: u8, mut b: u8) -> u8 {
     p
 }
 
+/// The counter-mode input block for `(seed, chunk)`: the seed's low 96 bits
+/// in bytes 0..12, the chunk index big-endian in bytes 12..16.
+#[inline]
+pub(crate) fn counter_block(seed: u128, chunk: u32) -> [u8; BLOCK_BYTES] {
+    ((seed << 32) | u128::from(chunk)).to_be_bytes()
+}
+
 /// Which implementation an [`Aes128`] instance dispatches to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineKind {
@@ -302,6 +309,39 @@ impl Aes128 {
             }
         }
     }
+
+    /// XORs the counter-mode keystream for `seed` into `data` in place:
+    /// 16-byte chunk `i` of `data` is XORed with
+    /// `AES_K((seed << 32) | (first_chunk + i))`, the index wrapping at 32
+    /// bits, and a trailing partial chunk with its pad's prefix.
+    ///
+    /// Under AES-NI this is the fused kernel: counter blocks exist only in
+    /// registers and the keystream is XORed 128 bits at a time straight into
+    /// `data`.  The bitsliced engine fills its eight lanes with counter
+    /// blocks, encrypts them, and XORs the batch.
+    pub fn ctr_xor(&self, seed: u128, first_chunk: u32, data: &mut [u8]) {
+        match &self.state {
+            #[cfg(target_arch = "x86_64")]
+            EngineState::AesNi => {
+                crate::aesni::ctr_xor(&self.round_keys, seed, first_chunk, data);
+            }
+            EngineState::Soft(keys) => {
+                let mut chunk = first_chunk;
+                for group in data.chunks_mut(crate::fixslice::BATCH_BYTES) {
+                    let mut batch = [0u8; crate::fixslice::BATCH_BYTES];
+                    let lanes = group.len().div_ceil(BLOCK_BYTES);
+                    for block in batch.chunks_exact_mut(BLOCK_BYTES).take(lanes) {
+                        block.copy_from_slice(&counter_block(seed, chunk));
+                        chunk = chunk.wrapping_add(1);
+                    }
+                    keys.encrypt8(&mut batch);
+                    for (b, p) in group.iter_mut().zip(batch) {
+                        *b ^= p;
+                    }
+                }
+            }
+        }
+    }
     // lint: end
 
     /// The historical scalar implementation: S-box table plus explicit
@@ -378,9 +418,72 @@ pub(crate) fn mix_columns_scalar(state: &mut [u8; 16]) {
     mix_columns(state);
 }
 
+/// Counter mode one block at a time through the scalar reference cipher, no
+/// engine involved: what every `ctr_xor` path must match byte for byte.
+#[cfg(test)]
+pub(crate) fn ctr_xor_scalar(aes: &Aes128, seed: u128, first_chunk: u32, data: &mut [u8]) {
+    for (i, chunk) in data.chunks_mut(BLOCK_BYTES).enumerate() {
+        let index = first_chunk.wrapping_add(i as u32);
+        let pad = aes.encrypt_block_scalar(counter_block(seed, index));
+        for (b, p) in chunk.iter_mut().zip(pad) {
+            *b ^= p;
+        }
+    }
+}
+
+/// Drives a `ctr_xor` implementation (`f(seed, first_chunk, data)`, keyed
+/// like `aes`) over the shapes the fused kernel has to get right, comparing
+/// every byte with [`ctr_xor_scalar`]: each length from nothing to two full
+/// groups plus a partial block at unaligned starts inside a larger buffer
+/// (whose other bytes must not change), chunk indices carrying across byte
+/// boundaries and wrapping at `u32::MAX`, and seeds with the high bits of the
+/// 96-bit field set.
+#[cfg(test)]
+pub(crate) fn check_ctr_xor(aes: &Aes128, f: impl Fn(u128, u32, &mut [u8])) {
+    let seeds = [
+        0u128,
+        0x0123_4567_89ab_cdef,
+        0x8000_0000_0000_0000_0000_0001,
+        0xffff_ffff_ffff_ffff_ffff_ffff,
+    ];
+    for len in 0..=273usize {
+        let start = 1 + len % 7;
+        let seed = seeds[len % seeds.len()];
+        let mut expected: Vec<u8> = (0..start + len + 5).map(|i| (i * 37 % 251) as u8).collect();
+        let mut actual = expected.clone();
+        ctr_xor_scalar(aes, seed, 0, &mut expected[start..start + len]);
+        f(seed, 0, &mut actual[start..start + len]);
+        assert_eq!(actual, expected, "len {len} at start {start}");
+    }
+    for first_chunk in [0xFAu32, 0xFFFA, 0x00FF_FFFA, u32::MAX - 5] {
+        for seed in seeds {
+            // 11 chunks and a partial one: the carry lands inside the first
+            // group and again in the short last group.
+            let mut expected = vec![0x5Au8; 11 * BLOCK_BYTES + 3];
+            let mut actual = expected.clone();
+            ctr_xor_scalar(aes, seed, first_chunk, &mut expected);
+            f(seed, first_chunk, &mut actual);
+            assert_eq!(
+                actual, expected,
+                "first_chunk {first_chunk:#x}, seed {seed:#x}"
+            );
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Whichever engine dispatch selected (AES-NI by default, bitsliced on
+    /// the forced-soft leg) against the scalar reference.
+    #[test]
+    fn ctr_xor_matches_scalar_reference() {
+        let aes = Aes128::new([0x3Cu8; 16]);
+        check_ctr_xor(&aes, |seed, first_chunk, data| {
+            aes.ctr_xor(seed, first_chunk, data)
+        });
+    }
 
     /// FIPS-197 Appendix B example vector.
     #[test]

@@ -16,21 +16,37 @@
 //! # Batched API contract
 //!
 //! The hot path is [`CtrKeystream::apply_batch`]: the caller describes any
-//! number of [`KeystreamSpan`]s — disjoint or not — over one buffer, and the
-//! keystream for **all** spans is generated through the batched AES engine
-//! ([`crate::aes::Aes128::encrypt_blocks`], 8 blocks per engine call), with
-//! counter blocks from *different* spans sharing an engine batch.  Sealing an
-//! entire ORAM path (~19 buckets) therefore costs ⌈total blocks / 8⌉ engine
-//! calls instead of one partially-filled call per bucket.  Guarantees:
+//! number of [`KeystreamSpan`]s — disjoint or not — over one buffer, and one
+//! call XORs the keystream of **all** of them in place.  Sealing or unsealing
+//! an entire ORAM path (~20 buckets) is one such call per direction.  What
+//! happens underneath depends on the engine ([`CtrKeystream::engine`]):
+//!
+//! * **AES-NI: the fused kernel.**  Each span goes through
+//!   [`Aes128::ctr_xor`]: the seed sits in a register, the byte-swapped chunk
+//!   index is inserted per lane, eight `AESENC` chains run interleaved, and
+//!   the result is XORed 128 bits at a time straight into the buffer.  No
+//!   counter block or pad is ever written to memory, except the pad of a
+//!   span's trailing partial block.  A span's last, part-filled group still
+//!   runs all eight lanes and drops the pads it has no bytes for.
+//! * **Bitsliced: cross-span lane packing.**  One bitsliced call costs the
+//!   same whether one lane or all eight are occupied, so here counter blocks
+//!   from *different* spans share an engine call and a path costs
+//!   ⌈total blocks / 8⌉ calls instead of one part-filled call per bucket.
+//!   This is the only engine off x86_64 and on the forced-soft CI leg, which
+//!   is why the packing code stays.
+//!
+//! Guarantees, identical for both:
 //!
 //! * Byte-for-byte equivalence with the scalar construction: chunk `i` of a
 //!   span is XORed with `AES_K((seed << 32) | i)` exactly as
 //!   [`CtrKeystream::pad`] produces it, for any span length (a trailing
-//!   partial chunk uses the pad's prefix) and any starting offset.
+//!   partial chunk uses the pad's prefix) and any starting offset.  Bytes
+//!   outside every span are not touched.
 //! * XOR is an involution, so the same call encrypts and decrypts.
-//! * No heap allocation: batching state lives on the stack.
+//! * No heap allocation: all working state lives in registers or on the
+//!   stack.
 
-use crate::aes::{Aes128, EngineKind, BLOCK_BYTES, PARALLEL_BLOCKS};
+use crate::aes::{counter_block, Aes128, EngineKind, BLOCK_BYTES, PARALLEL_BLOCKS};
 
 /// One keystream application: XOR `data[start..start + len]` with the
 /// keystream for `seed`, chunk counter starting at 0.
@@ -60,7 +76,7 @@ pub struct KeystreamSpan {
 /// ks.apply(pad_seed, &mut data);          // decrypt (XOR is an involution)
 /// assert_eq!(&data, b"secret bucket bytes");
 ///
-/// // Batched: many spans, one engine pass.
+/// // Batched: many spans, one call.
 /// let mut buf = vec![0u8; 64];
 /// let spans = [
 ///     KeystreamSpan { seed: 1, start: 0, len: 32 },
@@ -74,13 +90,6 @@ pub struct KeystreamSpan {
 #[derive(Debug, Clone)]
 pub struct CtrKeystream {
     cipher: Aes128,
-}
-
-/// Builds the counter block for `(seed, chunk)`: the seed in the high 96
-/// bits, the chunk index in the low 32.
-#[inline]
-fn counter_block(seed: u128, chunk: u32) -> [u8; BLOCK_BYTES] {
-    ((seed << 32) | u128::from(chunk)).to_be_bytes()
 }
 
 impl CtrKeystream {
@@ -107,50 +116,53 @@ impl CtrKeystream {
 
     /// Fills `out` with the keystream for `seed` starting at chunk index
     /// `first_chunk` (chunk indices increment per 16 bytes; a trailing
-    /// partial chunk receives the pad's prefix).  Runs through the batched
-    /// engine: this *is* CTR encryption of whatever the caller later XORs.
+    /// partial chunk receives the pad's prefix): [`Aes128::ctr_xor`] over
+    /// zeros.
     // lint: ct-scope, no-alloc
     pub fn pad_blocks(&self, seed: u128, first_chunk: u32, out: &mut [u8]) {
-        let exact = out.len() / BLOCK_BYTES * BLOCK_BYTES;
-        for (i, chunk) in out[..exact].chunks_exact_mut(BLOCK_BYTES).enumerate() {
-            chunk.copy_from_slice(&counter_block(seed, first_chunk.wrapping_add(i as u32)));
-        }
-        self.cipher.encrypt_blocks(&mut out[..exact]);
-        if exact < out.len() {
-            let chunk = first_chunk.wrapping_add((exact / BLOCK_BYTES) as u32);
-            let pad = self.pad(seed, chunk);
-            let tail = &mut out[exact..];
-            let n = tail.len();
-            tail.copy_from_slice(&pad[..n]);
-        }
+        out.fill(0);
+        self.cipher.ctr_xor(seed, first_chunk, out);
     }
 
     /// XORs the keystream for `seed` into `data` in place (encrypts or
     /// decrypts, since XOR is an involution).
     pub fn apply(&self, seed: u128, data: &mut [u8]) {
-        let len = data.len();
-        self.apply_batch(
-            &[KeystreamSpan {
-                seed,
-                start: 0,
-                len,
-            }],
-            data,
-        );
+        self.cipher.ctr_xor(seed, 0, data);
     }
 
-    /// XORs every span's keystream into `data` in place, batching counter
-    /// blocks from all spans through the AES engine together (see the module
-    /// docs for the full contract).
+    /// XORs every span's keystream into `data` in place: span by span
+    /// through the fused kernel under AES-NI, with counter blocks of all
+    /// spans packed into shared engine calls under the bitsliced engine (see
+    /// the module docs for the full contract).
     ///
     /// # Panics
     ///
     /// Panics if any span reaches past the end of `data`.
     pub fn apply_batch(&self, spans: &[KeystreamSpan], data: &mut [u8]) {
-        // Counter blocks accumulate here and flush through the engine
-        // whenever all lanes are full; `dst` remembers where each lane's pad
-        // lands.  Everything lives on the stack — the access hot path above
-        // this call is allocation-free.
+        for span in spans {
+            assert!(
+                span.start + span.len <= data.len(),
+                "span {span:?} exceeds buffer of {} bytes",
+                data.len()
+            );
+        }
+        match self.cipher.engine() {
+            EngineKind::AesNi => {
+                for span in spans {
+                    self.cipher
+                        .ctr_xor(span.seed, 0, &mut data[span.start..span.start + span.len]);
+                }
+            }
+            EngineKind::Bitsliced => self.apply_batch_packed(spans, data),
+        }
+    }
+
+    /// The bitsliced engine's `apply_batch`: a bitsliced call costs the same
+    /// for one block as for eight, so counter blocks accumulate across spans
+    /// and go through the engine only when all lanes are full.
+    fn apply_batch_packed(&self, spans: &[KeystreamSpan], data: &mut [u8]) {
+        // `dst` remembers where each lane's pad lands.  Everything lives on
+        // the stack — the access hot path above this call is allocation-free.
         let mut pads = [0u8; PARALLEL_BLOCKS * BLOCK_BYTES];
         let mut dst = [(0usize, 0usize); PARALLEL_BLOCKS];
         let mut lanes = 0usize;
@@ -169,11 +181,6 @@ impl CtrKeystream {
         };
 
         for span in spans {
-            assert!(
-                span.start + span.len <= data.len(),
-                "span {span:?} exceeds buffer of {} bytes",
-                data.len()
-            );
             let mut remaining = span.len;
             let mut chunk = 0u32;
             while remaining > 0 {
@@ -213,15 +220,10 @@ pub fn xor_in_place(dst: &mut [u8], src: &[u8]) {
 mod tests {
     use super::*;
 
-    /// Scalar reference: one `pad` call per chunk, as the pre-batching code
-    /// did.  The batched paths must match this byte for byte.
+    /// Scalar reference (the test-only table cipher, no engine involved).
+    /// Every keystream path must match this byte for byte.
     fn apply_reference(ks: &CtrKeystream, seed: u128, data: &mut [u8]) {
-        for (chunk_idx, chunk) in data.chunks_mut(BLOCK_BYTES).enumerate() {
-            let pad = ks.pad(seed, chunk_idx as u32);
-            for (b, p) in chunk.iter_mut().zip(pad.iter()) {
-                *b ^= *p;
-            }
-        }
+        crate::aes::ctr_xor_scalar(&ks.cipher, seed, 0, data);
     }
 
     #[test]
@@ -251,11 +253,11 @@ mod tests {
         }
     }
 
-    /// NIST SP 800-38A F.5.1 (CTR-AES128.Encrypt) through the batched
-    /// engine: `pad_blocks` generates the keystream for the standard's
-    /// counter sequence, which must turn the standard's plaintexts into its
-    /// ciphertexts.  Under the forced-soft CI leg this exercises the
-    /// bitsliced engine; by default whichever engine dispatch selected.
+    /// NIST SP 800-38A F.5.1 (CTR-AES128.Encrypt) through
+    /// [`Aes128::ctr_xor`]: `pad_blocks` generates the keystream for the
+    /// standard's counter sequence, which must turn the standard's plaintexts
+    /// into its ciphertexts.  Under the forced-soft CI leg this exercises the
+    /// bitsliced engine; by default the fused AES-NI kernel.
     #[test]
     fn nist_sp800_38a_ctr_vectors() {
         let key = [
@@ -335,6 +337,43 @@ mod tests {
             }
             ks.apply_batch(&spans, &mut actual);
             assert_eq!(actual, expected, "round {round}, spans {spans:?}");
+        }
+    }
+
+    /// The backend's shape: a path of 20 bucket images at a 320-byte stride,
+    /// each an 8-byte plaintext header followed by 312 sealed bytes (19
+    /// whole chunks and half of a 20th).  The headers between spans must come
+    /// through untouched.
+    #[test]
+    fn path_shaped_batch_leaves_headers_untouched() {
+        const BUCKETS: usize = 20;
+        const STRIDE: usize = 320;
+        const HEADER: usize = 8;
+        let ks = CtrKeystream::new([0x6Du8; 16]);
+        let original: Vec<u8> = (0..BUCKETS * STRIDE)
+            .map(|i| (i * 29 % 253) as u8)
+            .collect();
+        let mut expected = original.clone();
+        let mut actual = original.clone();
+        let spans: Vec<KeystreamSpan> = (0..BUCKETS)
+            .map(|k| KeystreamSpan {
+                seed: (0xFEDC_BA98u128 << 64) | (k as u128 + 1),
+                start: k * STRIDE + HEADER,
+                len: STRIDE - HEADER,
+            })
+            .collect();
+        for span in &spans {
+            apply_reference(
+                &ks,
+                span.seed,
+                &mut expected[span.start..span.start + span.len],
+            );
+        }
+        ks.apply_batch(&spans, &mut actual);
+        assert_eq!(actual, expected);
+        for k in 0..BUCKETS {
+            let header = k * STRIDE..k * STRIDE + HEADER;
+            assert_eq!(actual[header.clone()], original[header], "header {k}");
         }
     }
 

@@ -13,7 +13,8 @@
 //!   detected) and a table-free bitsliced software fallback
 //!   ([`fixslice`]), both processing 8 blocks per call.
 //! * [`ctr::CtrKeystream`] / [`ctr::xor_in_place`] — AES counter-mode pads
-//!   for probabilistic bucket encryption.
+//!   for probabilistic bucket encryption, XORed in place by the fused
+//!   AES-NI kernel.
 //! * [`sha3::Sha3_224`] — the Keccak-based hash used for MACs.
 //! * [`prf::Prf`] / [`prf::AesPrf`] — the pseudorandom function
 //!   `PRF_K(x) mod 2^L` that maps (address, counter) pairs to leaves.
@@ -22,18 +23,32 @@
 //! # The batched API contract
 //!
 //! Every primitive that evaluates AES more than once per logical operation
-//! exposes a batched entry point that routes through one engine call per
-//! eight blocks, with identical output to the scalar path:
+//! exposes an entry point that keeps the engine's eight lanes busy, with
+//! identical output to the scalar path:
 //!
-//! * [`aes::Aes128::encrypt_blocks`] — any whole number of blocks in place.
-//! * [`ctr::CtrKeystream::apply_batch`] / [`ctr::CtrKeystream::pad_blocks`]
-//!   — keystream over arbitrary [`ctr::KeystreamSpan`]s of one buffer;
-//!   counter blocks from *different* spans share engine batches, which is
-//!   how an ORAM path's ~19 buckets seal in one batched pass per direction.
+//! * [`aes::Aes128::ctr_xor`] — counter mode over one run of bytes.  Under
+//!   AES-NI this is the **fused kernel**: the 96-bit seed stays in a
+//!   register, each lane gets its byte-swapped chunk index inserted, eight
+//!   `AESENC` chains run interleaved, and the keystream is XORed 128 bits at
+//!   a time straight into the caller's buffer — no counter block and no pad
+//!   is written to memory (a trailing partial block excepted).  The
+//!   bitsliced engine fills an eight-block batch with counter blocks
+//!   instead.
+//! * [`ctr::CtrKeystream::apply_batch`] (and the single-run
+//!   [`ctr::CtrKeystream::apply`] / [`ctr::CtrKeystream::pad_blocks`]) —
+//!   keystream over arbitrary [`ctr::KeystreamSpan`]s of one buffer, which
+//!   is how an ORAM path's ~20 buckets seal in one call per direction.
+//!   AES-NI runs the fused kernel once per span.  The bitsliced engine keeps
+//!   the older cross-span lane packing, counter blocks from *different*
+//!   spans sharing an engine call: a bitsliced call costs the same for one
+//!   block as for eight, so part-filled calls are what it must avoid, and it
+//!   is the only engine off x86_64 and on the forced-soft CI leg.
+//! * [`aes::Aes128::encrypt_blocks`] — any whole number of caller-built
+//!   blocks in place (the PRF's input).
 //! * [`prf::Prf::eval_many`] / [`prf::Prf::leaf_pair_for`] — batched leaf
 //!   derivation.
 //!
-//! Batched calls allocate nothing; callers may rely on that on hot paths.
+//! None of these allocate; callers may rely on that on hot paths.
 //!
 //! # Engine selection
 //!

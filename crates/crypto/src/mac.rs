@@ -85,9 +85,20 @@ impl MacKey {
     }
 
     /// Verifies a MAC; returns `true` iff it matches.
+    ///
+    /// The comparison folds the XOR of all [`MAC_BYTES`] bytes and tests the
+    /// result once, so its timing does not tell how long a prefix of a forged
+    /// MAC was right (a derived `==` is an early-exit `memcmp`).
+    // lint: ct-scope, no-alloc
     pub fn verify(&self, counter: u64, addr: u64, data: &[u8], mac: &Mac) -> bool {
-        &self.compute(counter, addr, data) == mac
+        let expected = self.compute(counter, addr, data);
+        let mut diff = 0u8;
+        for (e, m) in expected.0.iter().zip(mac.0.iter()) {
+            diff |= e ^ m;
+        }
+        diff == 0
     }
+    // lint: end
 }
 
 #[cfg(test)]
@@ -102,6 +113,17 @@ mod tests {
         assert!(!key.verify(1, 100, b"hellO", &mac));
         assert!(!key.verify(1, 101, b"hello", &mac));
         assert!(!key.verify(2, 100, b"hello", &mac));
+        // Every single-bit forgery fails, wherever in the MAC it sits.
+        for byte in 0..MAC_BYTES {
+            for bit in 0..8 {
+                let mut forged = mac;
+                forged.0[byte] ^= 1 << bit;
+                assert!(
+                    !key.verify(1, 100, b"hello", &forged),
+                    "byte {byte} bit {bit}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -49,10 +49,12 @@ impl Sha3_224 {
     }
 
     /// Absorbs `data` into the sponge.
-    pub fn update(&mut self, data: &[u8]) {
-        for &byte in data {
-            self.buffer[self.buffer_len] = byte;
-            self.buffer_len += 1;
+    pub fn update(&mut self, mut data: &[u8]) {
+        while !data.is_empty() {
+            let take = data.len().min(RATE_BYTES - self.buffer_len);
+            self.buffer[self.buffer_len..self.buffer_len + take].copy_from_slice(&data[..take]);
+            self.buffer_len += take;
+            data = &data[take..];
             if self.buffer_len == RATE_BYTES {
                 self.absorb_block();
             }
@@ -146,6 +148,49 @@ ijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu";
             h.update(&data[..split]);
             h.update(&data[split..]);
             assert_eq!(h.finalize(), Sha3_224::digest(&data), "split at {split}");
+        }
+    }
+
+    /// Seeded property loop: however a message is cut across `update` calls
+    /// — empty pieces, single bytes, pieces ending on, just before and just
+    /// after the 144-byte rate boundary, pieces longer than a rate block —
+    /// the digest equals the one-shot `digest()`.
+    #[test]
+    fn any_split_across_updates_matches_oneshot() {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut rng = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for round in 0..200 {
+            let len = (rng() % 700) as usize;
+            let data: Vec<u8> = (0..len).map(|_| rng() as u8).collect();
+            let mut h = Sha3_224::new();
+            let mut cuts = Vec::new();
+            let mut at = 0usize;
+            while at < len {
+                let piece = match rng() % 6 {
+                    0 => 0,
+                    1 => 1,
+                    // Land exactly on, one short of, or one past the next
+                    // rate boundary.
+                    2 => RATE_BYTES - at % RATE_BYTES,
+                    3 => RATE_BYTES - at % RATE_BYTES - 1,
+                    4 => RATE_BYTES - at % RATE_BYTES + 1,
+                    _ => (rng() % 400) as usize,
+                }
+                .min(len - at);
+                h.update(&data[at..at + piece]);
+                cuts.push(piece);
+                at += piece;
+            }
+            assert_eq!(
+                h.finalize(),
+                Sha3_224::digest(&data),
+                "round {round}: {len} bytes cut as {cuts:?}"
+            );
         }
     }
 

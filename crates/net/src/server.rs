@@ -405,6 +405,12 @@ fn serve_connection(stream: &TcpStream, shared: &Shared, mut client: OramClient)
     if stream.set_read_timeout(Some(POLL_INTERVAL)).is_err() {
         return;
     }
+    // Replies are small and flushed whole.  With Nagle on, a reply written
+    // while the previous one is un-ACKed waits for that ACK, and the client's
+    // delayed ACK holds it until its next request goes out.
+    if stream.set_nodelay(true).is_err() {
+        return;
+    }
     let mut reader = stream;
     let writer_stream = match stream.try_clone() {
         Ok(s) => s,

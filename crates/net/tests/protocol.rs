@@ -9,14 +9,16 @@
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use freecursive::{OramBuilder, SchemePoint};
 use oram_net::wire::{
     encode_header, read_frame, write_frame, KIND_BATCH, KIND_HELLO, KIND_READ, KIND_R_ERROR,
     MAX_BATCH_ITEMS, MAX_FRAME_BODY, PROTOCOL_VERSION,
 };
-use oram_net::{ErrorCode, NetClient, NetServer, ServerConfig, TenantSpec, WireOp, WireResponse};
+use oram_net::{
+    ErrorCode, NetClient, NetServer, ServerConfig, TenantSpec, WireOp, WireRequest, WireResponse,
+};
 
 const BLOCK_BYTES: usize = 16;
 const BLOCKS: u64 = 64;
@@ -380,6 +382,37 @@ fn pipelined_requests_answer_in_order_with_matching_ids() {
             (want, got) => panic!("request {want_id}: wanted {want:?}, got {got:?}"),
         }
     }
+    assert_eq!(server.panic_count(), 0);
+}
+
+/// The server must not leave Nagle's algorithm on.  Two requests go out back
+/// to back and the client only reads: the second reply is written while the
+/// first is still un-ACKed, so with Nagle it waits for the client's delayed
+/// ACK (~40 ms on Linux) instead of leaving at once.  The warm-up takes the
+/// connection past the kernel's quick-ACK phase, in which every segment is
+/// ACKed immediately and the stall cannot show.
+#[test]
+fn second_pipelined_reply_is_not_held_for_an_ack() {
+    let server = spawn_server(default_config());
+    let mut client = NetClient::connect(server.local_addr(), "default").unwrap();
+    for _ in 0..64 {
+        client.read(0).unwrap();
+    }
+    let mut waits = Vec::new();
+    for _ in 0..20 {
+        let sent = Instant::now();
+        let first = client.send_request(&WireRequest::Read { addr: 0 }).unwrap();
+        let second = client.send_request(&WireRequest::Read { addr: 1 }).unwrap();
+        assert_eq!(client.recv_response().unwrap().0, first);
+        assert_eq!(client.recv_response().unwrap().0, second);
+        waits.push(sent.elapsed());
+    }
+    waits.sort();
+    let median = waits[waits.len() / 2];
+    assert!(
+        median < Duration::from_millis(5),
+        "second reply took a median of {median:?}: held for a delayed ACK?"
+    );
     assert_eq!(server.panic_count(), 0);
 }
 

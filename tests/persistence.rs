@@ -15,7 +15,9 @@
 //! wrong data — while version mismatches and short files surface as
 //! `Config`/`Backend` errors, not panics.
 
-use freecursive::{FreecursiveError, Oram, OramBuilder, Request, SchemePoint, StorageKind};
+use freecursive::{
+    Durability, FreecursiveError, Oram, OramBuilder, Request, SchemePoint, StorageKind,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::path::PathBuf;
@@ -49,7 +51,12 @@ fn builder(scheme: SchemePoint, storage: StorageKind) -> OramBuilder {
 /// The seeded mixed workload: reads, writes and read-removes drawn from one
 /// generator, so driver and oracle see the same stream.
 fn request(i: u64, rng: &mut StdRng) -> Request {
-    let addr = rng.gen_range(0..N);
+    request_below(N, i, rng)
+}
+
+/// [`request`] over the first `blocks` addresses.
+fn request_below(blocks: u64, i: u64, rng: &mut StdRng) -> Request {
+    let addr = rng.gen_range(0..blocks);
     match i % 4 {
         0 | 1 => Request::Read { addr },
         2 => {
@@ -109,6 +116,80 @@ fn persist_resume_is_byte_identical_to_an_uninterrupted_run() {
             std::fs::remove_dir_all(&dir).ok();
         }
     }
+}
+
+/// Ciphertext compatibility across the keystream kernel change.
+///
+/// `tests/fixtures/pr11_file_wal/` is a file-backed PIC_X32 instance (128
+/// blocks of 32 B, builder seed 7, `Durability::Batch(8)`) that the commit
+/// *before* the fused AES-CTR kernel drove through the first 1012 requests
+/// of the `0xF1C5` stream and persisted in place: tree file, tree metadata,
+/// a WAL holding the records since its last checkpoint, and the controller
+/// snapshot.  The keystream construction is part of that on-disk format, so:
+///
+/// * running the same requests today must leave byte-identical files, and
+/// * the checked-in directory must resume and go on answering exactly as an
+///   uninterrupted run does.
+#[test]
+fn directory_persisted_before_the_fused_kernel_is_byte_identical_and_resumes() {
+    const BLOCKS: u64 = 128;
+    const PERSISTED_AT: u64 = 1012;
+    const FILES: [&str; 4] = ["tree0.oram", "tree0.meta", "tree0.wal", "oram.state"];
+    let fixture =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/pr11_file_wal");
+    let golden = |storage: StorageKind| {
+        OramBuilder::for_scheme(SchemePoint::PicX32)
+            .num_blocks(BLOCKS)
+            .block_bytes(BLOCK)
+            .onchip_entries(32)
+            .seed(7)
+            .storage(storage)
+            .durability(Durability::Batch(8))
+            .build()
+            .unwrap()
+    };
+
+    let live = snap_dir("golden-live");
+    std::fs::create_dir_all(&live).unwrap();
+    let mut oracle = golden(StorageKind::Mem);
+    let mut fresh = golden(StorageKind::File { dir: live.clone() });
+    let mut rng = StdRng::seed_from_u64(0xF1C5);
+    for i in 0..PERSISTED_AT {
+        let req = request_below(BLOCKS, i, &mut rng);
+        let expected = oracle.access(req.clone()).unwrap();
+        assert_eq!(fresh.access(req).unwrap(), expected, "access {i}");
+    }
+    fresh.persist(&live).unwrap();
+    drop(fresh);
+    for file in FILES {
+        assert!(
+            std::fs::read(live.join(file)).unwrap() == std::fs::read(fixture.join(file)).unwrap(),
+            "{file} differs from the one the previous kernel wrote"
+        );
+    }
+
+    // Resume a copy (resuming appends to the WAL) of the checked-in files.
+    let copy = snap_dir("golden-copy");
+    std::fs::create_dir_all(&copy).unwrap();
+    for file in FILES {
+        std::fs::copy(fixture.join(file), copy.join(file)).unwrap();
+    }
+    let mut resumed = OramBuilder::resume(&copy).unwrap();
+    for i in PERSISTED_AT..PERSISTED_AT + 600 {
+        let req = request_below(BLOCKS, i, &mut rng);
+        let expected = oracle.access(req.clone()).unwrap();
+        assert_eq!(resumed.access(req).unwrap(), expected, "access {i}");
+    }
+    for addr in 0..BLOCKS {
+        assert_eq!(
+            resumed.read(addr).unwrap(),
+            oracle.read(addr).unwrap(),
+            "final contents of block {addr}"
+        );
+    }
+    drop(resumed);
+    std::fs::remove_dir_all(&live).ok();
+    std::fs::remove_dir_all(&copy).ok();
 }
 
 #[test]
