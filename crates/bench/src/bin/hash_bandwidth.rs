@@ -1,6 +1,6 @@
 //! Regenerates the 6.3 hash-bandwidth comparison (PMMAC vs Merkle tree).
 fn main() {
-    let accesses = if std::env::args().any(|a| a == "--quick") {
+    let accesses = if bench::scale_from_args() == oram_sim::experiments::ExperimentScale::Quick {
         200
     } else {
         2000

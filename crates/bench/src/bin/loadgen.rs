@@ -1,46 +1,38 @@
-//! Produces `BENCH_service.json`: latency and throughput of the TCP
-//! service front end (`oram-net`) under concurrent client load.
+//! Command-line load client for an external `oram_server`: connects over
+//! TCP with the `oram-net` wire protocol and prints latency and throughput
+//! under three kinds of load.  (The pinned, oracle-checked measurement of
+//! the TCP path is `perf_stack`'s `tcp_serial` / `tcp_open` workloads; this
+//! is the tool for poking a live server by hand.)
 //!
-//! Three phases against one server:
+//! Three phases against the server at `--addr`:
 //!
 //! 1. **Single-connection peak** — one pipelined connection, closed loop
-//!    with a fixed in-flight window; best-of-windows requests/sec.  This
-//!    is the `--gate`d number: it is the least scheduler-sensitive on a
-//!    small CI runner.
+//!    with a fixed in-flight window; best-of-windows requests/sec.
 //! 2. **Open-loop latency** — requests arrive on a fixed schedule at
 //!    ~60% of the measured peak, whether or not earlier ones finished
 //!    (open loop, so queueing delay is *included*); p50/p95/p99 from the
 //!    scheduled arrival to the response.
 //! 3. **Multi-connection throughput** — several concurrent pipelined
-//!    connections.  Recorded but never gated: on a 1-core runner this
-//!    measures timeslicing, not service capacity.
+//!    connections.  On a 1-core host this measures timeslicing, not
+//!    service capacity.
 //!
-//! By default the server runs in-process on an ephemeral port (PIC_X32,
-//! the complete Freecursive design point, 2 shards); `--addr` points the
-//! load at an external `oram_server` instead.
-//!
-//! Usage: `cargo run --release -p bench --bin loadgen`
+//! Usage: `cargo run --release -p bench --bin loadgen -- --addr <host:port>`
 //!
 //! Flags:
 //!
-//! * `--quick` — small geometry, short windows (local iteration).
-//! * `--smoke` — the CI profile: full geometry, short windows.
-//! * `--gate <baseline.json>` — compare the fresh single-connection
-//!   requests/sec against `baseline.json`; exit non-zero on a regression
-//!   of more than [`GATE_TOLERANCE`].
-//! * `--out <path>` — redirect the JSON (default `BENCH_service.json`).
-//! * `--addr <host:port>` — drive an external server (skips the
-//!   in-process spawn; `server_panics` is then reported as unknown).
-//! * `--tenant <name>` — tenant for `--addr` runs (default `default`).
+//! * `--addr <host:port>` — the server to drive (required).
+//! * `--tenant <name>` — tenant to connect as (default `default`).
+//! * `--quick` — short windows (local iteration).
+//!
+//! Any other argument is rejected with exit code 2 (`bench::harness`).
 
-use std::fmt::Write as _;
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
-use freecursive::{OramBuilder, SchemePoint};
+use bench::harness::{best_of_windows, Flags, Windows};
 use oram_net::wire::{encode_request, read_frame, write_frame, KIND_R_ERROR};
-use oram_net::{NetClient, NetServer, ServerConfig, WireRequest};
+use oram_net::{NetClient, WireRequest};
 
 /// In-flight request window for the closed-loop phases.
 const WINDOW: usize = 128;
@@ -53,24 +45,9 @@ const MULTI_CONNS: usize = 4;
 /// describe service latency rather than unbounded queue growth.
 const OPEN_LOOP_FRACTION: f64 = 0.6;
 
-/// Allowed fractional regression of single-connection requests/sec before
-/// the `--gate` check fails.  Looser than the in-process benches: the
-/// number crosses the loopback stack and two extra threads, which on a
-/// busy 1-core runner adds noise the 20% gates would trip on.
-const GATE_TOLERANCE: f64 = 0.25;
-
 struct Profile {
-    name: &'static str,
-    num_blocks: u64,
-    /// Closed-loop: warmup requests before any window.
-    warmup: u64,
-    /// Closed-loop: measurement windows (best-of).
-    windows: u32,
-    /// Closed-loop: per-window floor on requests and seconds.
-    min_requests: u64,
-    min_secs: f64,
-    /// Closed-loop: per-window request ceiling.
-    max_requests: u64,
+    /// Closed-loop: warm-up and best-of windows of the single connection.
+    closed_loop: Windows,
     /// Open-loop: request count ceiling and duration ceiling.
     open_loop_max: u64,
     open_loop_secs: f64,
@@ -78,44 +55,17 @@ struct Profile {
     per_conn: u64,
 }
 
-fn profile(quick: bool, smoke: bool) -> Profile {
+fn profile(quick: bool) -> Profile {
     if quick {
         Profile {
-            name: "quick",
-            num_blocks: 1 << 16,
-            warmup: 1_024,
-            windows: 2,
-            min_requests: 2_048,
-            min_secs: 0.2,
-            max_requests: 20_000,
+            closed_loop: Windows::new(1_024, 2_048, 0.2, 20_000, 2),
             open_loop_max: 10_000,
             open_loop_secs: 1.0,
             per_conn: 2_048,
         }
-    } else if smoke {
-        // Full geometry, short windows: comparable shape to the full
-        // profile on a CI time budget.
-        Profile {
-            name: "smoke",
-            num_blocks: 1 << 20,
-            warmup: 4_096,
-            windows: 4,
-            min_requests: 4_096,
-            min_secs: 0.5,
-            max_requests: 100_000,
-            open_loop_max: 50_000,
-            open_loop_secs: 2.0,
-            per_conn: 4_096,
-        }
     } else {
         Profile {
-            name: "full",
-            num_blocks: 1 << 20,
-            warmup: 8_192,
-            windows: 3,
-            min_requests: 16_384,
-            min_secs: 1.5,
-            max_requests: 500_000,
+            closed_loop: Windows::new(8_192, 16_384, 1.5, 500_000, 3),
             open_loop_max: 200_000,
             open_loop_secs: 5.0,
             per_conn: 16_384,
@@ -171,29 +121,6 @@ fn run_closed_loop(
     done
 }
 
-/// Phase 1: best-of-windows single-connection throughput.
-fn measure_single_conn(client: &mut NetClient, p: &Profile, num_blocks: u64) -> (u64, f64) {
-    let block_bytes = usize::try_from(client.session().block_bytes).expect("small blocks");
-    run_closed_loop(client, p.warmup, num_blocks, block_bytes);
-    let mut total = 0u64;
-    let mut best_rate = 0f64;
-    for _ in 0..p.windows {
-        let start = Instant::now();
-        let mut done = 0u64;
-        loop {
-            done += run_closed_loop(client, WINDOW as u64 * 4, num_blocks, block_bytes);
-            let secs = start.elapsed().as_secs_f64();
-            if done >= p.max_requests || (done >= p.min_requests && secs >= p.min_secs) {
-                break;
-            }
-        }
-        let rate = done as f64 / start.elapsed().as_secs_f64();
-        best_rate = best_rate.max(rate);
-        total += done;
-    }
-    (total, best_rate)
-}
-
 /// Phase 2: open-loop latency percentiles at a fixed offered rate.
 ///
 /// A sender thread dispatches request `i` at `start + i * interval`
@@ -206,7 +133,7 @@ fn measure_open_loop(
     rate: f64,
     p: &Profile,
     num_blocks: u64,
-) -> (u64, f64, Vec<Duration>) {
+) -> (u64, Vec<Duration>) {
     let interval = Duration::from_secs_f64(1.0 / rate);
     let total = (rate * p.open_loop_secs) as u64;
     let total = total.clamp(100, p.open_loop_max);
@@ -255,7 +182,7 @@ fn measure_open_loop(
         latencies.push(Instant::now().saturating_duration_since(scheduled));
     }
     sender.join().expect("sender thread");
-    (total, rate, latencies)
+    (total, latencies)
 }
 
 /// Phase 3: concurrent pipelined connections, aggregate throughput.
@@ -278,161 +205,59 @@ fn measure_multi_conn(addr: SocketAddr, tenant: &str, p: &Profile, num_blocks: u
     (total, total as f64 / start.elapsed().as_secs_f64())
 }
 
+/// `q`-quantile of a non-empty sorted sample, in microseconds.
 fn percentile_us(sorted: &[Duration], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
     let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
     sorted[rank - 1].as_secs_f64() * 1e6
 }
 
-/// Extracts `"single_conn"`'s `"requests_per_sec"` from a
-/// `BENCH_service.json` produced by this binary.
-fn parse_single_conn_rate(json: &str) -> Option<f64> {
-    let entry = json.find("\"single_conn\"")?;
-    let key = "\"requests_per_sec\": ";
-    let rate = entry + json[entry..].find(key)? + key.len();
-    let end = json[rate..].find([',', '\n', '}'])?;
-    json[rate..rate + end].trim().parse().ok()
-}
-
-fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let gate_path = flag_value(&args, "--gate");
-    let out_path = flag_value(&args, "--out").unwrap_or("BENCH_service.json");
-    let external = flag_value(&args, "--addr");
-    let tenant = flag_value(&args, "--tenant").unwrap_or("default");
-    let p = profile(quick, smoke);
+    let flags = Flags::from_env(&[
+        ("--addr", Some("<host:port>")),
+        ("--tenant", Some("<name>")),
+        ("--quick", None),
+    ]);
+    let addr: SocketAddr = flags.parsed("--addr").unwrap_or_else(|| {
+        flags.reject("--addr is required: start `oram_server` and pass its address")
+    });
+    let tenant = flags.value("--tenant").unwrap_or("default");
+    let p = profile(flags.has("--quick"));
 
     let cores = std::thread::available_parallelism().map_or(0, |pll| pll.get());
     eprintln!("available parallelism: {cores} core(s)");
-    if cores < 4 {
+    if cores < MULTI_CONNS {
         eprintln!(
             "note: the multi-connection phase on fewer cores than connections measures \
-             timeslicing, not capacity — it is recorded but never gated"
+             timeslicing, not capacity"
         );
     }
 
-    // Spawn (or attach to) the server.
-    let shards = 2u64;
-    let block_bytes = 64usize;
-    let server = if external.is_none() {
-        eprintln!(
-            "spawning in-process server: PIC_X32, {} blocks x {block_bytes} B, {shards} shards",
-            p.num_blocks
-        );
-        let service = OramBuilder::for_scheme(SchemePoint::PicX32)
-            .num_blocks(p.num_blocks)
-            .block_bytes(block_bytes)
-            .shards(shards)
-            .build_service()
-            .expect("service builds");
-        Some(
-            NetServer::spawn(
-                service,
-                ServerConfig::single_tenant(p.num_blocks, 8_192),
-                "127.0.0.1:0",
-            )
-            .expect("server spawns"),
-        )
-    } else {
-        None
-    };
-    let addr: SocketAddr = match (&server, external) {
-        (Some(s), _) => s.local_addr(),
-        (None, Some(spec)) => spec.parse().expect("--addr host:port"),
-        (None, None) => unreachable!(),
-    };
-
     let mut client = NetClient::connect(addr, tenant).expect("connect");
-    let session = client.session();
     // Tenant-relative addressing: stay inside the advertised range.
-    let num_blocks = session.num_blocks;
+    let num_blocks = client.session().num_blocks;
 
-    // Phase 1: single-connection peak (the gated number).
     eprintln!("phase 1: single-connection closed-loop peak ...");
-    let (single_requests, single_rate) = measure_single_conn(&mut client, &p, num_blocks);
+    let block_bytes = usize::try_from(client.session().block_bytes).expect("small blocks");
+    let (single_requests, single_rate) = best_of_windows(
+        &mut client,
+        &p.closed_loop,
+        WINDOW as u64 * 4,
+        |client, target| run_closed_loop(client, target, num_blocks, block_bytes),
+        |_| {},
+    );
     eprintln!("  {single_rate:>10.0} req/s  ({single_requests} requests)");
     drop(client);
 
-    // Phase 2: open-loop latency below saturation.
     let offered = single_rate * OPEN_LOOP_FRACTION;
     eprintln!("phase 2: open-loop latency at {offered:.0} req/s ...");
-    let (open_requests, offered_rate, mut latencies) =
-        measure_open_loop(addr, tenant, offered, &p, num_blocks);
+    let (open_requests, mut latencies) = measure_open_loop(addr, tenant, offered, &p, num_blocks);
     latencies.sort_unstable();
     let p50 = percentile_us(&latencies, 0.50);
     let p95 = percentile_us(&latencies, 0.95);
     let p99 = percentile_us(&latencies, 0.99);
     eprintln!("  p50 {p50:.0} us   p95 {p95:.0} us   p99 {p99:.0} us   ({open_requests} requests)");
 
-    // Phase 3: concurrent connections (recorded, never gated).
     eprintln!("phase 3: {MULTI_CONNS} concurrent connections ...");
     let (multi_requests, multi_rate) = measure_multi_conn(addr, tenant, &p, num_blocks);
     eprintln!("  {multi_rate:>10.0} req/s aggregate  ({multi_requests} requests)");
-
-    let panics = server.as_ref().map(NetServer::panic_count);
-    let panics_json = panics.map_or("null".to_string(), |n| n.to_string());
-    if let Some(n) = panics {
-        assert_eq!(n, 0, "server panicked under benchmark load");
-    }
-
-    let mut json = String::new();
-    let _ = write!(
-        json,
-        "{{\n  \"benchmark\": \"service_loadgen\",\n  \"profile\": \"{}\",\n  \
-         \"available_parallelism\": {cores},\n  \"server\": {{\n    \
-         \"scheme\": \"PIC_X32\",\n    \"in_process\": {},\n    \
-         \"num_blocks\": {num_blocks},\n    \"block_bytes\": {block_bytes},\n    \
-         \"shards\": {shards},\n    \"pipeline_window\": {WINDOW}\n  }},\n  \
-         \"single_conn\": {{\n    \"requests\": {single_requests},\n    \
-         \"requests_per_sec\": {single_rate:.1},\n    \
-         \"us_per_request\": {:.1}\n  }},\n  \
-         \"open_loop\": {{\n    \"offered_rate_per_sec\": {offered_rate:.1},\n    \
-         \"offered_fraction_of_peak\": {OPEN_LOOP_FRACTION},\n    \
-         \"requests\": {open_requests},\n    \"p50_us\": {p50:.1},\n    \
-         \"p95_us\": {p95:.1},\n    \"p99_us\": {p99:.1}\n  }},\n  \
-         \"multi_conn\": {{\n    \"connections\": {MULTI_CONNS},\n    \
-         \"requests\": {multi_requests},\n    \
-         \"requests_per_sec\": {multi_rate:.1},\n    \"gated\": false\n  }},\n  \
-         \"server_panics\": {panics_json}\n}}\n",
-        p.name,
-        server.is_some(),
-        1e6 / single_rate,
-    );
-    std::fs::write(out_path, &json).expect("write BENCH_service.json");
-    eprintln!("wrote {out_path}");
-
-    if let Some(server) = server {
-        server.shutdown().expect("clean shutdown");
-    }
-
-    if let Some(path) = gate_path {
-        let baseline =
-            std::fs::read_to_string(path).unwrap_or_else(|e| panic!("gate baseline {path}: {e}"));
-        let baseline_rate = parse_single_conn_rate(&baseline)
-            .unwrap_or_else(|| panic!("gate baseline {path} has no single_conn rate"));
-        let floor = baseline_rate * (1.0 - GATE_TOLERANCE);
-        eprintln!(
-            "perf gate: single-conn {single_rate:.0} req/s vs baseline {baseline_rate:.0} req/s \
-             (floor {floor:.0})"
-        );
-        if single_rate < floor {
-            eprintln!(
-                "perf gate FAILED: single-connection throughput regressed more than {:.0}%",
-                GATE_TOLERANCE * 100.0
-            );
-            std::process::exit(1);
-        }
-        eprintln!("perf gate passed");
-    }
 }

@@ -10,8 +10,9 @@
 //!
 //! The CI `--gate` mode checks three things:
 //!
-//! 1. every tier row present in the baseline against the fresh run of the
-//!    same tier (a regression beyond [`GATE_TOLERANCE`] fails),
+//! 1. every tier's fresh sequential rate against the same tier's row in
+//!    the baseline (a regression beyond [`GATE_TOLERANCE`], or a baseline
+//!    without that row, fails),
 //! 2. the machine-portable ratio gate: the fresh tiered rate must be at
 //!    least [`TIERED_FILE_SPEEDUP_FLOOR`]× the fresh file rate — the
 //!    treetop exists to make the spill tier affordable, and this ratio is
@@ -29,16 +30,20 @@
 //! * `--gate <baseline.json>` — run the three checks above against
 //!   `baseline.json`; exit non-zero on failure.
 //! * `--out <path>` — redirect the JSON (default `BENCH_storage.json`).
+//!
+//! Any other argument, or a flag missing its value, exits with code 2.
 
+use bench::harness::{
+    best_of_windows, check_ratio, check_row, gate, BenchCli, Measurement, Windows,
+};
 use path_oram::{AccessOp, EncryptionMode, OramBackend, OramParams, PathOramBackend, StorageKind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt::Write as _;
-use std::time::Instant;
 
 /// Allowed fractional regression of any tier's sequential accesses/sec
 /// before the `--gate` check fails (20%, matching the other perf-smoke
-/// gates).
+/// gate).
 const GATE_TOLERANCE: f64 = 0.20;
 
 /// The tiered store must beat the pure file store by at least this factor
@@ -61,152 +66,83 @@ const TIERED_MEMORY_BUDGET: u64 = 192 << 20;
 /// `access_batch` bracketing.
 const BATCH_WINDOW: u64 = 16;
 
-struct Measurement {
-    accesses: u64,
-    accesses_per_sec: f64,
-    bytes_per_access: f64,
-    max_stash_occupancy: usize,
+/// Accesses per harness chunk (a whole number of batch windows).
+const CHUNK: u64 = 256;
+
+/// The workload: the standard mixed read/write stream over one backend,
+/// with the caller playing the position map.  One instance serves both
+/// measurements of a tier, so the batched run continues from where the
+/// sequential run left the blocks, exactly like a frontend switching
+/// submission modes.
+struct Tier {
+    backend: PathOramBackend,
+    rng: StdRng,
+    posmap: Vec<u64>,
+    issued: u64,
+    out: Vec<u8>,
+    write_data: Vec<u8>,
 }
 
-impl Measurement {
-    fn json(&self, indent: &str) -> String {
-        let mut s = String::new();
-        let _ = write!(
-            s,
-            "{{\n{indent}  \"accesses\": {},\n{indent}  \"accesses_per_sec\": {:.1},\n\
-             {indent}  \"ns_per_access\": {:.1},\n{indent}  \"bytes_moved_per_access\": {:.1},\n\
-             {indent}  \"max_stash_occupancy\": {}\n{indent}}}",
-            self.accesses,
-            self.accesses_per_sec,
-            1e9 / self.accesses_per_sec,
-            self.bytes_per_access,
-            self.max_stash_occupancy,
-        );
-        s
-    }
-}
-
-/// The standard mixed read/write workload over one backend; best-of-windows
-/// rate, counters normalised over the whole run.  `batch_window > 0` wraps
-/// every `batch_window` accesses in a `begin_batch`/`end_batch` bracket, so
-/// the dedup scheduler's coalesced reads and one-seal-per-batch writebacks
-/// are on the measured path.
-#[allow(clippy::too_many_arguments)]
-fn measure(
-    backend: &mut PathOramBackend,
-    rng: &mut StdRng,
-    posmap: &mut [u64],
-    warmup: u64,
-    min_accesses: u64,
-    min_secs: f64,
-    max_accesses: u64,
-    windows: u32,
-    batch_window: u64,
-) -> Measurement {
-    let n = backend.params().num_blocks;
-    let leaves = backend.params().num_leaves();
-    let block_bytes = backend.params().block_bytes;
-    let mut out = Vec::new();
-    let write_data = vec![0x5Du8; block_bytes];
-
-    let mut one = |backend: &mut PathOramBackend, i: u64, rng: &mut StdRng, posmap: &mut [u64]| {
-        let addr = rng.gen_range(0..n);
-        let new_leaf = rng.gen_range(0..leaves);
+impl Tier {
+    fn one(&mut self) {
+        let params = self.backend.params();
+        let addr = self.rng.gen_range(0..params.num_blocks);
+        let new_leaf = self.rng.gen_range(0..params.num_leaves());
         let slot = usize::try_from(addr).expect("bench address fits usize");
-        let old_leaf = posmap[slot];
-        posmap[slot] = new_leaf;
-        let op = if i.is_multiple_of(2) {
+        let old_leaf = std::mem::replace(&mut self.posmap[slot], new_leaf);
+        let op = if self.issued.is_multiple_of(2) {
             AccessOp::Read
         } else {
             AccessOp::Write
         };
-        let data = (op == AccessOp::Write).then_some(&write_data[..]);
-        backend
-            .access_into(op, addr, old_leaf, new_leaf, data, &mut out)
+        self.issued += 1;
+        let data = (op == AccessOp::Write).then_some(&self.write_data[..]);
+        self.backend
+            .access_into(op, addr, old_leaf, new_leaf, data, &mut self.out)
             .expect("benchmark access");
-    };
-
-    for i in 0..warmup {
-        one(backend, i, rng, posmap);
     }
-    backend.reset_stats();
 
-    let mut total = 0u64;
-    let mut best_rate = 0f64;
-    for _ in 0..windows {
-        let start = Instant::now();
-        let mut done = 0u64;
-        loop {
-            if batch_window > 0 {
-                let mut j = 0u64;
-                while j < 256 {
-                    backend.begin_batch();
-                    for i in 0..batch_window {
-                        one(backend, done + j + i, rng, posmap);
-                    }
-                    backend.end_batch().expect("benchmark batch flush");
-                    j += batch_window;
-                }
-            } else {
-                for i in 0..256 {
-                    one(backend, done + i, rng, posmap);
-                }
+    /// `batch_window > 0` wraps every `batch_window` accesses in a
+    /// `begin_batch`/`end_batch` bracket, so the dedup scheduler's coalesced
+    /// reads and one-seal-per-batch writebacks are on the measured path.
+    fn measure(&mut self, w: &Windows, batch_window: u64) -> Measurement {
+        let run = |tier: &mut Tier, n: u64| {
+            if batch_window == 0 {
+                (0..n).for_each(|_| tier.one());
+                return n;
             }
-            done += 256;
-            let secs = start.elapsed().as_secs_f64();
-            if done >= max_accesses || (done >= min_accesses && secs >= min_secs) {
-                break;
+            let batches = n.div_ceil(batch_window);
+            for _ in 0..batches {
+                tier.backend.begin_batch();
+                (0..batch_window).for_each(|_| tier.one());
+                tier.backend.end_batch().expect("benchmark batch flush");
             }
+            batches * batch_window
+        };
+        let (accesses, accesses_per_sec) =
+            best_of_windows(self, w, CHUNK, run, |tier| tier.backend.reset_stats());
+        let stats = self.backend.stats();
+        Measurement {
+            accesses,
+            accesses_per_sec,
+            bytes_per_access: (stats.bytes_read + stats.bytes_written) as f64 / accesses as f64,
+            buckets_encrypted_per_access: None,
+            max_stash_occupancy: stats.max_stash_occupancy,
         }
-        let rate = done as f64 / start.elapsed().as_secs_f64();
-        best_rate = best_rate.max(rate);
-        total += done;
     }
-    let stats = backend.stats();
-    Measurement {
-        accesses: total,
-        accesses_per_sec: best_rate,
-        bytes_per_access: (stats.bytes_read + stats.bytes_written) as f64 / total as f64,
-        max_stash_occupancy: stats.max_stash_occupancy,
-    }
-}
-
-/// Extracts the sequential `"accesses_per_sec"` of the `"store": "<label>"`
-/// tier from a `BENCH_storage.json` produced by this binary.  The
-/// sequential `"result"` block precedes `"batched_result"` in each tier
-/// object, so the first rate after the label is the sequential one.
-fn parse_tier_rate(json: &str, label: &str) -> Option<f64> {
-    let tier = json.find(&format!("\"store\": \"{label}\""))?;
-    let key = "\"accesses_per_sec\": ";
-    let rate = tier + json[tier..].find(key)? + key.len();
-    let end = json[rate..].find([',', '\n', '}'])?;
-    json[rate..rate + end].trim().parse().ok()
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let gate_path = args
-        .iter()
-        .position(|a| a == "--gate")
-        .and_then(|i| args.get(i + 1));
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .map_or("BENCH_storage.json", |s| s.as_str());
-
-    let num_blocks: u64 = if quick { 1 << 16 } else { 1 << 20 };
+    let cli = BenchCli::from_env("BENCH_storage.json");
+    let num_blocks: u64 = if cli.quick { 1 << 16 } else { 1 << 20 };
     let block_bytes = 64usize;
     let params = OramParams::new(num_blocks, block_bytes, 4);
-    let (warmup, min_accesses, min_secs, max_accesses, windows) = if smoke {
-        (2_000, 4_000, 0.8, 200_000, 3)
-    } else if quick {
-        (1_000, 2_000, 0.2, 50_000, 2)
-    } else {
-        (8_000, 15_000, 1.5, 1_000_000, 3)
-    };
+    //               warmup  min_accesses  min_secs  max_accesses  windows
+    let windows = cli.select(
+        Windows::new(8_000, 15_000, 1.5, 1_000_000, 3),
+        Windows::new(2_000, 4_000, 0.8, 200_000, 3),
+        Windows::new(1_000, 2_000, 0.2, 50_000, 2),
+    );
 
     let tiers = [
         ("mem", StorageKind::Mem),
@@ -222,7 +158,7 @@ fn main() {
     let mut tiers_json = String::new();
     for (i, (label, kind)) in tiers.into_iter().enumerate() {
         eprintln!("measuring storage tier: {label} ...");
-        let mut backend = PathOramBackend::new_with_storage(
+        let backend = PathOramBackend::new_with_storage(
             params,
             EncryptionMode::GlobalSeed,
             [2u8; 16],
@@ -232,33 +168,24 @@ fn main() {
             0,
         )
         .expect("backend construction");
-        // One position map per tier, shared by both measurements: the
-        // batched run continues from where the sequential run left the
-        // blocks, exactly like a frontend switching submission modes.
         let mut rng = StdRng::seed_from_u64(0x5708A6E);
-        let mut posmap: Vec<u64> = (0..num_blocks)
+        let posmap = (0..num_blocks)
             .map(|_| rng.gen_range(0..params.num_leaves()))
             .collect();
-        let sequential = measure(
-            &mut backend,
-            &mut rng,
-            &mut posmap,
-            warmup,
-            min_accesses,
-            min_secs,
-            max_accesses,
-            windows,
-            0,
-        );
-        let batched = measure(
-            &mut backend,
-            &mut rng,
-            &mut posmap,
-            warmup / 4,
-            min_accesses,
-            min_secs,
-            max_accesses,
-            windows,
+        let mut tier = Tier {
+            backend,
+            rng,
+            posmap,
+            issued: 0,
+            out: Vec::new(),
+            write_data: vec![0x5Du8; block_bytes],
+        };
+        let sequential = tier.measure(&windows, 0);
+        let batched = tier.measure(
+            &Windows {
+                warmup: windows.warmup / 4,
+                ..windows
+            },
             BATCH_WINDOW,
         );
         eprintln!(
@@ -278,67 +205,35 @@ fn main() {
         );
     }
 
-    let profile = if smoke {
-        "smoke"
-    } else if quick {
-        "quick"
-    } else {
-        "full"
-    };
-    let json = format!(
-        "{{\n  \"benchmark\": \"storage_tiers\",\n  \"profile\": \"{profile}\",\n  \
+    cli.write_json(&format!(
+        "{{\n  \"benchmark\": \"storage_tiers\",\n  \"profile\": \"{}\",\n  \
          \"mode\": \"aes_global_seed\",\n  \"batch_window\": {BATCH_WINDOW},\n  \
          \"tiered_memory_budget\": {TIERED_MEMORY_BUDGET},\n  \"design_point\": {{\n    \
          \"num_blocks\": {num_blocks},\n    \
          \"block_bytes\": {block_bytes},\n    \"z\": 4,\n    \"levels\": {},\n    \
          \"bucket_bytes\": {}\n  }},\n  \"tiers\": [\n{tiers_json}\n  ]\n}}\n",
+        cli.profile_name(),
         params.levels(),
         params.bucket_bytes(),
-    );
-    std::fs::write(out_path, &json).expect("write BENCH_storage.json");
-    eprintln!("wrote {out_path}");
+    ));
 
-    if let Some(path) = gate_path {
-        let baseline =
-            std::fs::read_to_string(path).unwrap_or_else(|e| panic!("gate baseline {path}: {e}"));
-        let mut failed = false;
-        for (label, rate) in &rates {
-            let Some(baseline_rate) = parse_tier_rate(&baseline, label) else {
-                eprintln!("perf gate: baseline {path} has no \"{label}\" row; skipping");
-                continue;
-            };
-            let floor = baseline_rate * (1.0 - GATE_TOLERANCE);
-            eprintln!(
-                "perf gate: {label}-store {rate:.0} acc/s vs baseline {baseline_rate:.0} acc/s \
-                 (floor {floor:.0})"
-            );
-            if *rate < floor {
-                eprintln!(
-                    "perf gate FAILED: {label}-store throughput regressed more than {:.0}%",
-                    GATE_TOLERANCE * 100.0
-                );
-                failed = true;
-            }
-        }
-        let file_rate = rates.iter().find(|(l, _)| *l == "file").map(|(_, r)| *r);
-        let tiered_rate = rates.iter().find(|(l, _)| *l == "tiered").map(|(_, r)| *r);
-        if let (Some(file_rate), Some(tiered_rate)) = (file_rate, tiered_rate) {
-            let ratio = tiered_rate / file_rate;
-            let ratio_floor = TIERED_FILE_SPEEDUP_FLOOR * (1.0 - GATE_TOLERANCE);
-            eprintln!(
-                "perf gate: tiered/file speedup {ratio:.2}x \
-                 (target {TIERED_FILE_SPEEDUP_FLOOR:.1}x, floor {ratio_floor:.2}x)"
-            );
-            if ratio < ratio_floor {
-                eprintln!(
-                    "perf gate FAILED: tiered store fell below {ratio_floor:.2}x the file store"
-                );
-                failed = true;
-            }
-        }
-        if failed {
-            std::process::exit(1);
-        }
-        eprintln!("perf gate passed");
+    if let Some(path) = &cli.gate {
+        let rate_of = |tier: &str| rates.iter().find(|(l, _)| *l == tier).expect("measured").1;
+        gate(path, |baseline| {
+            let mut verdicts: Vec<_> = rates
+                .iter()
+                .map(|(label, rate)| {
+                    let row = format!("\"store\": \"{label}\"");
+                    check_row(baseline, &row, *rate, GATE_TOLERANCE)
+                })
+                .collect();
+            verdicts.push(check_ratio(
+                "tiered/file speedup",
+                rate_of("tiered") / rate_of("file"),
+                TIERED_FILE_SPEEDUP_FLOOR,
+                GATE_TOLERANCE,
+            ));
+            verdicts
+        });
     }
 }

@@ -1,6 +1,6 @@
 //! Regenerates Table 2: ORAM tree latency by DRAM channel count.
 fn main() {
-    let samples = if std::env::args().any(|a| a == "--quick") {
+    let samples = if bench::scale_from_args() == oram_sim::experiments::ExperimentScale::Quick {
         10
     } else {
         200

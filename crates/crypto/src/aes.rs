@@ -13,10 +13,9 @@
 //!   fallback.
 //!
 //! [`Aes128`] picks the engine once at construction: AES-NI when the CPU
-//! reports it, unless the soft path is forced by the `force-soft-aes` cargo
-//! feature or by setting `ORAM_CRYPTO_FORCE_SOFT` to anything but `0`/empty
-//! in the environment (checked once per process).  [`Aes128::engine`] reports
-//! the decision.
+//! reports it, unless the soft path is forced by setting
+//! `ORAM_CRYPTO_FORCE_SOFT` to anything but `0`/empty in the environment
+//! (checked once per process).  [`Aes128::engine`] reports the decision.
 //!
 //! The historical scalar implementation (S-box table + per-column GF(2^8)
 //! arithmetic) is retained test-only as `encrypt_block_scalar`, the
@@ -114,13 +113,10 @@ impl EngineKind {
     }
 }
 
-/// Whether the soft engine is forced, by compile-time feature or by the
-/// `ORAM_CRYPTO_FORCE_SOFT` environment variable (any value other than empty
-/// or `0`).  The environment is consulted once per process.
+/// Whether the soft engine is forced by the `ORAM_CRYPTO_FORCE_SOFT`
+/// environment variable (any value other than empty or `0`).  The
+/// environment is consulted once per process.
 fn force_soft() -> bool {
-    if cfg!(feature = "force-soft-aes") {
-        return true;
-    }
     static FORCED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
     *FORCED.get_or_init(|| {
         std::env::var("ORAM_CRYPTO_FORCE_SOFT").is_ok_and(|v| !v.is_empty() && v != "0")

@@ -18,8 +18,8 @@
 //! network and is an involution, so packing and unpacking share one routine.
 //!
 //! This engine is the portable fallback behind the AES-NI path and the only
-//! engine when `ORAM_CRYPTO_FORCE_SOFT` / the `force-soft-aes` feature is in
-//! effect; see [`crate::aes::Aes128`] for the dispatch rules.
+//! engine when `ORAM_CRYPTO_FORCE_SOFT` is in effect; see
+//! [`crate::aes::Aes128`] for the dispatch rules.
 
 use crate::aes::{BLOCK_BYTES, ROUNDS};
 

@@ -53,11 +53,10 @@
 //! # Engine selection
 //!
 //! The engine is chosen per cipher instance at construction: AES-NI when the
-//! CPU supports it, unless the `force-soft-aes` cargo feature is enabled or
-//! `ORAM_CRYPTO_FORCE_SOFT` is set to a non-empty value other than `0` in
-//! the environment (read once per process).  [`aes::Aes128::engine`] reports
-//! the decision.  Key material (expanded AES schedules, MAC keys) is
-//! scrubbed with volatile writes on drop.
+//! CPU supports it, unless `ORAM_CRYPTO_FORCE_SOFT` is set to a non-empty
+//! value other than `0` in the environment (read once per process).
+//! [`aes::Aes128::engine`] reports the decision.  Key material (expanded AES
+//! schedules, MAC keys) is scrubbed with volatile writes on drop.
 //!
 //! # Examples
 //!

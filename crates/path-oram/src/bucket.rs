@@ -4,15 +4,10 @@
 //! blocks so that, after encryption, real and dummy blocks are
 //! indistinguishable (§3.1).
 //!
-//! Two codecs share one layout:
-//!
-//! * the zero-copy codec — [`BucketView`] parses a plaintext image into
-//!   borrowed slot views and [`BucketWriter`] serialises straight into a
-//!   caller-provided image (an arena slot of [`crate::MemStore`], or the
-//!   eviction staging buffer for file-backed stores) — is what the
-//!   backend's hot path uses;
-//! * the owned [`Bucket`] type remains for construction-time code and tests
-//!   that want a materialised bucket.
+//! The codec is zero-copy: [`BucketView`] parses a plaintext image into
+//! borrowed slot views and [`BucketWriter`] serialises straight into a
+//! caller-provided image (an arena slot of [`crate::MemStore`], or the
+//! eviction staging buffer for file-backed stores).
 //!
 //! The codec produces and consumes **plaintext** images; encryption is a
 //! separate, batchable XOR pass.  On the hot path the backend runs the codec
@@ -35,8 +30,7 @@
 
 use crate::error::OramError;
 use crate::params::{OramParams, BUCKET_HEADER_BYTES, SLOT_META_BYTES};
-use crate::types::{BlockId, Leaf, OramBlock};
-use serde::{Deserialize, Serialize};
+use crate::types::{BlockId, Leaf};
 
 /// One occupied slot parsed out of a bucket image, borrowing its payload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,7 +57,7 @@ pub struct BucketView<'a> {
 // lint: ct-scope, no-alloc
 impl<'a> BucketView<'a> {
     /// Validates and wraps a plaintext bucket image produced by
-    /// [`BucketWriter`] / [`Bucket::serialize`].
+    /// [`BucketWriter`].
     ///
     /// # Errors
     ///
@@ -207,9 +201,8 @@ impl<'a> BucketWriter<'a> {
     }
 
     /// Completes the image: zeroes the data regions of every slot that was
-    /// not pushed, so dummy slots carry zero payload exactly as
-    /// [`Bucket::serialize`] produces.  Must be called before the image is
-    /// sealed or stored.
+    /// not pushed, so dummy slots carry zero payload whatever the image
+    /// held before.  Must be called before the image is sealed or stored.
     pub fn finish(self) {
         let data_base = BUCKET_HEADER_BYTES + self.z * SLOT_META_BYTES;
         self.bytes
@@ -219,88 +212,6 @@ impl<'a> BucketWriter<'a> {
 }
 // lint: end
 
-/// A decrypted, in-controller representation of one bucket (owned codec).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Bucket {
-    /// Occupied slots (at most Z of them).
-    pub blocks: Vec<OramBlock>,
-    /// The encryption seed stored in the bucket header (interpretation
-    /// depends on the encryption mode).
-    pub seed: u64,
-    /// Number of slots (Z).
-    z: usize,
-    /// Payload bytes per block.
-    block_bytes: usize,
-}
-
-impl Bucket {
-    /// Creates an empty bucket for the given parameters.
-    pub fn empty(params: &OramParams) -> Self {
-        Self {
-            blocks: Vec::with_capacity(params.z),
-            seed: 0,
-            z: params.z,
-            block_bytes: params.block_bytes,
-        }
-    }
-
-    /// Number of free slots remaining.
-    pub fn free_slots(&self) -> usize {
-        self.z - self.blocks.len()
-    }
-
-    /// Adds a block to the bucket.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the bucket is already full or the data length is wrong;
-    /// callers only push after checking `free_slots`.
-    pub fn push(&mut self, block: OramBlock) {
-        assert!(self.free_slots() > 0, "bucket overflow");
-        assert_eq!(block.data.len(), self.block_bytes, "block size mismatch");
-        self.blocks.push(block);
-    }
-
-    /// Serialises the bucket (plaintext) into exactly
-    /// [`OramParams::bucket_bytes`] bytes (see the module docs for the
-    /// layout).
-    pub fn serialize(&self, params: &OramParams) -> Vec<u8> {
-        let mut out = vec![0u8; params.bucket_bytes()];
-        let mut writer = BucketWriter::begin(&mut out, params, self.seed);
-        for block in &self.blocks {
-            writer.push(block.addr, block.leaf, &block.data);
-        }
-        writer.finish();
-        out
-    }
-
-    /// Parses a plaintext bucket image produced by [`Bucket::serialize`].
-    ///
-    /// # Errors
-    ///
-    /// As for [`BucketView::parse`].
-    pub fn deserialize(
-        bytes: &[u8],
-        params: &OramParams,
-        bucket_index: u64,
-    ) -> Result<Self, OramError> {
-        let view = BucketView::parse(bytes, params, bucket_index)?;
-        Ok(Self {
-            blocks: view
-                .occupied()
-                .map(|slot| OramBlock {
-                    addr: slot.addr,
-                    leaf: slot.leaf,
-                    data: slot.data.to_vec(),
-                })
-                .collect(),
-            seed: view.seed(),
-            z: params.z,
-            block_bytes: params.block_bytes,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -309,28 +220,44 @@ mod tests {
         OramParams::new(1 << 10, 64, 4)
     }
 
-    fn block(addr: u64, leaf: u64, fill: u8) -> OramBlock {
-        OramBlock {
-            addr,
-            leaf,
-            data: vec![fill; 64],
+    /// `(addr, leaf, fill byte)` of one 64-byte block.
+    type Block = (u64, u64, u8);
+
+    /// Writes `blocks` into a fresh, zeroed image.
+    fn image(p: &OramParams, seed: u64, blocks: &[Block]) -> Vec<u8> {
+        let mut out = vec![0u8; p.bucket_bytes()];
+        let mut writer = BucketWriter::begin(&mut out, p, seed);
+        for &(addr, leaf, fill) in blocks {
+            writer.push(addr, leaf, &[fill; 64]);
         }
+        writer.finish();
+        out
+    }
+
+    /// Parses an image back into `(seed, blocks)`, checking every payload
+    /// byte of each slot carries that slot's fill.
+    fn parsed(bytes: &[u8], p: &OramParams) -> (u64, Vec<Block>) {
+        let view = BucketView::parse(bytes, p, 0).unwrap();
+        let blocks = view
+            .occupied()
+            .map(|slot| {
+                assert!(slot.data.iter().all(|&b| b == slot.data[0]));
+                (slot.addr, slot.leaf, slot.data[0])
+            })
+            .collect();
+        (view.seed(), blocks)
     }
 
     #[test]
     fn roundtrip_empty_and_partial_and_full() {
         let p = params();
         for count in 0..=4usize {
-            let mut bucket = Bucket::empty(&p);
-            bucket.seed = 0xDEADBEEF;
-            for i in 0..count {
-                bucket.push(block(i as u64 + 10, i as u64, i as u8));
-            }
-            let bytes = bucket.serialize(&p);
+            let blocks: Vec<Block> = (0..count)
+                .map(|i| (i as u64 + 10, i as u64, i as u8))
+                .collect();
+            let bytes = image(&p, 0xDEADBEEF, &blocks);
             assert_eq!(bytes.len(), p.bucket_bytes());
-            let parsed = Bucket::deserialize(&bytes, &p, 0).unwrap();
-            assert_eq!(parsed.seed, 0xDEADBEEF);
-            assert_eq!(parsed.blocks, bucket.blocks);
+            assert_eq!(parsed(&bytes, &p), (0xDEADBEEF, blocks));
         }
     }
 
@@ -341,22 +268,16 @@ mod tests {
         // field must be a full u64.
         let p = params();
         let tagged = (3u64 << 56) | 12345;
-        let mut bucket = Bucket::empty(&p);
-        bucket.push(block(tagged, 7, 0x5A));
-        bucket.push(block(u64::MAX, 3, 0xA5));
-        let bytes = bucket.serialize(&p);
-        let parsed = Bucket::deserialize(&bytes, &p, 0).unwrap();
-        assert_eq!(parsed.blocks[0].addr, tagged);
-        assert_eq!(parsed.blocks[1].addr, u64::MAX);
+        let bytes = image(&p, 0, &[(tagged, 7, 0x5A), (u64::MAX, 3, 0xA5)]);
+        let (_, blocks) = parsed(&bytes, &p);
+        assert_eq!(blocks[0].0, tagged);
+        assert_eq!(blocks[1].0, u64::MAX);
     }
 
     #[test]
     fn view_borrows_slot_payloads_without_copying() {
         let p = params();
-        let mut bucket = Bucket::empty(&p);
-        bucket.seed = 42;
-        bucket.push(block(9, 5, 0xEE));
-        let bytes = bucket.serialize(&p);
+        let bytes = image(&p, 42, &[(9, 5, 0xEE)]);
         let view = BucketView::parse(&bytes, &p, 0).unwrap();
         assert_eq!(view.seed(), 42);
         let slots: Vec<_> = view.occupied().collect();
@@ -372,57 +293,50 @@ mod tests {
     #[test]
     fn writer_overwrites_stale_image_contents() {
         let p = params();
-        let mut image = vec![0xFF; p.bucket_bytes()];
-        let mut writer = BucketWriter::begin(&mut image, &p, 1);
+        let mut stale = vec![0xFF; p.bucket_bytes()];
+        let mut writer = BucketWriter::begin(&mut stale, &p, 1);
         writer.push(4, 2, &[0x11; 64]);
         writer.finish();
-        let parsed = Bucket::deserialize(&image, &p, 0).unwrap();
-        assert_eq!(parsed.seed, 1);
-        assert_eq!(parsed.blocks.len(), 1);
-        let view = BucketView::parse(&image, &p, 0).unwrap();
-        assert_eq!(view.occupied().count(), 1);
+        assert_eq!(parsed(&stale, &p), (1, vec![(4, 2, 0x11)]));
         // Begin + finish together zeroed every stale byte outside the pushed
-        // slot: the result is bit-identical to the owned serialiser.
-        let mut bucket = Bucket::empty(&p);
-        bucket.seed = 1;
-        bucket.push(block(4, 2, 0x11));
-        assert_eq!(image, bucket.serialize(&p));
+        // slot: the result is bit-identical to writing into a zeroed image.
+        assert_eq!(stale, image(&p, 1, &[(4, 2, 0x11)]));
     }
 
     #[test]
     fn free_slots_counts_down() {
         let p = params();
-        let mut bucket = Bucket::empty(&p);
-        assert_eq!(bucket.free_slots(), 4);
-        bucket.push(block(1, 1, 1));
-        assert_eq!(bucket.free_slots(), 3);
+        let mut bytes = vec![0u8; p.bucket_bytes()];
+        let mut writer = BucketWriter::begin(&mut bytes, &p, 0);
+        assert_eq!(writer.free_slots(), 4);
+        writer.push(1, 1, &[1; 64]);
+        assert_eq!(writer.free_slots(), 3);
     }
 
     #[test]
     #[should_panic(expected = "bucket overflow")]
     fn push_beyond_z_panics() {
         let p = params();
-        let mut bucket = Bucket::empty(&p);
-        for i in 0..5 {
-            bucket.push(block(i, 0, 0));
-        }
+        image(
+            &p,
+            0,
+            &[(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0), (4, 0, 0)],
+        );
     }
 
     #[test]
     fn deserialize_rejects_wrong_length() {
         let p = params();
         assert_eq!(
-            Bucket::deserialize(&[0u8; 10], &p, 7),
-            Err(OramError::MalformedBucket { bucket: 7 })
+            BucketView::parse(&[0u8; 10], &p, 7).err(),
+            Some(OramError::MalformedBucket { bucket: 7 })
         );
     }
 
     #[test]
     fn parse_rejects_out_of_range_leaf() {
         let p = params();
-        let mut bucket = Bucket::empty(&p);
-        bucket.push(block(1, 0, 0));
-        let mut bytes = bucket.serialize(&p);
+        let mut bytes = image(&p, 0, &[(1, 0, 0)]);
         // Overwrite slot 0's leaf field with a value ≥ num_leaves.
         let m = BUCKET_HEADER_BYTES;
         bytes[m + 9..m + 13].copy_from_slice(&(p.num_leaves() as u32).to_le_bytes());
@@ -435,12 +349,11 @@ mod tests {
     #[test]
     fn deserialize_rejects_garbage_valid_byte() {
         let p = params();
-        let bucket = Bucket::empty(&p);
-        let mut bytes = bucket.serialize(&p);
+        let mut bytes = image(&p, 0, &[]);
         bytes[BUCKET_HEADER_BYTES] = 0x7F;
-        assert!(matches!(
-            Bucket::deserialize(&bytes, &p, 3),
-            Err(OramError::MalformedBucket { bucket: 3 })
-        ));
+        assert_eq!(
+            BucketView::parse(&bytes, &p, 3).err(),
+            Some(OramError::MalformedBucket { bucket: 3 })
+        );
     }
 }

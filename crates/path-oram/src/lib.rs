@@ -9,9 +9,9 @@
 //! * [`params::OramParams`] — tree geometry (N, Z, block size, levels) and the
 //!   bucket byte layout padded to DRAM bursts.
 //! * [`tree`] — path/bucket index arithmetic for the binary ORAM tree.
-//! * [`bucket::Bucket`] — Z-slot buckets with dummy blocks and
-//!   serialisation, plus the zero-copy [`bucket::BucketView`] /
-//!   [`bucket::BucketWriter`] codec the hot path uses.
+//! * [`bucket`] — Z-slot buckets with dummy blocks: the zero-copy
+//!   [`bucket::BucketView`] / [`bucket::BucketWriter`] codec the hot path
+//!   uses.
 //! * [`stash::Stash`] — the bounded on-chip stash, a fixed-capacity slab of
 //!   block-sized slots.
 //! * [`storage::TreeStore`] — the pluggable untrusted-memory seam, with

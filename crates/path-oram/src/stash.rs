@@ -8,7 +8,7 @@
 //! the property the backend's zero-allocation hot path rests on.
 
 use crate::error::OramError;
-use crate::types::{BlockId, Leaf, OramBlock};
+use crate::types::{BlockId, Leaf};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -191,11 +191,6 @@ impl Stash {
         self.payload_mut(slot).fill(0);
     }
 
-    /// Inserts or replaces a block (owned-payload convenience).
-    pub fn insert(&mut self, block: OramBlock) {
-        self.insert_from_parts(block.addr, block.leaf, &block.data);
-    }
-
     /// Whether the stash currently holds `addr`.
     pub fn contains(&self, addr: BlockId) -> bool {
         self.index.contains_key(&addr)
@@ -253,14 +248,6 @@ impl Stash {
         // lint: allow(no-alloc, free list pre-sized to the full slot count; a push always follows a pop)
         self.free.push(slot);
         Some(leaf)
-    }
-
-    /// Removes and returns a block (owned-payload convenience).
-    pub fn remove(&mut self, addr: BlockId) -> Option<OramBlock> {
-        // lint: allow(no-alloc, owned-payload convenience for tests and diagnostics; hot paths use remove_into)
-        let mut data = Vec::new();
-        let leaf = self.remove_into(addr, &mut data)?;
-        Some(OramBlock { addr, leaf, data })
     }
 
     // ------------------------------------------------------------------
@@ -436,23 +423,21 @@ mod tests {
         Stash::new(capacity, 4, 8)
     }
 
-    fn blk(addr: u64, leaf: u64) -> OramBlock {
-        OramBlock {
-            addr,
-            leaf,
-            data: vec![addr as u8; 4],
-        }
+    /// Inserts `addr` mapped to `leaf`, its payload filled with `addr as u8`.
+    fn put(stash: &mut Stash, addr: u64, leaf: u64) {
+        stash.insert_from_parts(addr, leaf, &[addr as u8; 4]);
     }
 
     #[test]
     fn insert_query_remove_roundtrip() {
         let mut stash = stash(10);
-        stash.insert(blk(5, 3));
+        put(&mut stash, 5, 3);
         assert!(stash.contains(5));
         assert_eq!(stash.leaf_of(5), Some(3));
         assert_eq!(stash.data_of(5), Some(&[5u8; 4][..]));
-        let removed = stash.remove(5).unwrap();
-        assert_eq!(removed.leaf, 3);
+        let mut removed = Vec::new();
+        assert_eq!(stash.remove_into(5, &mut removed), Some(3));
+        assert_eq!(removed, [5u8; 4]);
         assert!(!stash.contains(5));
         assert!(stash.is_empty());
     }
@@ -460,7 +445,7 @@ mod tests {
     #[test]
     fn remap_and_update_data() {
         let mut stash = stash(10);
-        stash.insert(blk(1, 0));
+        put(&mut stash, 1, 0);
         assert!(stash.remap(1, 9));
         assert_eq!(stash.leaf_of(1), Some(9));
         assert!(stash.update_data(1, &[7, 7, 7, 7]));
@@ -472,12 +457,12 @@ mod tests {
     #[test]
     fn remove_into_reuses_the_output_buffer() {
         let mut stash = stash(10);
-        stash.insert(blk(3, 2));
+        put(&mut stash, 3, 2);
         let mut out = Vec::new();
         assert_eq!(stash.remove_into(3, &mut out), Some(2));
         assert_eq!(out, vec![3u8; 4]);
         let cap = out.capacity();
-        stash.insert(blk(4, 1));
+        put(&mut stash, 4, 1);
         assert_eq!(stash.remove_into(4, &mut out), Some(1));
         assert_eq!(out, vec![4u8; 4]);
         assert_eq!(out.capacity(), cap, "no reallocation on reuse");
@@ -488,12 +473,13 @@ mod tests {
     fn slab_capacity_is_stable_within_headroom() {
         let mut stash = stash(4);
         let slots = stash.slot_capacity();
+        let mut out = Vec::new();
         for round in 0..50u64 {
             for i in 0..8 {
-                stash.insert(blk(round * 8 + i, i));
+                put(&mut stash, round * 8 + i, i);
             }
             for i in 0..8 {
-                stash.remove(round * 8 + i).unwrap();
+                stash.remove_into(round * 8 + i, &mut out).unwrap();
             }
         }
         assert_eq!(stash.slot_capacity(), slots, "slab never grew");
@@ -503,7 +489,7 @@ mod tests {
     fn occupied_slots_walks_in_slab_order() {
         let mut stash = stash(10);
         for addr in [9u64, 1, 5] {
-            stash.insert(blk(addr, addr));
+            put(&mut stash, addr, addr);
         }
         // Slots are handed out low-first, so slab order is insertion order.
         let addrs: Vec<u64> = stash.occupied_slots().map(|(_, a, _)| a).collect();
@@ -516,7 +502,7 @@ mod tests {
     #[test]
     fn release_slot_frees_the_address() {
         let mut stash = stash(10);
-        stash.insert(blk(7, 1));
+        put(&mut stash, 7, 1);
         let slot = stash.occupied_slots().next().unwrap().0;
         stash.release_slot(slot);
         assert!(!stash.contains(7));
@@ -526,10 +512,10 @@ mod tests {
     #[test]
     fn overflow_detection_and_high_water_mark() {
         let mut stash = stash(2);
-        stash.insert(blk(1, 0));
-        stash.insert(blk(2, 0));
+        put(&mut stash, 1, 0);
+        put(&mut stash, 2, 0);
         assert!(stash.check_overflow().is_ok());
-        stash.insert(blk(3, 0));
+        put(&mut stash, 3, 0);
         assert_eq!(
             stash.check_overflow(),
             Err(OramError::StashOverflow {
@@ -543,8 +529,8 @@ mod tests {
     #[test]
     fn reinserting_same_address_replaces_not_duplicates() {
         let mut stash = stash(10);
-        stash.insert(blk(1, 0));
-        stash.insert(blk(1, 5));
+        put(&mut stash, 1, 0);
+        put(&mut stash, 1, 5);
         assert_eq!(stash.len(), 1);
         assert_eq!(stash.leaf_of(1), Some(5));
     }

@@ -37,18 +37,6 @@ impl AccessOp {
     }
 }
 
-/// A block held in the stash or parsed out of a bucket: its address, current
-/// leaf and payload.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct OramBlock {
-    /// Block address.
-    pub addr: BlockId,
-    /// Leaf the block is currently mapped to.
-    pub leaf: Leaf,
-    /// Block payload.
-    pub data: BlockData,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
