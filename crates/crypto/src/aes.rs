@@ -115,8 +115,9 @@ impl EngineKind {
 
 /// Whether the soft engine is forced by the `ORAM_CRYPTO_FORCE_SOFT`
 /// environment variable (any value other than empty or `0`).  The
-/// environment is consulted once per process.
-fn force_soft() -> bool {
+/// environment is consulted once per process.  The CRC-64 dispatch reads it
+/// too.
+pub(crate) fn force_soft() -> bool {
     static FORCED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
     *FORCED.get_or_init(|| {
         std::env::var("ORAM_CRYPTO_FORCE_SOFT").is_ok_and(|v| !v.is_empty() && v != "0")

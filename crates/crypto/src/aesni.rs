@@ -14,7 +14,7 @@
 //! counter block in a register, never in memory, and XORs the keystream 128
 //! bits at a time straight into the caller's data.
 //!
-//! This is the crate's only unsafe island: the intrinsics themselves plus
+//! One of the crate's audited unsafe islands: the intrinsics themselves plus
 //! the `#[target_feature]` calls, both guarded by the runtime CPUID check at
 //! the dispatch site.
 

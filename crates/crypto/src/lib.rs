@@ -19,6 +19,9 @@
 //! * [`prf::Prf`] / [`prf::AesPrf`] — the pseudorandom function
 //!   `PRF_K(x) mod 2^L` that maps (address, counter) pairs to leaves.
 //! * [`mac::MacKey`] — the keyed MAC `MAC_K(c || a || d)` of §6.2.1.
+//! * [`crc64::crc64`] — the CRC-64/XZ torn-write detector of the tree
+//!   store's write-ahead log: a PCLMULQDQ folding kernel (x86_64, runtime
+//!   detected) with the slicing-by-8 table as fallback and reference.
 //!
 //! # The batched API contract
 //!
@@ -55,7 +58,8 @@
 //! The engine is chosen per cipher instance at construction: AES-NI when the
 //! CPU supports it, unless `ORAM_CRYPTO_FORCE_SOFT` is set to a non-empty
 //! value other than `0` in the environment (read once per process).
-//! [`aes::Aes128::engine`] reports the decision.  Key material (expanded AES
+//! [`aes::Aes128::engine`] reports the decision.  The same override sends
+//! [`crc64::crc64`] to its table path.  Key material (expanded AES
 //! schedules, MAC keys) is scrubbed with volatile writes on drop.
 //!
 //! # Examples
@@ -69,15 +73,18 @@
 //! assert!(leaf < (1 << 20));
 //! ```
 
-// Unsafe code is denied everywhere except the two audited islands that opt
-// back in: the AES-NI intrinsics (`aesni`) and the volatile key scrubbing
-// (`zeroize`).
+// Unsafe code is denied everywhere except the three audited islands that opt
+// back in: the AES-NI intrinsics (`aesni`), the PCLMULQDQ CRC kernel
+// (`clmul`) and the volatile key scrubbing (`zeroize`).
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod aes;
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod aesni;
+#[cfg(target_arch = "x86_64")]
+pub(crate) mod clmul;
+pub mod crc64;
 pub mod ctr;
 pub mod fixslice;
 pub mod keccak;

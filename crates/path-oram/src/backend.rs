@@ -952,12 +952,11 @@ impl PathOramBackend {
         } else {
             // Generic store: serialise the whole path into the staging
             // buffer, seal it in the same single batched engine pass, then
-            // hand it to the store as one `write_path` call (positional
-            // per-bucket writes underneath — see the trait docs for why
-            // writes, unlike reads, cannot coalesce into extents).  The
-            // old seeds come from the path scratch, whose headers were
-            // copied verbatim during the read (the keystream spans exclude
-            // them).
+            // hand it to the store as one `write_path` call (the file
+            // store writes it as the subtree windows `read_path` staged,
+            // one positional write each).  The old seeds come from the
+            // path scratch, whose headers were copied verbatim during the
+            // read (the keystream spans exclude them).
             //
             // Inside a batch window the top `batch_cache_levels` skip the
             // staging buffer: they are serialised (plaintext, new seed

@@ -44,6 +44,9 @@
 //! File offsets are a deterministic function of bucket indices, exactly as
 //! arena offsets were: an observer of file I/O sees the same
 //! one-path-read-one-path-write trace per access that a DRAM adversary saw.
+//! The file store reads and writes a path as whole subtree windows, and the
+//! window offsets and lengths are a function of the path's index list — of
+//! the public leaf — alone, never of which buckets hold real blocks.
 //! Obliviousness is unchanged.  What the file store adds is *persistence
 //! residue*: bucket ciphertexts outlive the process, so the snapshot
 //! machinery (and the operator) must treat tree files as untrusted
@@ -52,9 +55,11 @@
 use crate::error::OramError;
 use crate::params::OramParams;
 use crate::snapshot::{self, SnapReader};
-use crate::wal::{self, Durability, Wal};
+use crate::wal::{self, Durability, Wal, MAX_RECORD_BUCKETS};
 use dram_sim::SubtreeLayout;
+use std::cell::Cell;
 use std::fs::{File, OpenOptions};
+use std::ops::Range;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -364,11 +369,13 @@ pub trait TreeStore: std::fmt::Debug + Send {
     /// Batched span write: writes every bucket of `indices` from `buf` at
     /// stride `level * bucket_bytes`, marking all of them initialised — the
     /// write half of the pipeline, called once per eviction after the
-    /// batched sealing pass.  Writes stay one positional write per bucket
-    /// even on the file store: a path's buckets are interleaved with
-    /// *other* paths' buckets inside each subtree extent, so an
-    /// extent-sized write would clobber neighbours (reads have no such
-    /// hazard, which is why only they coalesce).
+    /// batched sealing pass.  The default writes bucket by bucket; the file
+    /// store overrides it to write each of the path's subtree windows with
+    /// one positional write.  A path's buckets are interleaved with *other*
+    /// paths' buckets inside each window, so it fills the gaps with the
+    /// bytes the file already holds there — staged by the preceding
+    /// [`TreeStore::read_path_into`] of the same list, or read back — and
+    /// the result is byte-identical to per-bucket writes.
     ///
     /// # Errors
     ///
@@ -440,10 +447,80 @@ fn file_layout(params: &OramParams) -> SubtreeLayout {
     )
 }
 
-/// Bytes of one full subtree extent under `layout`: the coalescing window
-/// (and staging-buffer size) of the file store's path reads.
-fn extent_bytes(layout: &SubtreeLayout, bucket_bytes: usize) -> usize {
-    (((1usize << layout.subtree_levels()) - 1) * bucket_bytes).max(bucket_bytes)
+/// Groups offset-sorted `(file offset, level)` runs into I/O windows: a
+/// window starts at its first bucket and takes every following bucket that
+/// still ends within `window` bytes of that start.  Yields the run range of
+/// each window.  Under the subtree layout a root-to-leaf path's buckets of
+/// one level group share an extent, so a path has at most ⌈levels/k⌉
+/// windows of at most one extent each.
+fn windows(
+    runs: &[(u64, usize)],
+    bucket_bytes: u64,
+    window: u64,
+) -> impl Iterator<Item = Range<usize>> + '_ {
+    let mut i = 0;
+    std::iter::from_fn(move || {
+        let start = runs.get(i)?.0;
+        let fits = runs[i..]
+            .iter()
+            .take_while(|&&(offset, _)| offset + bucket_bytes - start <= window)
+            .count();
+        let group = i..i + fits;
+        i += fits;
+        Some(group)
+    })
+}
+
+/// The file store's window staging: the bytes of the windows the last path
+/// read covered, kept so that the path's writeback can rewrite whole
+/// windows without reading them again.
+///
+/// Invariant: the first `valid` slots hold exactly the file's current bytes
+/// of the windows recorded for them.  Every write to the tree file either
+/// goes through a staged window (and updates it first) or drops the staging.
+#[derive(Debug)]
+struct Stage {
+    /// One slot of `window` bytes per window a root-to-leaf path can have
+    /// (⌈levels/k⌉), plus a spare for windows that are not staged.
+    buf: Vec<u8>,
+    /// Bytes of one subtree extent: the largest window.
+    window: usize,
+    /// `(file offset, length)` of the window staged in each slot.
+    spans: Vec<(u64, usize)>,
+    /// How many leading slots are valid; 0 when nothing is.  A `Cell` so the
+    /// tiered store's `&self` treetop flush can drop it.
+    valid: Cell<usize>,
+}
+
+impl Stage {
+    fn new(layout: &SubtreeLayout, bucket_bytes: usize) -> Self {
+        let window = (((1usize << layout.subtree_levels()) - 1) * bucket_bytes).max(bucket_bytes);
+        let slots = layout.levels().div_ceil(layout.subtree_levels()) as usize;
+        Self {
+            buf: vec![0u8; (slots + 1) * window],
+            window,
+            spans: vec![(0, 0); slots],
+            valid: Cell::new(0),
+        }
+    }
+
+    /// Forgets everything staged.
+    fn drop_all(&self) {
+        self.valid.set(0);
+    }
+
+    /// Slot `slot`'s bytes (`slot == spans.len()` is the spare).
+    fn slot_mut(&mut self, slot: usize) -> &mut [u8] {
+        &mut self.buf[slot * self.window..(slot + 1) * self.window]
+    }
+
+    /// The slot among the first `staged` whose window contains
+    /// `[start, start + len)`.
+    fn containing(&self, staged: usize, start: u64, len: usize) -> Option<usize> {
+        self.spans[..staged]
+            .iter()
+            .position(|&(s, l)| s <= start && start + len as u64 <= s + l as u64)
+    }
 }
 
 /// Tree file path for `label` under `dir`.
@@ -888,10 +965,9 @@ pub struct FileStore {
     initialized: Vec<u64>,
     bucket_bytes: usize,
     num_buckets: usize,
-    /// Reusable staging buffer for coalesced path reads, sized to one
-    /// subtree extent (`(2^k - 1) * bucket_bytes`); allocated once so the
+    /// Window staging for path reads and writebacks; allocated once so the
     /// steady-state access path stays allocation-free.
-    extent_buf: Vec<u8>,
+    stage: Stage,
     /// Set for [`StorageKind::TempFile`] stores: the directory is removed
     /// on drop.
     remove_on_drop: bool,
@@ -946,7 +1022,7 @@ impl FileStore {
         // directory: a leftover log would replay a stranger's buckets.
         let _ = std::fs::remove_file(wal::wal_file_path(dir, label));
         let num_buckets = params.num_buckets() as usize;
-        let extent_buf = vec![0u8; extent_bytes(&layout, params.bucket_bytes())];
+        let stage = Stage::new(&layout, params.bucket_bytes());
         let mut store = Self {
             file,
             tree_path,
@@ -956,7 +1032,7 @@ impl FileStore {
             initialized: vec![0u64; num_buckets.div_ceil(64)],
             bucket_bytes: params.bucket_bytes(),
             num_buckets,
-            extent_buf,
+            stage,
             remove_on_drop: false,
             wal: None,
             wal_seq: 0,
@@ -1077,7 +1153,7 @@ impl FileStore {
                 wal_seq = wal_seq.max(s.last_seq);
             }
         }
-        let extent_buf = vec![0u8; extent_bytes(&layout, bucket_bytes)];
+        let stage = Stage::new(&layout, bucket_bytes);
         let mut store = Self {
             file,
             tree_path,
@@ -1087,7 +1163,7 @@ impl FileStore {
             initialized,
             bucket_bytes,
             num_buckets,
-            extent_buf,
+            stage,
             remove_on_drop: false,
             wal: None,
             wal_seq,
@@ -1134,10 +1210,12 @@ impl FileStore {
     /// Folds the applied log into the on-disk checkpoint: flush the tree
     /// file, rewrite `tree<label>.meta` (atomically, see
     /// [`crate::snapshot::write_state_file`]) to cover sequence number
-    /// `wal_seq`, then truncate the log back to a bare header.  A crash
+    /// `wal_seq`, then restart the log in place ([`Wal::restart`]: a new
+    /// header, synced; the next records overwrite the old ones).  A crash
     /// between any two of these steps is safe: before the meta write the
     /// old checkpoint + full log still recover everything; after it the new
-    /// checkpoint covers every record the truncation is about to drop.
+    /// checkpoint covers every record of the old generation, so an old, a
+    /// torn or a new header all recover the same tree.
     ///
     /// Runs automatically every `checkpoint_interval` writebacks; callable
     /// directly for an explicit fold.
@@ -1159,7 +1237,7 @@ impl FileStore {
             self.wal_seq,
         )?;
         if let Some(wal) = self.wal.as_mut() {
-            wal.truncate_to(self.wal_seq)?;
+            wal.restart(self.wal_seq)?;
         }
         self.records_since_checkpoint = 0;
         Ok(())
@@ -1184,16 +1262,107 @@ impl FileStore {
     }
 
     /// Fault-injection hook (kill-point suite): permit at most `writes`
-    /// further bucket writes to the tree file, then fail.
+    /// further bucket writes to the tree file, then fail.  Budgets are
+    /// charged per bucket; a path window that would cross the budget fails
+    /// before any of its bytes reach the file.
     #[doc(hidden)]
     pub fn set_fail_after_tree_writes(&mut self, writes: u64) {
         self.fail_tree_writes_after = Some(writes);
+    }
+
+    /// Charges `buckets` bucket writes against the fault-injection budget,
+    /// failing (and exhausting it) when they do not all fit.
+    fn charge_tree_writes(&mut self, buckets: u64, first_index: u64) -> Result<(), OramError> {
+        let Some(budget) = self.fail_tree_writes_after else {
+            return Ok(());
+        };
+        if budget < buckets {
+            self.fail_tree_writes_after = Some(0);
+            return Err(OramError::Storage {
+                detail: format!(
+                    "injected crash before tree write of bucket {first_index} @ {}",
+                    self.tree_path.display()
+                ),
+            });
+        }
+        self.fail_tree_writes_after = Some(budget - buckets);
+        Ok(())
     }
 
     #[inline]
     fn offset(&self, index: u64) -> u64 {
         self.layout.linear_bucket_address(index)
     }
+
+    /// Sorts the buckets of `indices` by file offset into `runs` as
+    /// `(offset, position in indices)` pairs; returns how many there are.
+    // lint: ct-scope, no-alloc
+    fn runs_by_offset(&self, indices: &[u64], runs: &mut [(u64, usize)]) -> usize {
+        assert!(
+            indices.len() <= runs.len(),
+            "index list longer than the WAL record bound"
+        );
+        for (run, (level, &index)) in runs.iter_mut().zip(indices.iter().enumerate()) {
+            *run = (self.offset(index), level);
+        }
+        runs[..indices.len()].sort_unstable();
+        indices.len()
+    }
+
+    /// Writes `buf` (one image per index, at stride `bucket_bytes`) with one
+    /// positional write per window (see [`windows`]).  The bytes between
+    /// the buckets are the file's own current bytes — taken from the window
+    /// the preceding path read staged, or read back first when no staged
+    /// window contains this one — so the file ends up byte-identical to
+    /// writing each bucket alone, and a torn window write rewrites the
+    /// neighbours with what they already held.
+    fn write_windows(&mut self, indices: &[u64], buf: &[u8]) -> Result<(), OramError> {
+        let bb = self.bucket_bytes;
+        let mut runs = [(0u64, 0usize); MAX_RECORD_BUCKETS];
+        let n = self.runs_by_offset(indices, &mut runs);
+        // Nothing counts as staged while the file is being written, so an
+        // error part-way leaves the staging dropped.
+        let staged = self.stage.valid.take();
+        let mut coherent = true;
+        for group in windows(&runs[..n], bb as u64, self.stage.window as u64) {
+            let start = runs[group.start].0;
+            let len = (runs[group.end - 1].0 - start) as usize + bb;
+            let first_index = indices[runs[group.start].1];
+            self.charge_tree_writes(group.len() as u64, first_index)?;
+            let (slot, at) = match self.stage.containing(staged, start, len) {
+                Some(slot) => (slot, (start - self.stage.spans[slot].0) as usize),
+                None => {
+                    // Not staged (an `end_batch` flush chunk, a write with
+                    // no read before it): read the window's bytes first.
+                    // It may overlap staged windows, which it makes stale.
+                    coherent = false;
+                    let spare = self.stage.spans.len();
+                    self.file
+                        .read_exact_at(&mut self.stage.slot_mut(spare)[..len], start)
+                        .map_err(|e| {
+                            io_err_bucket("write_path window read", first_index, &self.tree_path, e)
+                        })?;
+                    (spare, 0)
+                }
+            };
+            let image = &mut self.stage.slot_mut(slot)[at..at + len];
+            for &(offset, level) in &runs[group.start..group.end] {
+                let rel = (offset - start) as usize;
+                image[rel..rel + bb].copy_from_slice(&buf[level * bb..(level + 1) * bb]);
+            }
+            self.file
+                .write_all_at(image, start)
+                .map_err(|e| io_err_bucket("write_path window", first_index, &self.tree_path, e))?;
+            for &(_, level) in &runs[group] {
+                bit_set(&mut self.initialized, indices[level]);
+            }
+        }
+        if coherent {
+            self.stage.valid.set(staged);
+        }
+        Ok(())
+    }
+    // lint: end
 }
 
 impl Drop for FileStore {
@@ -1235,17 +1404,8 @@ impl TreeStore for FileStore {
             self.bucket_bytes,
             "bucket image must be exactly bucket_bytes long"
         );
-        if let Some(budget) = self.fail_tree_writes_after.as_mut() {
-            if *budget == 0 {
-                return Err(OramError::Storage {
-                    detail: format!(
-                        "injected crash before tree write of bucket {index} @ {}",
-                        self.tree_path.display()
-                    ),
-                });
-            }
-            *budget -= 1;
-        }
+        self.charge_tree_writes(1, index)?;
+        self.stage.drop_all();
         self.file
             .write_all_at(image, self.offset(index))
             .map_err(|e| io_err_bucket("write_bucket", index, &self.tree_path, e))?;
@@ -1253,6 +1413,7 @@ impl TreeStore for FileStore {
         Ok(())
     }
 
+    // lint: ct-scope, no-alloc
     fn write_path(&mut self, indices: &[u64], buf: &[u8]) -> Result<(), OramError> {
         // WAL-before-tree: the sealed path image is appended (and, per the
         // fsync discipline, made durable) before the first in-place tree
@@ -1260,12 +1421,10 @@ impl TreeStore for FileStore {
         // record (the writeback never happened) or a complete one (replay
         // finishes the tree writes on open).
         if let Some(wal) = self.wal.as_mut() {
+            // lint: allow(no-alloc, `Wal::append` frames the record in its preallocated buffer; not `Vec::append`)
             self.wal_seq = wal.append(indices, buf)?;
         }
-        let bb = self.bucket_bytes;
-        for (level, &index) in indices.iter().enumerate() {
-            self.write_bucket(index, &buf[level * bb..(level + 1) * bb])?;
-        }
+        self.write_windows(indices, buf)?;
         if self.wal.is_some() {
             self.records_since_checkpoint += 1;
             if self.records_since_checkpoint >= self.checkpoint_interval {
@@ -1276,46 +1435,44 @@ impl TreeStore for FileStore {
     }
 
     fn read_path_into(&mut self, indices: &[u64], buf: &mut [u8]) -> Result<(), OramError> {
-        // Coalesced path read: sort the initialised buckets by file offset
-        // and read each run that fits one subtree-extent window with a
-        // single positional read.  Under the subtree layout every bucket of
-        // a path lies inside its level-group's extent, so a root-to-leaf
-        // path costs at most ⌈levels/k⌉ reads.  The window may cover
-        // buckets of *other* paths; their bytes are staged and discarded,
-        // never copied out.
+        // Coalesced path read: sort the buckets by file offset and read each
+        // window (see `windows`) with a single positional read — at most
+        // ⌈levels/k⌉ reads for a root-to-leaf path.  Windows cover every
+        // bucket of the list, initialised or not, so which bytes are read
+        // depends on the index list (the leaf) alone.  A window may cover
+        // buckets of *other* paths; their bytes are never copied out, but
+        // each window stays staged so the writeback can rewrite it whole.
         let bb = self.bucket_bytes;
-        let window = self.extent_buf.len() as u64;
-        // (file offset, level) per initialised bucket; paths are at most
-        // `MAX_LEAF_LEVEL + 1` levels, far below this stack bound.
-        let mut runs = [(0u64, 0usize); 64];
-        let mut n = 0;
-        for (level, &index) in indices.iter().enumerate() {
-            if self.is_initialized(index) {
-                runs[n] = (self.offset(index), level);
-                n += 1;
-            }
-        }
-        runs[..n].sort_unstable();
-        let mut i = 0;
-        while i < n {
-            let start = runs[i].0;
-            let mut j = i;
-            while j + 1 < n && runs[j + 1].0 + bb as u64 - start <= window {
-                j += 1;
-            }
-            let len = (runs[j].0 + bb as u64 - start) as usize;
-            let chunk = &mut self.extent_buf[..len];
+        let mut runs = [(0u64, 0usize); MAX_RECORD_BUCKETS];
+        let n = self.runs_by_offset(indices, &mut runs);
+        self.stage.drop_all();
+        let slots = self.stage.spans.len();
+        let mut staged = 0;
+        for group in windows(&runs[..n], bb as u64, self.stage.window as u64) {
+            let start = runs[group.start].0;
+            let len = (runs[group.end - 1].0 - start) as usize + bb;
+            // A list with more windows than a path has reads the surplus
+            // through the spare slot, unstaged.
+            let slot = staged.min(slots);
+            let chunk = &mut self.stage.slot_mut(slot)[..len];
             self.file
                 .read_exact_at(chunk, start)
                 .map_err(|e| io_err("reading path extent from", &self.tree_path, e))?;
-            for &(offset, level) in &runs[i..=j] {
-                let rel = (offset - start) as usize;
-                buf[level * bb..(level + 1) * bb].copy_from_slice(&chunk[rel..rel + bb]);
+            for &(offset, level) in &runs[group] {
+                if bit_get(&self.initialized, indices[level]) {
+                    let rel = (offset - start) as usize;
+                    buf[level * bb..(level + 1) * bb].copy_from_slice(&chunk[rel..rel + bb]);
+                }
             }
-            i = j + 1;
+            if slot < slots {
+                self.stage.spans[slot] = (start, len);
+                staged += 1;
+            }
         }
+        self.stage.valid.set(staged);
         Ok(())
     }
+    // lint: end
 
     fn resident_bytes(&self) -> u64 {
         popcount_bytes(&self.initialized, self.bucket_bytes)
@@ -1328,6 +1485,7 @@ impl TreeStore for FileStore {
         {
             return false;
         }
+        self.stage.drop_all();
         let pos = self.offset(index) + offset as u64;
         let mut byte = [0u8];
         if self.file.read_exact_at(&mut byte, pos).is_err() {
@@ -1353,6 +1511,7 @@ impl TreeStore for FileStore {
             "snapshot must be a full bucket image"
         );
         if snapshot.is_empty() {
+            self.stage.drop_all();
             let zeros = vec![0u8; self.bucket_bytes];
             self.file
                 .write_all_at(&zeros, self.offset(index))
@@ -1368,6 +1527,7 @@ impl TreeStore for FileStore {
         if !self.is_initialized(index) {
             return false;
         }
+        self.stage.drop_all();
         let pos = self.offset(index);
         let mut header = [0u8; 8];
         if self.file.read_exact_at(&mut header, pos).is_err() {
@@ -1393,6 +1553,11 @@ impl TreeStore for FileStore {
             self.file
                 .sync_all()
                 .map_err(|e| io_err("syncing", &self.tree_path, e))?;
+            // The live log, without the stale tail earlier generations left
+            // behind: a persisted directory holds exactly what it needs.
+            if let Some(wal) = &self.wal {
+                wal.trim()?;
+            }
         } else {
             // Persisting into a different directory: copy the initialised
             // buckets into a fresh sparse file at the same offsets.
@@ -1418,7 +1583,7 @@ impl TreeStore for FileStore {
             // target would replay foreign buckets over it on resume.
             let _ = std::fs::remove_file(wal::wal_file_path(dir, label));
         }
-        // In place, the live WAL stays as is: replay is idempotent, and the
+        // In place, the live records stay: replay is idempotent, and the
         // meta written below covers everything applied so far anyway.
         write_tree_meta(
             &tree_meta_path(dir, label),
@@ -1649,6 +1814,8 @@ impl TieredStore {
     /// only, so it works from `&self`; idempotent, so leaving bits set and
     /// re-flushing later is safe.
     fn write_dirty_treetop_to_file(&self) -> Result<(), OramError> {
+        // These writes bypass the file store's window staging.
+        self.file.stage.drop_all();
         let bb = self.file.bucket_bytes;
         for index in 0..self.treetop_buckets {
             if !bit_get(&self.top_dirty, index) {
@@ -1667,7 +1834,7 @@ impl TieredStore {
 
     /// Folds the treetop into the spill tier and checkpoints: flush every
     /// dirty arena image into the tree file, then run the file store's
-    /// checkpoint (sync, metadata rewrite, WAL truncation — see
+    /// checkpoint (sync, metadata rewrite, log restart — see
     /// [`FileStore::checkpoint`]).  After this returns, the on-disk state
     /// alone reconstructs both tiers.
     ///
@@ -2507,15 +2674,18 @@ mod tests {
             s.write_path(&[round, round + 8], &image).unwrap();
         }
         assert_eq!(s.wal_seq(), 5);
-        // Five writebacks at interval 2 → folds after #2 and #4; the log
-        // holds only record #5, far below two records' worth of bytes.
-        let wal_len = std::fs::metadata(wal::wal_file_path(&dir, 0))
-            .unwrap()
-            .len();
-        assert!(
-            wal_len < 2 * (2 * bb) as u64,
-            "log should have been truncated by the fold (len {wal_len})"
-        );
+        // Five writebacks at interval 2 → folds after #2 and #4; the live
+        // log holds only record #5 (the stale records of the recycled
+        // generations behind it end replay).
+        let mut live = Vec::new();
+        let summary = wal::replay(&wal::wal_file_path(&dir, 0), bb, |seq, indices, _| {
+            live.push((seq, indices.to_vec()));
+            Ok(())
+        })
+        .unwrap()
+        .unwrap();
+        assert_eq!((summary.base_seq, summary.last_seq), (4, 5));
+        assert_eq!(live, vec![(5, vec![4, 12])]);
         drop(s);
         let s2 = FileStore::open(&p, &dir, 0, Durability::Batch(8)).unwrap();
         assert_eq!(s2.wal_seq(), 5);
@@ -2680,6 +2850,163 @@ mod tests {
             assert_eq!(out, &image[level * bb..(level + 1) * bb]);
         }
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Drives `windowed` through `write_path` (whole-window writes, staged
+    /// by a preceding path read or read back) and `reference` through
+    /// per-bucket `write_bucket`s with the same operations, and checks after
+    /// every step that the two tree files are byte-identical and every
+    /// bucket reads back alike.  The operations: root-to-leaf paths with
+    /// and without a read first, a read of another path first, a tampered
+    /// or flushed neighbour between read and write, `end_batch`-style
+    /// ascending chunks of upper-level buckets, and buckets returned to
+    /// uninitialised.
+    fn check_window_writes_match_per_bucket_writes(
+        p: &OramParams,
+        windowed: &mut dyn TreeStore,
+        reference: &mut dyn TreeStore,
+        dirs: (&Path, &Path),
+        seed: u64,
+    ) {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let bb = p.bucket_bytes();
+        let buckets = p.num_buckets();
+        // The batch cache's levels (< 8): with K = 6 a chunk's windows can
+        // span treetop buckets of the next subtree.
+        let upper = buckets.min(255);
+        let mut scratch = vec![0u8; MAX_RECORD_BUCKETS * bb];
+        for step in 0..300 {
+            let indices: Vec<u64> = if rng.gen_range(0..4) == 0 {
+                // An `end_batch` flush chunk: ascending upper-level buckets.
+                (0..upper)
+                    .filter(|_| rng.gen_bool(0.25))
+                    .take(MAX_RECORD_BUCKETS)
+                    .collect()
+            } else {
+                crate::tree::path_linear_indices(rng.gen_range(0..p.num_leaves()), p.leaf_level())
+            };
+            if indices.is_empty() {
+                continue;
+            }
+            let image: Vec<u8> = (0..indices.len() * bb).map(|_| rng.gen()).collect();
+            match rng.gen_range(0..6) {
+                0 => {} // no read before the write
+                1 => {
+                    let other = crate::tree::path_linear_indices(
+                        rng.gen_range(0..p.num_leaves()),
+                        p.leaf_level(),
+                    );
+                    windowed
+                        .read_path_into(&other, &mut scratch[..other.len() * bb])
+                        .unwrap();
+                }
+                _ => windowed
+                    .read_path_into(&indices, &mut scratch[..indices.len() * bb])
+                    .unwrap(),
+            }
+            match rng.gen_range(0..8) {
+                // A neighbour changes between the read and the write.
+                0 => {
+                    let (index, at, mask) = (rng.gen_range(0..buckets), rng.gen_range(0..bb), 0x5A);
+                    assert_eq!(
+                        windowed.tamper_xor(index, at, mask),
+                        reference.tamper_xor(index, at, mask)
+                    );
+                }
+                1 => {
+                    let index = rng.gen_range(0..buckets);
+                    windowed.replay_bucket(index, &[]);
+                    reference.replay_bucket(index, &[]);
+                }
+                2 => {
+                    windowed.persist_to(dirs.0, 0).unwrap();
+                    reference.persist_to(dirs.1, 0).unwrap();
+                }
+                3 => {
+                    let index = rng.gen_range(0..buckets);
+                    let single: Vec<u8> = (0..bb).map(|_| rng.gen()).collect();
+                    windowed.write_bucket(index, &single).unwrap();
+                    reference.write_bucket(index, &single).unwrap();
+                }
+                _ => {}
+            }
+            windowed.write_path(&indices, &image).unwrap();
+            for (level, &index) in indices.iter().enumerate() {
+                reference
+                    .write_bucket(index, &image[level * bb..(level + 1) * bb])
+                    .unwrap();
+            }
+            assert!(
+                std::fs::read(tree_file_path(dirs.0, 0)).unwrap()
+                    == std::fs::read(tree_file_path(dirs.1, 0)).unwrap(),
+                "step {step}: tree files diverged"
+            );
+        }
+        let (mut a, mut b) = (vec![0u8; bb], vec![0u8; bb]);
+        for index in 0..buckets {
+            assert_eq!(
+                windowed.is_initialized(index),
+                reference.is_initialized(index)
+            );
+            windowed.read_bucket_into(index, &mut a).unwrap();
+            reference.read_bucket_into(index, &mut b).unwrap();
+            assert_eq!(a, b, "bucket {index}");
+        }
+    }
+
+    fn window_params() -> OramParams {
+        let p = OramParams::new(1 << 10, 16, 4);
+        assert!(p.levels() > 2 * FILE_SUBTREE_LEVELS, "three level groups");
+        p
+    }
+
+    #[test]
+    fn file_store_window_writes_are_byte_identical_to_bucket_writes() {
+        let p = window_params();
+        let (dir_w, dir_r) = (temp_dir("window-w"), temp_dir("window-r"));
+        // The windowed store also logs and checkpoints (restarting its log)
+        // as it goes; neither touches the tree bytes.
+        let mut windowed = FileStore::create(&p, &dir_w, 0, Durability::Batch(4)).unwrap();
+        windowed.set_checkpoint_interval(16);
+        let mut reference = FileStore::create(&p, &dir_r, 0, Durability::None).unwrap();
+        check_window_writes_match_per_bucket_writes(
+            &p,
+            &mut windowed,
+            &mut reference,
+            (&dir_w, &dir_r),
+            0x57A6,
+        );
+        drop((windowed, reference));
+        std::fs::remove_dir_all(&dir_w).unwrap();
+        std::fs::remove_dir_all(&dir_r).unwrap();
+    }
+
+    #[test]
+    fn tiered_window_writes_are_byte_identical_to_bucket_writes() {
+        let p = window_params();
+        // Treetops that end inside a subtree (K not a multiple of k = 4):
+        // the spill tier's windows start mid-extent.
+        for k in [3, 6] {
+            let budget = budget_for_levels(&p, k);
+            let (dir_w, dir_r) = (temp_dir("tier-window-w"), temp_dir("tier-window-r"));
+            let mut windowed =
+                TieredStore::create(&p, &dir_w, 0, Durability::None, budget).unwrap();
+            let mut reference =
+                TieredStore::create(&p, &dir_r, 0, Durability::None, budget).unwrap();
+            assert_eq!(windowed.treetop_levels(), k);
+            check_window_writes_match_per_bucket_writes(
+                &p,
+                &mut windowed,
+                &mut reference,
+                (&dir_w, &dir_r),
+                0x71E2 + u64::from(k),
+            );
+            drop((windowed, reference));
+            std::fs::remove_dir_all(&dir_w).unwrap();
+            std::fs::remove_dir_all(&dir_r).unwrap();
+        }
     }
 
     #[test]

@@ -32,8 +32,16 @@
 //! header records `base_seq` (the last sequence number already compacted
 //! into the checkpoint) and the first record must carry `base_seq + 1`.
 //! Checkpointing (see `FileStore::checkpoint`) folds the applied records
-//! into the `tree<label>.meta` snapshot and truncates the log back to a
-//! bare header.  Records are full bucket post-images, so replay is
+//! into the `tree<label>.meta` snapshot and restarts the log in place
+//! ([`Wal::restart`]): only the header is rewritten, with the new
+//! `base_seq`, and the next generation overwrites the previous one from the
+//! front, so a long-lived log stops growing, allocating and committing its
+//! size on every sync.  Whatever the new generation has not yet overwritten
+//! stays in the file as a stale tail, and every record there carries a
+//! sequence number `≤ base_seq`: the sequence check above ends history at
+//! it, exactly as at a torn record, so the format and its readers are the
+//! same as for a truncated log.  An in-place persist trims the stale tail
+//! ([`Wal::trim`]).  Records are full bucket post-images, so replay is
 //! idempotent — replaying an already-applied record rewrites the same
 //! bytes — which is what makes the crash windows around checkpointing
 //! harmless.
@@ -51,6 +59,7 @@
 //! at the workspace root.
 
 use crate::error::OramError;
+use oram_crypto::crc64::crc64;
 use std::fs::{File, OpenOptions};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
@@ -215,73 +224,6 @@ impl std::fmt::Display for Durability {
 /// WAL file path for tree `label` under `dir`.
 pub fn wal_file_path(dir: &Path, label: u32) -> PathBuf {
     dir.join(format!("tree{label}.wal"))
-}
-
-/// CRC-64/XZ generator polynomial, bit-reflected.
-const CRC64_POLY: u64 = 0xC96C_5795_D787_0F42;
-
-/// Slicing-by-8 lookup tables: `tables[0]` is the classic byte-at-a-time
-/// table, `tables[t][b]` extends it so eight input bytes fold into the
-/// running CRC with eight independent lookups per 64-bit word instead of
-/// eight serial ones.  Byte-at-a-time costs ~18 µs per ~7 KB path record
-/// on this repo's reference hardware — more than the path write it guards
-/// — so the wide variant is not a luxury.
-const fn crc64_tables() -> [[u64; 256]; 8] {
-    let mut tables = [[0u64; 256]; 8];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u64;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 1 != 0 {
-                (crc >> 1) ^ CRC64_POLY
-            } else {
-                crc >> 1
-            };
-            bit += 1;
-        }
-        tables[0][i] = crc;
-        i += 1;
-    }
-    let mut t = 1;
-    while t < 8 {
-        let mut i = 0;
-        while i < 256 {
-            let prev = tables[t - 1][i];
-            tables[t][i] = tables[0][(prev & 0xFF) as usize] ^ (prev >> 8);
-            i += 1;
-        }
-        t += 1;
-    }
-    tables
-}
-
-static CRC64_TABLES: [[u64; 256]; 8] = crc64_tables();
-
-/// CRC-64/XZ over `bytes`: the WAL's torn-write detector.  Runs on every
-/// logged writeback, so it must be cheap relative to the path write it
-/// guards; tamper *detection* is the bucket cipher's job (see the module
-/// docs).
-fn crc64(bytes: &[u8]) -> u64 {
-    let mut crc = !0u64;
-    let mut chunks = bytes.chunks_exact(8);
-    for chunk in &mut chunks {
-        // Every index is masked to (or shifted into) 8 bits, so no lookup
-        // can leave its table.
-        let word = u64::from_le_bytes(chunk.try_into().unwrap_or([0; 8])) ^ crc;
-        crc = CRC64_TABLES[7][(word & 0xFF) as usize]
-            ^ CRC64_TABLES[6][((word >> 8) & 0xFF) as usize]
-            ^ CRC64_TABLES[5][((word >> 16) & 0xFF) as usize]
-            ^ CRC64_TABLES[4][((word >> 24) & 0xFF) as usize]
-            ^ CRC64_TABLES[3][((word >> 32) & 0xFF) as usize]
-            ^ CRC64_TABLES[2][((word >> 40) & 0xFF) as usize]
-            ^ CRC64_TABLES[1][((word >> 48) & 0xFF) as usize]
-            ^ CRC64_TABLES[0][(word >> 56) as usize];
-    }
-    for &b in chunks.remainder() {
-        crc = CRC64_TABLES[0][((crc ^ b as u64) & 0xFF) as usize] ^ (crc >> 8);
-    }
-    !crc
 }
 
 fn io_err(context: &str, path: &Path, e: std::io::Error) -> OramError {
@@ -457,16 +399,35 @@ fn read_u32(bytes: &[u8], at: usize) -> Option<u32> {
     Some(u32::from_le_bytes(bytes.get(at..at + 4)?.try_into().ok()?))
 }
 
+/// Bytes of the largest record: [`MAX_RECORD_BUCKETS`] buckets.
+fn max_record_len(bucket_bytes: usize) -> usize {
+    REC_PREFIX + 12 + MAX_RECORD_BUCKETS * (8 + bucket_bytes) + CHECKSUM_BYTES
+}
+
+/// The error of a simulated kill mid-append (fault injection only).
+fn injected_crash(keep: usize, seq: u64, path: &Path) -> OramError {
+    OramError::Storage {
+        detail: format!(
+            "injected crash after {keep} bytes of WAL record {seq} @ {}",
+            path.display()
+        ),
+    }
+}
+
 /// An open write-ahead log, owned by a live [`crate::FileStore`].
 ///
-/// Appends are staged in a reusable scratch buffer and written with one
-/// positional write, so the steady-state logging path allocates nothing
-/// beyond its first use.
+/// Appends are framed in a scratch buffer sized for the largest record at
+/// creation and written with one positional write, so the logging path
+/// allocates nothing.  A checkpoint [`restarts`](Wal::restart) the log in
+/// place rather than truncating it: after the first generation, appends and
+/// their `fdatasync`s land in blocks the file already owns, and the file
+/// size stops changing.
 #[derive(Debug)]
 pub struct Wal {
     file: File,
     path: PathBuf,
-    /// Byte offset one past the last complete record.
+    /// Byte offset one past the last complete record of this generation.
+    /// Bytes past it are stale records of earlier generations (or nothing).
     end: u64,
     base_seq: u64,
     last_seq: u64,
@@ -474,6 +435,7 @@ pub struct Wal {
     durability: Durability,
     /// Records appended since the last fsync (Batch discipline).
     unsynced: u32,
+    /// Record framing buffer, [`max_record_len`] bytes.
     scratch: Vec<u8>,
     /// Fault injection (kill-point suite): remaining WAL bytes that may
     /// still reach the file.  An append that would exceed the budget
@@ -513,10 +475,10 @@ impl Wal {
             bucket_bytes,
             durability,
             unsynced: 0,
-            scratch: Vec::new(),
+            scratch: vec![0u8; max_record_len(bucket_bytes)],
             crash_budget: None,
         };
-        wal.write_header(base_seq)?;
+        wal.restart(base_seq)?;
         Ok(wal)
     }
 
@@ -536,24 +498,6 @@ impl Wal {
         &self.path
     }
 
-    fn write_header(&mut self, base_seq: u64) -> Result<(), OramError> {
-        self.scratch.clear();
-        self.scratch.extend_from_slice(&WAL_MAGIC);
-        self.scratch.extend_from_slice(&base_seq.to_le_bytes());
-        self.scratch
-            .extend_from_slice(&(self.bucket_bytes as u64).to_le_bytes());
-        let checksum = crc64(&self.scratch).to_le_bytes();
-        self.scratch.extend_from_slice(&checksum);
-        self.file
-            .write_all_at(&self.scratch, 0)
-            .map_err(|e| io_err("writing WAL header to", &self.path, e))?;
-        self.file
-            .sync_data()
-            .map_err(|e| io_err("syncing WAL", &self.path, e))?;
-        self.end = HEADER_LEN as u64;
-        Ok(())
-    }
-
     /// Appends one path-writeback record (`images` is
     /// `indices.len() * bucket_bytes` long) and applies the fsync
     /// discipline.  Returns the record's sequence number.
@@ -561,92 +505,115 @@ impl Wal {
     /// # Errors
     ///
     /// [`OramError::Storage`] on I/O failure or an injected crash.
+    // lint: no-alloc
     pub fn append(&mut self, indices: &[u64], images: &[u8]) -> Result<u64, OramError> {
-        debug_assert_eq!(images.len(), indices.len() * self.bucket_bytes);
+        assert_eq!(
+            images.len(),
+            indices.len() * self.bucket_bytes,
+            "one image per index"
+        );
         assert!(
             indices.len() <= MAX_RECORD_BUCKETS,
             "path longer than the WAL record bound"
         );
         let seq = self.last_seq + 1;
-        let body_len = 12 + indices.len() * (8 + self.bucket_bytes);
-        self.scratch.clear();
-        self.scratch.extend_from_slice(&REC_MAGIC);
-        self.scratch
-            .extend_from_slice(&(body_len as u32).to_le_bytes());
-        self.scratch.extend_from_slice(&seq.to_le_bytes());
-        self.scratch
-            .extend_from_slice(&(indices.len() as u32).to_le_bytes());
-        for &index in indices {
-            self.scratch.extend_from_slice(&index.to_le_bytes());
+        let n = indices.len();
+        let body_len = 12 + n * (8 + self.bucket_bytes);
+        let len = REC_PREFIX + body_len + CHECKSUM_BYTES;
+        let record = &mut self.scratch[..len];
+        let (framed, checksum) = record.split_at_mut(len - CHECKSUM_BYTES);
+        let (head, images_out) = framed.split_at_mut(REC_PREFIX + 12 + n * 8);
+        head[..4].copy_from_slice(&REC_MAGIC);
+        head[4..8].copy_from_slice(&(body_len as u32).to_le_bytes());
+        head[8..16].copy_from_slice(&seq.to_le_bytes());
+        head[16..20].copy_from_slice(&(n as u32).to_le_bytes());
+        for (slot, &index) in head[20..].chunks_exact_mut(8).zip(indices) {
+            slot.copy_from_slice(&index.to_le_bytes());
         }
-        self.scratch.extend_from_slice(images);
-        let checksum = crc64(&self.scratch).to_le_bytes();
-        self.scratch.extend_from_slice(&checksum);
+        images_out.copy_from_slice(images);
+        checksum.copy_from_slice(&crc64(framed).to_le_bytes());
+        let record = &self.scratch[..len];
 
         if let Some(budget) = self.crash_budget.as_mut() {
-            if (self.scratch.len() as u64) > *budget {
+            if (len as u64) > *budget {
                 // Simulated kill mid-append: the budgeted prefix reaches
                 // the file (a torn record), the rest — and the tree write
                 // that would have followed — never happens.
                 let keep = usize::try_from(*budget).unwrap_or(usize::MAX);
                 *budget = 0;
-                if let Some(partial) = self.scratch.get(..keep) {
+                if let Some(partial) = record.get(..keep) {
                     let _ = self.file.write_all_at(partial, self.end);
                     let _ = self.file.sync_data();
                 }
-                return Err(OramError::Storage {
-                    detail: format!(
-                        "injected crash after {keep} bytes of WAL record {seq} @ {}",
-                        self.path.display()
-                    ),
-                });
+                return Err(injected_crash(keep, seq, &self.path));
             }
-            *budget -= self.scratch.len() as u64;
+            *budget -= len as u64;
         }
 
         self.file
-            .write_all_at(&self.scratch, self.end)
+            .write_all_at(record, self.end)
             .map_err(|e| io_err("appending WAL record to", &self.path, e))?;
-        self.end += self.scratch.len() as u64;
+        self.end += len as u64;
         self.last_seq = seq;
         match self.durability {
-            Durability::Strict => {
-                self.file
-                    .sync_data()
-                    .map_err(|e| io_err("syncing WAL", &self.path, e))?;
-            }
-            Durability::Batch(n) => {
+            Durability::Strict => self.sync()?,
+            Durability::Batch(every) => {
                 self.unsynced += 1;
-                if self.unsynced >= n.max(1) {
-                    self.file
-                        .sync_data()
-                        .map_err(|e| io_err("syncing WAL", &self.path, e))?;
-                    self.unsynced = 0;
+                if self.unsynced >= every.max(1) {
+                    self.sync()?;
                 }
             }
             Durability::None => {}
         }
         Ok(seq)
     }
+    // lint: end
 
-    /// Truncates the log back to a bare header after a checkpoint:
-    /// everything up to `base_seq` now lives in the tree + metadata
-    /// snapshot, so the records are dead weight.  A crash inside this
-    /// method leaves an empty or torn-header log, which recovery treats as
-    /// "no tail" — correct, because the checkpoint that just completed
-    /// covers every applied record.
+    /// Starts a new log generation after `base_seq` in place, after a
+    /// checkpoint: everything up to `base_seq` now lives in the tree +
+    /// metadata snapshot, so the records are dead weight.  Only the header
+    /// is rewritten (and synced); the next records overwrite the old ones
+    /// from the front.  The stale records left past the live end all carry
+    /// sequence numbers `≤ base_seq`, so [`replay`]'s sequence check ends
+    /// history at the first of them.
+    ///
+    /// A crash inside this method leaves the old header (its records are
+    /// all covered by the checkpoint, and replaying them is idempotent) or a
+    /// torn one (no tail at all) — either way recovery lands on the
+    /// checkpoint that just completed.
     ///
     /// # Errors
     ///
     /// [`OramError::Storage`] on I/O failure.
-    pub fn truncate_to(&mut self, base_seq: u64) -> Result<(), OramError> {
+    pub fn restart(&mut self, base_seq: u64) -> Result<(), OramError> {
+        let header = &mut self.scratch[..HEADER_LEN];
+        let (body, checksum) = header.split_at_mut(HEADER_LEN - CHECKSUM_BYTES);
+        body[..4].copy_from_slice(&WAL_MAGIC);
+        body[4..12].copy_from_slice(&base_seq.to_le_bytes());
+        body[12..20].copy_from_slice(&(self.bucket_bytes as u64).to_le_bytes());
+        checksum.copy_from_slice(&crc64(body).to_le_bytes());
         self.file
-            .set_len(0)
-            .map_err(|e| io_err("truncating WAL", &self.path, e))?;
+            .write_all_at(&self.scratch[..HEADER_LEN], 0)
+            .map_err(|e| io_err("writing WAL header to", &self.path, e))?;
+        self.sync()?;
         self.base_seq = base_seq;
         self.last_seq = base_seq;
-        self.unsynced = 0;
-        self.write_header(base_seq)
+        self.end = HEADER_LEN as u64;
+        Ok(())
+    }
+
+    /// Cuts the file at the live end, dropping the stale records of earlier
+    /// generations.  An in-place persist calls this so a persisted
+    /// directory holds exactly the live log; recovery would ignore the
+    /// stale tail anyway.
+    ///
+    /// # Errors
+    ///
+    /// [`OramError::Storage`] on I/O failure.
+    pub fn trim(&self) -> Result<(), OramError> {
+        self.file
+            .set_len(self.end)
+            .map_err(|e| io_err("trimming WAL", &self.path, e))
     }
 
     /// Forces the log to disk regardless of discipline.
@@ -694,25 +661,6 @@ mod tests {
         // The standard CRC-64/XZ check value for the ASCII digits 1-9.
         assert_eq!(crc64(b"123456789"), 0x995D_C9BB_DF19_39FA);
         assert_eq!(crc64(b""), 0);
-    }
-
-    #[test]
-    fn crc64_sliced_agrees_with_byte_at_a_time() {
-        fn crc64_bytewise(bytes: &[u8]) -> u64 {
-            let mut crc = !0u64;
-            for &b in bytes {
-                crc = CRC64_TABLES[0][((crc ^ b as u64) & 0xFF) as usize] ^ (crc >> 8);
-            }
-            !crc
-        }
-        // Lengths straddling the 8-byte slicing boundary and a record-sized
-        // buffer, with non-trivial content.
-        for len in [1usize, 7, 8, 9, 15, 16, 17, 255, 256, 4096, 6999] {
-            let data: Vec<u8> = (0..len)
-                .map(|i| (i.wrapping_mul(131) % 251) as u8)
-                .collect();
-            assert_eq!(crc64(&data), crc64_bytewise(&data), "length {len}");
-        }
     }
 
     fn record(i: u64) -> (Vec<u64>, Vec<u8>) {
@@ -832,24 +780,66 @@ mod tests {
     }
 
     #[test]
-    fn truncate_to_starts_a_new_generation() {
+    fn restart_starts_a_new_generation_in_place() {
         let dir = temp_dir("gen");
         let mut wal = Wal::create(&dir, 0, BB, 0, Durability::Batch(2)).unwrap();
         for i in 0..3u64 {
             let (idx, img) = record(i);
             wal.append(&idx, &img).unwrap();
         }
-        wal.truncate_to(3).unwrap();
+        let grown = std::fs::metadata(wal.path()).unwrap().len();
+        wal.restart(3).unwrap();
+        assert_eq!(
+            std::fs::metadata(wal.path()).unwrap().len(),
+            grown,
+            "a restart keeps the blocks the log already owns"
+        );
         let (idx, img) = record(9);
         assert_eq!(wal.append(&idx, &img).unwrap(), 4);
+        assert_eq!(std::fs::metadata(wal.path()).unwrap().len(), grown);
         drop(wal);
+        // Records 2 and 3 of the old generation still sit past the live
+        // end; their sequence numbers end history after record 4.
         let (summary, seen) = collect_replay(&dir);
         assert_eq!(
             (summary.base_seq, summary.last_seq, summary.records),
             (3, 4, 1)
         );
-        assert_eq!(seen[0].0, 4);
+        assert!(summary.torn_tail);
+        assert_eq!(seen, vec![(4, idx, img)]);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn trim_drops_the_stale_tail_and_nothing_live() {
+        let dir = temp_dir("trim");
+        let mut wal = Wal::create(&dir, 0, BB, 0, Durability::Strict).unwrap();
+        for i in 0..4u64 {
+            let (idx, img) = record(i);
+            wal.append(&idx, &img).unwrap();
+        }
+        wal.restart(4).unwrap();
+        let (idx, img) = record(7);
+        wal.append(&idx, &img).unwrap();
+        wal.trim().unwrap();
+        drop(wal);
+        let (summary, seen) = collect_replay(&dir);
+        assert!(summary.header_valid && !summary.torn_tail);
+        assert_eq!((summary.base_seq, summary.records), (4, 1));
+        assert_eq!(seen, vec![(5, idx, img)]);
+        // Exactly a header and one record remain: a fresh log holding the
+        // same record has the same bytes.
+        let fresh_dir = temp_dir("trim-fresh");
+        let mut fresh = Wal::create(&fresh_dir, 0, BB, 4, Durability::Strict).unwrap();
+        let (idx, img) = record(7);
+        fresh.append(&idx, &img).unwrap();
+        drop(fresh);
+        assert_eq!(
+            std::fs::read(wal_file_path(&dir, 0)).unwrap(),
+            std::fs::read(wal_file_path(&fresh_dir, 0)).unwrap()
+        );
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::remove_dir_all(&fresh_dir).ok();
     }
 
     #[test]

@@ -182,7 +182,7 @@ mod tests {
         // gcc's LLC-miss stream is dominated by its random/pointer-chasing
         // components, so its PLB hit rate (and hence the reduction) is on the
         // low side of the per-benchmark range; the averaged full-scale figure
-        // is recorded in EXPERIMENTS.md.
+        // (paper: 82 % at 4 GB) is what the `fig7_scalability` binary renders.
         let fig = quick();
         let reduction = fig.posmap_reduction(4 << 30).unwrap();
         assert!(

@@ -2,8 +2,9 @@
 //!
 //! Every driver returns a structured result with a `render()` method that
 //! prints the same rows/series the paper reports; the `bench` crate exposes
-//! one binary per driver.  The EXPERIMENTS.md file at the repository root
-//! records paper-reported versus measured values.
+//! one binary per driver, and `all_experiments` runs them all (README
+//! § Quickstart).  Where a driver compares against a number the paper
+//! states, its `render()` prints the two side by side.
 
 pub mod ablations;
 pub mod fig3;

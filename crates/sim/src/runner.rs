@@ -302,8 +302,8 @@ mod tests {
         let cfg = SimulationConfig::quick_test();
         // libquantum's streaming miss pattern is the PLB's best case: nearly
         // every PosMap lookup hits.  (Benchmarks whose misses are dominated by
-        // pointer chasing over many megabytes see smaller reductions; the
-        // averaged behaviour is recorded in EXPERIMENTS.md.)
+        // pointer chasing over many megabytes see smaller reductions; Figure
+        // 7's driver reports the average across benchmarks.)
         let base = run_benchmark(SpecBenchmark::Libquantum, SchemePoint::RX8, &cfg);
         let pc = run_benchmark(SpecBenchmark::Libquantum, SchemePoint::PcX32, &cfg);
         let (base_pm, _) = base.bytes_per_access();

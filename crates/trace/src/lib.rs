@@ -7,8 +7,8 @@
 //! *synthetic* traces whose first-order properties — LLC miss rate, footprint,
 //! spatial locality and reuse — are calibrated per benchmark so that the
 //! paper's comparisons keep their shape: which benchmarks are memory-bound,
-//! which benefit from a larger PLB, and which prefer large ORAM blocks.  The
-//! substitution is recorded in `DESIGN.md`.
+//! which benefit from a larger PLB, and which prefer large ORAM blocks.  Each
+//! benchmark's calibration is documented with its profile in [`spec`].
 //!
 //! * [`pattern::AccessPattern`] — primitive generators (sequential, strided,
 //!   random-in-region, pointer chase, hot working set).

@@ -15,8 +15,9 @@
 //!   Figure 5).
 //!
 //! The numbers are calibrated to land in the ranges the paper reports, not to
-//! reproduce SPEC microarchitecture-accurately; see DESIGN.md for the
-//! substitution rationale.
+//! reproduce SPEC microarchitecture-accurately: SPEC traces are not
+//! redistributable, so the crate substitutes synthetic ones (see the crate
+//! docs) whose miss rate and locality keep the paper's comparisons intact.
 
 use crate::pattern::AccessPattern;
 use crate::profile::WorkloadProfile;

@@ -203,16 +203,19 @@ fn kill_points_inside_every_wal_append_recover_the_exact_prefix() {
     }
 }
 
-/// Sweep B: kill inside the tree writes of every writeback, after 0, 1 and
-/// 2 buckets of the path have hit the file.  The WAL record is complete,
-/// so recovery must *finish* the writeback: state after k, not k-1.
+/// Sweep B: kill inside the tree writes of every writeback, at every
+/// bucket of its path.  The file store writes a path as whole subtree
+/// windows; the kill budget is still charged per path bucket, and the
+/// window that would cross it fails before any of its bytes reach the
+/// file.  The WAL record is complete, so recovery must *finish* the
+/// writeback: state after k, not k-1.
 #[test]
 fn kill_points_inside_every_tree_write_replay_to_completion() {
     let p = params();
     let wbs = workload(&p, WORKLOAD_LEN);
     let path_len = wbs[0].indices.len() as u64;
     for k in 1..=WORKLOAD_LEN {
-        for torn_buckets in [0u64, 1, path_len - 1] {
+        for torn_buckets in 0..path_len {
             let dir = temp_dir("sweep-b");
             let mut store = FileStore::create(&p, &dir, 0, Durability::Strict).unwrap();
             store.set_fail_after_tree_writes((k as u64 - 1) * path_len + torn_buckets);
@@ -361,9 +364,8 @@ fn batch_mode_kill_points_recover_like_strict() {
     }
 }
 
-/// A kill during the post-checkpoint log truncation leaves an empty or
-/// bare-header log; the checkpoint that preceded it covers every applied
-/// record, so recovery from the metadata alone must be complete.
+/// The checkpoint covers every applied record, so recovery from the
+/// metadata alone must be complete — even with the log gone entirely.
 #[test]
 fn recovery_after_a_checkpoint_needs_no_log_tail() {
     let p = params();
@@ -382,6 +384,193 @@ fn recovery_after_a_checkpoint_needs_no_log_tail() {
     Oracle::after(&p, &wbs, WORKLOAD_LEN).assert_matches(&recovered, "post-checkpoint");
     drop(recovered);
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+// ---------------------------------------------------------------------
+// Recycled logs: a checkpoint restarts the log in place, so records of
+// earlier generations sit past the live end until they are overwritten.
+// ---------------------------------------------------------------------
+
+/// Checkpoint interval of the recycled-log legs.
+const GENERATION: usize = 4;
+/// Writebacks folded by two checkpoints.
+const FOLDED: usize = 2 * GENERATION;
+/// Live records of the third generation: fewer than a generation holds,
+/// so the second generation's last records stay behind them.
+const LIVE: usize = 2;
+
+fn copy_dir(from: &std::path::Path, to: &std::path::Path) {
+    for entry in std::fs::read_dir(from).unwrap() {
+        let entry = entry.unwrap();
+        std::fs::copy(entry.path(), to.join(entry.file_name())).unwrap();
+    }
+}
+
+/// A directory whose log was restarted twice (checkpoints after writebacks
+/// 4 and 8) and then took `LIVE` records whose tree writes all failed, so
+/// recovery of writebacks 9 and 10 rides on the log alone — with records 7
+/// and 8 of the previous generation stale past them.
+fn recycled_log(p: &OramParams, wbs: &[Writeback]) -> PathBuf {
+    let dir = temp_dir("recycled");
+    let mut store = FileStore::create(p, &dir, 0, Durability::Strict).unwrap();
+    store.set_checkpoint_interval(GENERATION as u64);
+    for wb in &wbs[..FOLDED] {
+        store.write_path(&wb.indices, &wb.image).unwrap();
+    }
+    store.set_fail_after_tree_writes(0);
+    for wb in &wbs[FOLDED..FOLDED + LIVE] {
+        assert!(store.write_path(&wb.indices, &wb.image).is_err());
+    }
+    drop(store);
+    dir
+}
+
+/// Recovers `dir` and checks it landed on exactly `writebacks` of `wbs`.
+fn assert_recovers(
+    p: &OramParams,
+    wbs: &[Writeback],
+    dir: &std::path::Path,
+    writebacks: u64,
+    context: &str,
+) {
+    let recovered = FileStore::open(p, dir, 0, Durability::Strict)
+        .unwrap_or_else(|e| panic!("{context} must recover cleanly: {e}"));
+    assert_eq!(recovered.wal_seq(), writebacks, "{context}");
+    Oracle::after(p, wbs, writebacks as usize).assert_matches(&recovered, context);
+}
+
+#[test]
+fn a_recycled_log_recovers_exactly_its_live_records() {
+    let p = params();
+    let (header_len, rec_len) = probe_record_len(&p);
+    let wbs = workload(&p, FOLDED + LIVE);
+    let master = recycled_log(&p, &wbs);
+    let wal = master.join("tree0.wal");
+    // The file kept the size of a full generation: the restarts rewrote
+    // it in place instead of truncating it.
+    assert_eq!(
+        std::fs::metadata(&wal).unwrap().len(),
+        header_len + GENERATION as u64 * rec_len
+    );
+    let mut replayed = Vec::new();
+    let summary = path_oram::wal::replay(&wal, p.bucket_bytes(), |seq, _, _| {
+        replayed.push(seq);
+        Ok(())
+    })
+    .unwrap()
+    .unwrap();
+    assert_eq!(summary.base_seq, FOLDED as u64);
+    assert_eq!(replayed, [9, 10], "exactly the live records replay");
+    assert!(summary.torn_tail, "the stale records end history");
+    assert_recovers(&p, &wbs, &master, (FOLDED + LIVE) as u64, "recycled log");
+    std::fs::remove_dir_all(&master).unwrap();
+}
+
+/// The truncation sweep over a recycled log: a cut inside the live records
+/// keeps the complete ones, a cut in the stale tail keeps them all, and a
+/// cut inside the header leaves the checkpoint alone.
+#[test]
+fn truncating_a_recycled_log_at_every_byte_recovers_a_valid_prefix() {
+    let p = params();
+    let (header_len, rec_len) = probe_record_len(&p);
+    let wbs = workload(&p, FOLDED + LIVE);
+    let master = recycled_log(&p, &wbs);
+    let wal_bytes = std::fs::read(master.join("tree0.wal")).unwrap();
+    let dir = temp_dir("recycled-trunc");
+    for len in 0..=wal_bytes.len() {
+        copy_dir(&master, &dir);
+        std::fs::write(dir.join("tree0.wal"), &wal_bytes[..len]).unwrap();
+        let live = ((len as u64).saturating_sub(header_len) / rec_len).min(LIVE as u64);
+        assert_recovers(
+            &p,
+            &wbs,
+            &dir,
+            FOLDED as u64 + live,
+            &format!("truncation at {len}"),
+        );
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+    std::fs::remove_dir_all(&master).unwrap();
+}
+
+/// The corruption sweep over a recycled log: a flip in live record r stops
+/// replay just before it, a flip in the stale tail changes nothing, and a
+/// flip in the header leaves the checkpoint alone.
+#[test]
+fn flipping_any_byte_of_a_recycled_log_recovers_the_checksummed_prefix() {
+    let p = params();
+    let (header_len, rec_len) = probe_record_len(&p);
+    let wbs = workload(&p, FOLDED + LIVE);
+    let master = recycled_log(&p, &wbs);
+    let wal_bytes = std::fs::read(master.join("tree0.wal")).unwrap();
+    let dir = temp_dir("recycled-flip");
+    for pos in (0..wal_bytes.len()).step_by(3) {
+        copy_dir(&master, &dir);
+        let mut poisoned = wal_bytes.clone();
+        poisoned[pos] ^= 0x41;
+        std::fs::write(dir.join("tree0.wal"), &poisoned).unwrap();
+        let intact = if (pos as u64) < header_len {
+            0
+        } else {
+            (((pos as u64) - header_len) / rec_len).min(LIVE as u64)
+        };
+        assert_recovers(
+            &p,
+            &wbs,
+            &dir,
+            FOLDED as u64 + intact,
+            &format!("flip at {pos}"),
+        );
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+    std::fs::remove_dir_all(&master).unwrap();
+}
+
+/// A kill inside the checkpoint's header rewrite: the meta file already
+/// covers every record, and the log holds the new header's first bytes over
+/// the old header's last ones.  Whatever the cut, the old header (its
+/// records replay idempotently), a torn one (no tail) or the new one (only
+/// stale records behind it) recover the same tree from the meta file.
+#[test]
+fn a_kill_inside_the_checkpoint_header_rewrite_recovers_from_the_meta_file() {
+    let p = params();
+    let (header_len, _) = probe_record_len(&p);
+    let header_len = header_len as usize;
+    let wbs = workload(&p, FOLDED + LIVE);
+    let master = temp_dir("header-rewrite");
+    let mut store = FileStore::create(&p, &master, 0, Durability::Strict).unwrap();
+    store.set_checkpoint_interval(GENERATION as u64);
+    for wb in &wbs {
+        store.write_path(&wb.indices, &wb.image).unwrap();
+    }
+    let wal = master.join("tree0.wal");
+    let old = std::fs::read(&wal).unwrap();
+    store.checkpoint().unwrap();
+    drop(store);
+    let new = std::fs::read(&wal).unwrap();
+    assert_eq!(
+        old[header_len..],
+        new[header_len..],
+        "a restart rewrites only the header"
+    );
+    assert_ne!(old[..header_len], new[..header_len]);
+
+    let dir = temp_dir("header-rewrite-cut");
+    for cut in 0..=header_len {
+        copy_dir(&master, &dir);
+        let mut torn = new.clone();
+        torn[cut..header_len].copy_from_slice(&old[cut..header_len]);
+        std::fs::write(dir.join("tree0.wal"), &torn).unwrap();
+        assert_recovers(
+            &p,
+            &wbs,
+            &dir,
+            (FOLDED + LIVE) as u64,
+            &format!("header cut at {cut}"),
+        );
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+    std::fs::remove_dir_all(&master).unwrap();
 }
 
 // ---------------------------------------------------------------------

@@ -1,7 +1,7 @@
 //! Smoke tests for every experiment driver: each one must run at the quick
 //! scale and produce results with the qualitative shape the paper reports.
-//! (The full-scale numbers are produced by the `bench` binaries and recorded
-//! in EXPERIMENTS.md.)
+//! (The full-scale numbers come from the `bench` binaries — `all_experiments`
+//! runs every driver; see README § Quickstart.)
 
 use oram_sim::experiments::{
     fig3, fig5, fig6, fig7, fig9, hash_bandwidth, table2, table3, ExperimentScale,
