@@ -1,12 +1,12 @@
 //! Produces `BENCH_storage.json`: Path ORAM backend throughput over the
-//! three tree stores behind the `TreeStore` seam — the in-memory arena
-//! (`MemStore`), the file-backed sparse tree (`FileStore`), and the tiered
-//! treetop store (`TieredStore`, top K levels resident in RAM, the rest
-//! spilled to the file tier) — at the 1M-block / 64-byte encrypted design
-//! point.  Each tier is measured twice: sequential accesses, and the same
-//! workload submitted in batch windows of [`BATCH_WINDOW`], which engages
-//! the backend's dedup scheduler (shared upper-level buckets read and
-//! sealed once per batch) over non-arena stores.
+//! three storage kinds of the one `TreeStorage` — the whole tree in a RAM
+//! arena (`mem`), the whole tree in a sparse file (`file`), and the tiered
+//! split (`tiered`, top K levels resident in RAM, the rest in the file) —
+//! at the 1M-block / 64-byte encrypted design point.  Each tier is measured
+//! twice: sequential accesses, and the same workload submitted in batch
+//! windows of [`BATCH_WINDOW`], which engages the backend's dedup scheduler
+//! (shared upper-level buckets read and sealed once per batch) over the
+//! file-backed kinds.
 //!
 //! The CI `--gate` mode checks three things:
 //!

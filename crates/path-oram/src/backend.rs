@@ -14,7 +14,7 @@ use crate::params::OramParams;
 use crate::snapshot::{self, SnapReader};
 use crate::stash::{BlockIdBuildHasher, Stash};
 use crate::stats::BackendStats;
-use crate::storage::{StorageKind, TreeStorage, TreeStore};
+use crate::storage::{StorageKind, TreeStorage};
 use crate::tree::{deepest_common_level, path_linear_indices_into};
 use crate::types::{AccessOp, BlockData, BlockId, Leaf};
 use crate::wal::{Durability, MAX_RECORD_BUCKETS};
@@ -104,7 +104,7 @@ pub trait OramBackend: Send {
     }
 
     /// Writes the backend's tree into `dir` (see
-    /// [`crate::TreeStore::persist_to`]).  Backends without an external
+    /// [`crate::TreeStorage::persist_to`]).  Backends without an external
     /// tree may implement this as a no-op.
     ///
     /// # Errors
@@ -282,17 +282,19 @@ pub struct PathOramBackend {
     /// path is decrypted (and re-encrypted) in **one batched engine pass per
     /// direction** instead of one cipher call per bucket.
     cipher_spans: Vec<KeystreamSpan>,
-    /// Scratch: the eviction staging image for non-arena stores — buckets
+    /// Scratch: the eviction staging image for file-backed stores — buckets
     /// are serialised and sealed here, then handed to the store as one
-    /// batched path write.  (The arena store skips this buffer entirely and
-    /// writes in place; eviction reads payloads out of `path_buf`, so the
-    /// staging area must be a separate allocation.)
+    /// batched path write.  (Without a file tier the arena is the whole
+    /// tree and eviction writes in place, skipping this buffer; eviction
+    /// reads payloads out of `path_buf`, so the staging area must be a
+    /// separate allocation.)
     write_buf: Vec<u8>,
     /// Whether a batched-access window is open (see
-    /// [`OramBackend::begin_batch`]).  Only ever true over non-arena
-    /// stores: the arena is already RAM-resident, so there is no I/O to
-    /// coalesce, and its zero-copy fast path writes sealed buckets straight
-    /// into untrusted memory — deferral would park plaintext there.
+    /// [`OramBackend::begin_batch`]).  Only ever true over file-backed
+    /// stores: an arena-only tree is already RAM-resident, so there is no
+    /// I/O to coalesce, and its zero-copy fast path writes sealed buckets
+    /// straight into untrusted memory — deferral would park plaintext
+    /// there.
     batch_active: bool,
     /// Number of top tree levels covered by the batch cache,
     /// `min(levels, MAX_BATCH_CACHE_LEVELS)`.
@@ -314,7 +316,7 @@ pub struct PathOramBackend {
     /// Scratch: bucket indices of the flush chunk being assembled.
     flush_idx: Vec<u64>,
     /// Scratch: packed images of the flush chunk (present cache buckets are
-    /// sparse, `TreeStore::write_path` wants them contiguous).
+    /// sparse, `TreeStorage::write_path` wants them contiguous).
     flush_buf: Vec<u8>,
 }
 
@@ -340,12 +342,9 @@ struct PathBlockRef {
 
 /// Routes one parsed bucket's real blocks during the path read: the block
 /// of interest goes into the stash, every other block becomes a
-/// [`PathBlockRef`] classified into the eviction worklists.  When `scratch`
-/// is given (plaintext mode, where the view aliases the arena) the payloads
-/// are copied into it at their canonical path offsets; otherwise the view
-/// already reads from the scratch.  Free function over the individual
-/// fields so the caller can hold the bucket image borrowed from either the
-/// arena or the scratch.
+/// [`PathBlockRef`] into the path scratch the view reads from, classified
+/// into the eviction worklists.  Free function over the individual fields
+/// so the caller can hold the view borrowed from the scratch.
 #[allow(clippy::too_many_arguments)]
 // lint: ct-scope, no-alloc
 fn classify_bucket(
@@ -354,7 +353,6 @@ fn classify_bucket(
     path_leaf: Leaf,
     bucket_base: usize,
     params: &OramParams,
-    mut scratch: Option<&mut [u8]>,
     stash: &mut Stash,
     path_blocks: &mut Vec<PathBlockRef>,
     evict_depth: &mut [Vec<u32>],
@@ -369,9 +367,6 @@ fn classify_bucket(
             continue;
         }
         let offset = bucket_base + data_base + slot.slot * params.block_bytes;
-        if let Some(buf) = scratch.as_deref_mut() {
-            buf[offset..offset + params.block_bytes].copy_from_slice(slot.data);
-        }
         let entry = path_blocks.len() as u32 | PATH_ENTRY_BIT;
         // lint: allow(no-alloc, pre-reserved to levels*z at construction; steady state never grows)
         path_blocks.push(PathBlockRef {
@@ -455,10 +450,10 @@ impl PathOramBackend {
     }
 
     /// Creates a backend over a freshly created store of the given kind
-    /// (the [`crate::TreeStore`] seam's front door; `label` distinguishes
+    /// (the [`TreeStorage::create`] front door; `label` distinguishes
     /// trees sharing a storage directory).  `durability` selects the
     /// write-ahead-log discipline for file-backed stores (see
-    /// [`crate::wal`]); memory stores ignore it.
+    /// [`crate::wal`]); a store without a file tier ignores it.
     ///
     /// # Errors
     ///
@@ -496,12 +491,12 @@ impl PathOramBackend {
         // every real block on the path.  Pre-reserving the classifier lists
         // at that bound keeps the steady state free of reallocations.
         let max_candidates = params.stash_capacity + levels * params.z + 1;
-        // The staging buffer is only exercised by non-arena stores, but
+        // The staging buffer is only exercised by file-backed stores, but
         // allocating it unconditionally keeps construction uniform (one
         // path image, ~the size of `path_buf`).
         let write_buf = vec![0u8; levels * params.bucket_bytes()];
         // The batch cache and its flush scratch are, like `write_buf`, only
-        // exercised by non-arena stores, but allocated unconditionally so
+        // exercised by file-backed stores, but allocated unconditionally so
         // construction stays uniform and the steady state allocation-free.
         let batch_cache_levels = params.levels().min(MAX_BATCH_CACHE_LEVELS);
         let batch_cache_buckets = (1u64 << batch_cache_levels) - 1;
@@ -644,7 +639,7 @@ impl PathOramBackend {
         Ok(())
     }
 
-    /// Persists the tree into `dir` (see [`crate::TreeStore::persist_to`]).
+    /// Persists the tree into `dir` (see [`TreeStorage::persist_to`]).
     ///
     /// # Errors
     ///
@@ -683,86 +678,68 @@ impl PathOramBackend {
     }
     // lint: end
 
-    /// Reads the path's buckets: each initialised bucket is decrypted into
-    /// the path scratch buffer (or, when the mode is plaintext, parsed
-    /// straight out of the arena) and its real blocks classified for the
-    /// upcoming eviction in the same pass.  The block of interest (`addr`)
-    /// is copied into the stash; every other real block only gets a
-    /// [`PathBlockRef`] into the scratch plus a classifier entry — it is
-    /// written back straight from there.  No per-bucket or per-block
-    /// allocation, and dummy-slot payloads are never copied.
+    /// Queues the keystream span that unseals the bucket image at `level`
+    /// of the path scratch, its seed read from the plaintext header; nothing
+    /// in plaintext mode.
+    // lint: ct-scope, no-alloc
+    #[inline]
+    fn queue_unseal(&mut self, level: usize, bucket_idx: u64) {
+        if self.cipher.mode() == EncryptionMode::None {
+            return;
+        }
+        let bucket_base = level * self.params.bucket_bytes();
+        let seed = u64::from_le_bytes(
+            self.path_buf[bucket_base..bucket_base + 8]
+                .try_into()
+                .expect("seed header"),
+        );
+        self.cipher.push_span(
+            &mut self.cipher_spans,
+            bucket_idx,
+            seed,
+            bucket_base,
+            &self.params,
+        );
+        self.stats.buckets_decrypted += 1;
+    }
+    // lint: end
+
+    /// Reads the path's buckets: each initialised bucket is copied into the
+    /// path scratch buffer, the whole path is decrypted in one batched
+    /// engine pass, and each bucket's real blocks are classified for the
+    /// upcoming eviction in the same pass that parses it.  The block of
+    /// interest (`addr`) is copied into the stash; every other real block
+    /// only gets a [`PathBlockRef`] into the scratch plus a classifier entry
+    /// — it is written back straight from there.  No per-bucket or
+    /// per-block allocation.
     // lint: ct-scope, no-alloc
     fn read_path(&mut self, addr: BlockId, leaf: Leaf) -> Result<(), OramError> {
         let bucket_bytes = self.params.bucket_bytes();
-        let plaintext = self.cipher.mode() == EncryptionMode::None;
         self.path_blocks.clear();
         for list in &mut self.evict_depth {
             list.clear();
         }
+        self.cipher_spans.clear();
 
-        // Zero-copy fast path for the in-memory arena: plaintext buckets
-        // are parsed straight out of the arena, encrypted ones are copied
-        // once into the scratch.  Byte-for-byte the pre-seam hot path.
-        if let Some(mem) = self.storage.as_mem() {
-            if plaintext {
-                for (level, &bucket_idx) in self.path_idx.iter().enumerate() {
-                    self.stats.bytes_read += bucket_bytes as u64;
-                    if !mem.is_initialized(bucket_idx) {
-                        continue;
-                    }
-                    // The arena already holds the plaintext: parse it in
-                    // place and copy only the real payloads into the scratch
-                    // (eviction rewrites the arena slots before it consumes
-                    // the scratch, so sources must not alias them).  Dummy
-                    // slots are never copied.
-                    let bucket_base = level * bucket_bytes;
-                    let view =
-                        BucketView::parse(mem.read_bucket(bucket_idx), &self.params, bucket_idx)?;
-                    classify_bucket(
-                        view,
-                        addr,
-                        leaf,
-                        bucket_base,
-                        &self.params,
-                        Some(&mut self.path_buf[..]),
-                        &mut self.stash,
-                        &mut self.path_blocks,
-                        &mut self.evict_depth,
-                        &mut self.stats,
-                    );
-                }
-                return Ok(());
-            }
-
-            // Encrypted arena: copy every initialised bucket into the path
-            // scratch and queue its keystream span (seed read from the
-            // plaintext header), pay the whole path's decryption in one
-            // batched engine pass, then parse and classify below.
-            self.cipher_spans.clear();
-            for (level, &bucket_idx) in self.path_idx.iter().enumerate() {
+        if !self.storage.is_file_backed() {
+            // The arena is the whole tree: copy every initialised bucket
+            // straight out of it into the path scratch.
+            for level in 0..self.path_idx.len() {
+                let bucket_idx = self.path_idx[level];
                 self.stats.bytes_read += bucket_bytes as u64;
-                if !mem.is_initialized(bucket_idx) {
+                if !self.storage.is_initialized(bucket_idx) {
                     continue;
                 }
                 let bucket_base = level * bucket_bytes;
-                let scratch = &mut self.path_buf[bucket_base..bucket_base + bucket_bytes];
-                scratch.copy_from_slice(mem.read_bucket(bucket_idx));
-                let seed = u64::from_le_bytes(scratch[..8].try_into().expect("seed header"));
-                self.cipher.push_span(
-                    &mut self.cipher_spans,
-                    bucket_idx,
-                    seed,
-                    bucket_base,
-                    &self.params,
-                );
-                self.stats.buckets_decrypted += 1;
+                self.path_buf[bucket_base..bucket_base + bucket_bytes]
+                    .copy_from_slice(self.storage.arena_bucket(bucket_idx));
+                self.queue_unseal(level, bucket_idx);
             }
         } else {
-            // Generic store (file-backed): the path's deep suffix lands in
-            // the scratch with one batched span read — the file store
-            // coalesces it into at most ⌈levels/k⌉ contiguous subtree
-            // extents — then decrypts in the same single engine pass as
-            // the arena path.  Plaintext mode simply skips the spans.
+            // File-backed: the path's suffix lands in the scratch with one
+            // batched span read — the file tier coalesces it into at most
+            // ⌈levels/k⌉ contiguous subtree extents — then decrypts in the
+            // same single engine pass as the arena path.
             //
             // Inside a batch window the top `batch_cache_levels` are served
             // from the dedup cache instead: a bucket a previous access in
@@ -776,7 +753,6 @@ impl PathOramBackend {
             } else {
                 0
             };
-            self.cipher_spans.clear();
             for level in 0..split {
                 let bucket_idx = self.path_idx[level];
                 self.stats.bytes_read += bucket_bytes as u64;
@@ -794,21 +770,7 @@ impl PathOramBackend {
                     bucket_idx,
                     &mut self.path_buf[bucket_base..bucket_base + bucket_bytes],
                 )?;
-                if !plaintext {
-                    let seed = u64::from_le_bytes(
-                        self.path_buf[bucket_base..bucket_base + 8]
-                            .try_into()
-                            .expect("seed header"),
-                    );
-                    self.cipher.push_span(
-                        &mut self.cipher_spans,
-                        bucket_idx,
-                        seed,
-                        bucket_base,
-                        &self.params,
-                    );
-                    self.stats.buckets_decrypted += 1;
-                }
+                self.queue_unseal(level, bucket_idx);
             }
             if split < self.path_idx.len() {
                 self.storage.read_path_into(
@@ -816,26 +778,11 @@ impl PathOramBackend {
                     &mut self.path_buf[split * bucket_bytes..],
                 )?;
             }
-            for (level, &bucket_idx) in self.path_idx.iter().enumerate().skip(split) {
+            for level in split..self.path_idx.len() {
+                let bucket_idx = self.path_idx[level];
                 self.stats.bytes_read += bucket_bytes as u64;
-                if !self.storage.is_initialized(bucket_idx) {
-                    continue;
-                }
-                if !plaintext {
-                    let bucket_base = level * bucket_bytes;
-                    let seed = u64::from_le_bytes(
-                        self.path_buf[bucket_base..bucket_base + 8]
-                            .try_into()
-                            .expect("seed header"),
-                    );
-                    self.cipher.push_span(
-                        &mut self.cipher_spans,
-                        bucket_idx,
-                        seed,
-                        bucket_base,
-                        &self.params,
-                    );
-                    self.stats.buckets_decrypted += 1;
+                if self.storage.is_initialized(bucket_idx) {
+                    self.queue_unseal(level, bucket_idx);
                 }
             }
         }
@@ -855,7 +802,6 @@ impl PathOramBackend {
                 leaf,
                 bucket_base,
                 &self.params,
-                None,
                 &mut self.stash,
                 &mut self.path_blocks,
                 &mut self.evict_depth,
@@ -895,7 +841,7 @@ impl PathOramBackend {
         self.cipher_spans.clear();
         let mut carry_pos = 0usize;
 
-        if let Some(mem) = self.storage.as_mem_mut() {
+        if !self.storage.is_file_backed() {
             // Arena fast path: buckets are serialised (with the write-back
             // seed already stamped) straight into their arena slots; the
             // spans queued here are paid off by one batched sealing pass
@@ -910,9 +856,9 @@ impl PathOramBackend {
                 // Preserve the old seed so the per-bucket-seed discipline
                 // can increment it (§6.4); a never-written bucket starts
                 // at 0.
-                let old_seed = if mem.is_initialized(bucket_idx) {
+                let old_seed = if self.storage.is_initialized(bucket_idx) {
                     u64::from_le_bytes(
-                        mem.read_bucket(bucket_idx)[..8]
+                        self.storage.arena_bucket(bucket_idx)[..8]
                             .try_into()
                             .expect("seed header"),
                     )
@@ -922,7 +868,7 @@ impl PathOramBackend {
                 let seed = self.cipher.writeback_seed(old_seed);
 
                 fill_bucket(
-                    mem.bucket_slot_mut(bucket_idx),
+                    self.storage.arena_slot_mut(bucket_idx),
                     &self.params,
                     seed,
                     take,
@@ -936,7 +882,7 @@ impl PathOramBackend {
                     &mut self.cipher_spans,
                     bucket_idx,
                     seed,
-                    mem.bucket_offset(bucket_idx),
+                    self.storage.arena_offset(bucket_idx),
                     &self.params,
                 );
                 if self.cipher.mode() != EncryptionMode::None {
@@ -948,12 +894,13 @@ impl PathOramBackend {
                 self.stats.bytes_written += bucket_bytes as u64;
             }
             // One batched engine pass seals the whole written path.
-            self.cipher.apply_spans(&self.cipher_spans, mem.arena_mut());
+            self.cipher
+                .apply_spans(&self.cipher_spans, self.storage.arena_mut());
         } else {
-            // Generic store: serialise the whole path into the staging
+            // File-backed: serialise the whole path into the staging
             // buffer, seal it in the same single batched engine pass, then
-            // hand it to the store as one `write_path` call (the file
-            // store writes it as the subtree windows `read_path` staged,
+            // hand it to the store as one `write_path` call (the file tier
+            // writes its suffix as the subtree windows `read_path` staged,
             // one positional write each).  The old seeds come from the
             // path scratch, whose headers were copied verbatim during the
             // read (the keystream spans exclude them).
@@ -1131,12 +1078,12 @@ impl OramBackend for PathOramBackend {
     }
 
     fn begin_batch(&mut self) {
-        // Arena stores get nothing from batching — the tree is already
+        // Arena-only stores get nothing from batching — the tree is already
         // RAM-resident and served zero-copy — and their fast path writes
         // sealed buckets directly into untrusted memory, which deferral
         // would subvert.  Leave the window closed; every access then takes
         // the unbatched path unchanged.
-        if self.storage.as_mem().is_some() {
+        if !self.storage.is_file_backed() {
             return;
         }
         self.batch_active = true;
@@ -1735,19 +1682,34 @@ mod tests {
             std::process::id(),
             &params as *const _ as usize
         ));
-        for kind in [
+        // Every kind persists, and every kind resumes what any kind
+        // persisted: the snapshot format is store-agnostic.
+        let budget = 16 << 10;
+        let built = [
             StorageKind::Mem,
             StorageKind::TempFile,
             StorageKind::TempTiered {
-                memory_budget: 16 << 10,
+                memory_budget: budget,
             },
-        ] {
+        ];
+        let resumed_as = [
+            StorageKind::Mem,
+            StorageKind::File { dir: dir.clone() },
+            StorageKind::Tiered {
+                dir: dir.clone(),
+                memory_budget: budget,
+            },
+        ];
+        for (kind, resume_kind) in built
+            .iter()
+            .flat_map(|k| resumed_as.iter().map(move |r| (k, r)))
+        {
             let mut b = PathOramBackend::new_with_storage(
                 params,
                 EncryptionMode::GlobalSeed,
                 [9u8; 16],
                 0,
-                &kind,
+                kind,
                 Durability::None,
                 0,
             )
@@ -1755,6 +1717,7 @@ mod tests {
             let leaves = b.params().num_leaves();
             let mut rng = StdRng::seed_from_u64(5);
             let mut posmap: Vec<u64> = (0..256).map(|_| rng.gen_range(0..leaves)).collect();
+            let mut contents = [None; 256];
             for i in 0..300u64 {
                 let addr = rng.gen_range(0..256u64);
                 let new_leaf = rng.gen_range(0..leaves);
@@ -1768,6 +1731,7 @@ mod tests {
                     Some(&[i as u8; 32]),
                 )
                 .unwrap();
+                contents[addr as usize] = Some(i as u8);
             }
             let mut state = Vec::new();
             b.save_state(&mut state).unwrap();
@@ -1775,22 +1739,12 @@ mod tests {
             let stats_before = b.stats().clone();
             drop(b);
 
-            // Resume under the *other* store kind: the snapshot format is
-            // store-agnostic.
-            let resume_kind = match kind {
-                StorageKind::Mem => StorageKind::File { dir: dir.clone() },
-                StorageKind::TempFile => StorageKind::Tiered {
-                    dir: dir.clone(),
-                    memory_budget: 16 << 10,
-                },
-                _ => StorageKind::Mem,
-            };
             let mut resumed = PathOramBackend::resume_backend(
                 params,
                 EncryptionMode::GlobalSeed,
                 [9u8; 16],
                 0,
-                &resume_kind,
+                resume_kind,
                 Durability::None,
                 &dir,
                 0,
@@ -1810,8 +1764,10 @@ mod tests {
                     .access(AccessOp::Read, addr, old_leaf, new_leaf, None)
                     .unwrap()
                     .unwrap();
-                assert_eq!(out.len(), 32);
+                let expect = [contents[addr as usize].unwrap_or(0); 32];
+                assert_eq!(out, expect, "{kind:?} resumed as {resume_kind:?}");
             }
+            drop(resumed);
             std::fs::remove_dir_all(&dir).ok();
         }
     }

@@ -6,7 +6,7 @@
 //!
 //! The codec is zero-copy: [`BucketView`] parses a plaintext image into
 //! borrowed slot views and [`BucketWriter`] serialises straight into a
-//! caller-provided image (an arena slot of [`crate::MemStore`], or the
+//! caller-provided image (an arena slot of [`crate::TreeStorage`], or the
 //! eviction staging buffer for file-backed stores).
 //!
 //! The codec produces and consumes **plaintext** images; encryption is a

@@ -14,14 +14,13 @@
 //!   uses.
 //! * [`stash::Stash`] — the bounded on-chip stash, a fixed-capacity slab of
 //!   block-sized slots.
-//! * [`storage::TreeStore`] — the pluggable untrusted-memory seam, with
-//!   three stores behind the [`storage::TreeStorage`] enum: the flat
-//!   in-memory arena ([`storage::MemStore`]), a file-backed sparse tree
-//!   ([`storage::FileStore`]) in the subtree layout of \[26\], and a
-//!   two-tier split ([`storage::TieredStore`]) that pins the top K tree
-//!   levels — the paper's treetop, touched on every access (§5.1) — in RAM
-//!   while deeper levels spill to the file store.  All expose an explicit
-//!   tampering API for the active-adversary model and persist to a common
+//! * [`storage::TreeStorage`] — the untrusted memory holding the tree: the
+//!   top K tree levels — the paper's treetop, touched on every access
+//!   (§5.1) — in a RAM arena, and the levels below in a file-backed sparse
+//!   tree ([`storage::FileStore`]) in the subtree layout of \[26\].  The
+//!   storage kinds are this one store at K = levels with no file (memory),
+//!   K = 0 (file) and a budget-derived K (tiered).  It exposes an explicit
+//!   tampering API for the active-adversary model and persists to one
 //!   on-disk snapshot format.  The tier split and its crash-safety argument
 //!   are mapped end to end in `docs/ARCHITECTURE.md` at the workspace root.
 //! * [`wal`] — the write-ahead log behind the file store's crash
@@ -87,8 +86,7 @@ pub use params::OramParams;
 pub use stash::Stash;
 pub use stats::BackendStats;
 pub use storage::{
-    treetop_levels_for_budget, FileStore, MemStore, StorageKind, TieredStore, TreeStorage,
-    TreeStore, DEFAULT_MEMORY_BUDGET,
+    treetop_levels_for_budget, FileStore, StorageKind, TreeStorage, DEFAULT_MEMORY_BUDGET,
 };
 pub use types::{AccessOp, BlockData, BlockId, Leaf};
 pub use wal::{Durability, Wal};
@@ -103,12 +101,9 @@ const _: () = {
     assert_send::<PathOramBackend>();
     assert_send::<InsecureBackend>();
     assert_send::<TreeStorage>();
-    assert_send::<MemStore>();
     assert_send::<FileStore>();
-    assert_send::<TieredStore>();
     assert_send::<Wal>();
     assert_send::<Stash>();
     assert_send::<BucketCipher>();
     assert_send::<Box<dyn OramBackend>>();
-    assert_send::<Box<dyn TreeStore>>();
 };

@@ -51,12 +51,12 @@
 //! valid.  Two non-path writers rely on this: the batch scheduler's
 //! `end_batch` flush (deferred top-level buckets, written in ascending
 //! chunks of ≤ 64 so every durable mutation advances the sequence number
-//! and the snapshot barrier stays sound mid-flush) and the tiered store's
-//! spill-tier suffixes.  The tiered store's *treetop* writes, by contrast,
-//! are volatile arena writes and never reach the log — the crash-safety
-//! argument for that exemption lives with `TieredStore`, and the
-//! system-wide durability state machine is drawn in `docs/ARCHITECTURE.md`
-//! at the workspace root.
+//! and the snapshot barrier stays sound mid-flush) and the file-tier
+//! suffixes a [`crate::TreeStorage`] with a RAM treetop hands down.  Its
+//! *treetop* writes, by contrast, are volatile arena writes and never reach
+//! the log — the crash-safety argument for that exemption lives with
+//! [`crate::TreeStorage`], and the system-wide durability state machine is
+//! drawn in `docs/ARCHITECTURE.md` at the workspace root.
 
 use crate::error::OramError;
 use oram_crypto::crc64::crc64;
@@ -86,8 +86,9 @@ pub const MAX_RECORD_BUCKETS: usize = 64;
 /// When the write-ahead log reaches disk.
 ///
 /// Selected on `OramBuilder::durability`, threaded through the frontend
-/// configs to [`crate::FileStore`].  The memory store ignores it (there is
-/// nothing to make durable), as do backends without untrusted tree storage.
+/// configs to [`crate::FileStore`].  A store without a file tier ignores it
+/// (there is nothing to make durable), as do backends without untrusted
+/// tree storage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Durability {
     /// No write-ahead log (the default).  Matches the pre-WAL behaviour:

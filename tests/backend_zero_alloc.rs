@@ -1,5 +1,5 @@
 //! Allocator-level proof that `PathOramBackend::access_into` is
-//! allocation-free in steady state, over all three tree stores.
+//! allocation-free in steady state, over all three storage kinds.
 //!
 //! A counting global allocator wraps the system allocator; after a warm-up
 //! that touches every block (so the residency set, stash slab, classifier
@@ -8,15 +8,16 @@
 //! sequential, half inside `begin_batch`/`end_batch` windows — must perform
 //! **zero** heap allocations:
 //!
-//! * `MemStore` — the arena hot path; the batch scheduler is a no-op there
-//!   (the arena already is a top-level cache) and the bracketing itself must
-//!   stay free;
-//! * `FileStore` — positional I/O goes straight between the kernel and the
-//!   backend's reusable scratch buffers (`path_buf` in, `write_buf` out), so
-//!   the `TreeStore` seam cannot silently reintroduce per-access allocation;
-//! * `TieredStore` — arena-tier buckets are memcpy'd from the resident
-//!   treetop, spill-tier buckets go through the file store, and the dedup
-//!   cache fills, seal pass and chunked flush share the same zero budget.
+//! * `Mem` — the arena is the whole tree and the backend works on it in
+//!   place; the batch scheduler is a no-op there (the arena already is a
+//!   top-level cache) and the bracketing itself must stay free;
+//! * `TempFile` — no treetop: positional I/O goes straight between the
+//!   kernel and the backend's reusable scratch buffers (`path_buf` in,
+//!   `write_buf` out), so the file tier cannot silently reintroduce
+//!   per-access allocation;
+//! * `TempTiered` — treetop buckets are memcpy'd from the arena, deeper
+//!   buckets go through the file tier, and the dedup cache fills, seal pass
+//!   and chunked flush share the same zero budget.
 //!
 //! The `#[global_allocator]` is process-wide and the test harness runs the
 //! three cases on concurrent threads, so allocations are counted per thread:
@@ -197,8 +198,8 @@ impl Driver {
 fn steady_state_access_performs_zero_heap_allocations() {
     let mut driver = Driver::new(&StorageKind::Mem, 0x2E20_A110C);
     assert!(
-        driver.backend.storage().as_mem().is_some(),
-        "this test pins the arena store"
+        !driver.backend.storage().is_file_backed(),
+        "this test pins the arena-only store"
     );
     driver.assert_steady_state_is_allocation_free("mem");
 }
@@ -221,12 +222,7 @@ fn tiered_store_steady_state_allocation_count_is_pinned() {
         memory_budget: 16 << 10,
     };
     let mut driver = Driver::new(&kind, 0x71E2_A110C);
-    let split = driver
-        .backend
-        .storage()
-        .as_tiered()
-        .expect("this test pins the tiered store")
-        .treetop_levels();
+    let split = driver.backend.storage().treetop_levels();
     assert!(
         split > 0 && split < params().levels(),
         "budget must give a genuine mid-tree split, got K={split} of {} levels",

@@ -22,7 +22,6 @@
 //! record reaches the file, nothing after it does), the recovery point is
 //! exact, not merely bounded.
 
-use path_oram::storage::TreeStore as _;
 use path_oram::{Durability, FileStore, OramParams};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -1,4 +1,5 @@
-//! Differential equivalence suite for the tiered treetop store.
+//! Differential equivalence suite for tiered storage (a RAM treetop over
+//! the file).
 //!
 //! The contract under test: `StorageKind::Tiered` — top K tree levels in a
 //! RAM arena, the rest in the file store, K derived from the
@@ -8,7 +9,7 @@
 //! including both degenerate corners (budget 0: everything file-backed;
 //! unbounded budget: the whole tree in the arena).  The same must hold when
 //! the workload is submitted through `access_batch` — which engages the
-//! backend's batch dedup scheduler over non-arena stores — and across a
+//! backend's batch dedup scheduler over file-backed stores — and across a
 //! mid-run persist/resume cycle, where the budget travels inside the
 //! snapshot's config codec.
 
