@@ -2,15 +2,13 @@
 //! three storage kinds of the one `TreeStorage` — the whole tree in a RAM
 //! arena (`mem`), the whole tree in a sparse file (`file`), and the tiered
 //! split (`tiered`, top K levels resident in RAM, the rest in the file) —
-//! at the 1M-block / 64-byte encrypted design point.  Each tier is measured
-//! twice: sequential accesses, and the same workload submitted in batch
-//! windows of [`BATCH_WINDOW`], which engages the backend's dedup scheduler
-//! (shared upper-level buckets read and sealed once per batch) over the
-//! file-backed kinds.
+//! at the 1M-block / 64-byte encrypted design point, one access at a time.
+//! (Batching changes how many requests one call carries, never the tree
+//! I/O, so there is no separate batched row.)
 //!
 //! The CI `--gate` mode checks three things:
 //!
-//! 1. every tier's fresh sequential rate against the same tier's row in
+//! 1. every tier's fresh rate against the same tier's row in
 //!    the baseline (a regression beyond [`GATE_TOLERANCE`], or a baseline
 //!    without that row, fails),
 //! 2. the machine-portable ratio gate: the fresh tiered rate must be at
@@ -41,13 +39,12 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt::Write as _;
 
-/// Allowed fractional regression of any tier's sequential accesses/sec
-/// before the `--gate` check fails (20%, matching the other perf-smoke
-/// gate).
+/// Allowed fractional regression of any tier's accesses/sec before the
+/// `--gate` check fails (20%, matching the other perf-smoke gate).
 const GATE_TOLERANCE: f64 = 0.20;
 
-/// The tiered store must beat the pure file store by at least this factor
-/// on the sequential rows; checked under `--gate` with [`GATE_TOLERANCE`]
+/// The tiered store must beat the pure file store by at least this factor;
+/// checked under `--gate` with [`GATE_TOLERANCE`]
 /// slack (floor 1.6× in CI), because both rates carry page-cache and
 /// frequency-scaling noise even on one machine.  The checked-in baseline
 /// is held to the full 2×.
@@ -62,18 +59,11 @@ const TIERED_FILE_SPEEDUP_FLOOR: f64 = 2.0;
 /// the whole tree is what clears the 2× floor.
 const TIERED_MEMORY_BUDGET: u64 = 192 << 20;
 
-/// Window width for the batched measurement; matches the frontend's
-/// `access_batch` bracketing.
-const BATCH_WINDOW: u64 = 16;
-
-/// Accesses per harness chunk (a whole number of batch windows).
+/// Accesses per harness chunk.
 const CHUNK: u64 = 256;
 
 /// The workload: the standard mixed read/write stream over one backend,
-/// with the caller playing the position map.  One instance serves both
-/// measurements of a tier, so the batched run continues from where the
-/// sequential run left the blocks, exactly like a frontend switching
-/// submission modes.
+/// with the caller playing the position map.
 struct Tier {
     backend: PathOramBackend,
     rng: StdRng,
@@ -102,22 +92,10 @@ impl Tier {
             .expect("benchmark access");
     }
 
-    /// `batch_window > 0` wraps every `batch_window` accesses in a
-    /// `begin_batch`/`end_batch` bracket, so the dedup scheduler's coalesced
-    /// reads and one-seal-per-batch writebacks are on the measured path.
-    fn measure(&mut self, w: &Windows, batch_window: u64) -> Measurement {
+    fn measure(&mut self, w: &Windows) -> Measurement {
         let run = |tier: &mut Tier, n: u64| {
-            if batch_window == 0 {
-                (0..n).for_each(|_| tier.one());
-                return n;
-            }
-            let batches = n.div_ceil(batch_window);
-            for _ in 0..batches {
-                tier.backend.begin_batch();
-                (0..batch_window).for_each(|_| tier.one());
-                tier.backend.end_batch().expect("benchmark batch flush");
-            }
-            batches * batch_window
+            (0..n).for_each(|_| tier.one());
+            n
         };
         let (accesses, accesses_per_sec) =
             best_of_windows(self, w, CHUNK, run, |tier| tier.backend.reset_stats());
@@ -180,34 +158,22 @@ fn main() {
             out: Vec::new(),
             write_data: vec![0x5Du8; block_bytes],
         };
-        let sequential = tier.measure(&windows, 0);
-        let batched = tier.measure(
-            &Windows {
-                warmup: windows.warmup / 4,
-                ..windows
-            },
-            BATCH_WINDOW,
-        );
-        eprintln!(
-            "  {label:>6}: {:>10.0} acc/s sequential, {:>10.0} acc/s batched",
-            sequential.accesses_per_sec, batched.accesses_per_sec
-        );
-        rates.push((label, sequential.accesses_per_sec));
+        let result = tier.measure(&windows);
+        eprintln!("  {label:>6}: {:>10.0} acc/s", result.accesses_per_sec);
+        rates.push((label, result.accesses_per_sec));
         if i > 0 {
             tiers_json.push_str(",\n");
         }
         let _ = write!(
             tiers_json,
-            "    {{\n      \"store\": \"{label}\",\n      \"result\": {},\n      \
-             \"batched_result\": {}\n    }}",
-            sequential.json("      "),
-            batched.json("      "),
+            "    {{\n      \"store\": \"{label}\",\n      \"result\": {}\n    }}",
+            result.json("      "),
         );
     }
 
     cli.write_json(&format!(
         "{{\n  \"benchmark\": \"storage_tiers\",\n  \"profile\": \"{}\",\n  \
-         \"mode\": \"aes_global_seed\",\n  \"batch_window\": {BATCH_WINDOW},\n  \
+         \"mode\": \"aes_global_seed\",\n  \
          \"tiered_memory_budget\": {TIERED_MEMORY_BUDGET},\n  \"design_point\": {{\n    \
          \"num_blocks\": {num_blocks},\n    \
          \"block_bytes\": {block_bytes},\n    \"z\": 4,\n    \"levels\": {},\n    \

@@ -277,9 +277,8 @@ impl Measurement {
 }
 
 /// Extracts the first `"accesses_per_sec"` after `row` (for example
-/// `"shards": 4` or `"store": "file"`) from a JSON this harness wrote.  In
-/// `BENCH_storage.json` the sequential `"result"` precedes
-/// `"batched_result"` in each tier, so the first rate is the sequential one.
+/// `"shards": 4` or `"store": "file"`) from a JSON this harness wrote: the
+/// rate of that row, not of a later one.
 pub fn baseline_rate(json: &str, row: &str) -> Option<f64> {
     let entry = json.find(row)?;
     let key = "\"accesses_per_sec\": ";
@@ -411,10 +410,11 @@ mod tests {
             let row = format!("\"store\": \"{tier}\"");
             assert!(baseline_rate(storage, &row).expect("tier row") > 0.0);
         }
-        // The sequential block comes first in a tier, so it is the one read.
-        let tier = "\"store\": \"mem\", \"result\": { \"accesses_per_sec\": 123.4 }, \
-                    \"batched_result\": { \"accesses_per_sec\": 999.9 }";
-        assert_eq!(baseline_rate(tier, "\"store\": \"mem\""), Some(123.4));
+        // The rate read is the named row's, not the next row's.
+        let tiers = "\"store\": \"mem\", \"result\": { \"accesses_per_sec\": 123.4 }, \
+                     \"store\": \"file\", \"result\": { \"accesses_per_sec\": 999.9 }";
+        assert_eq!(baseline_rate(tiers, "\"store\": \"mem\""), Some(123.4));
+        assert_eq!(baseline_rate(tiers, "\"store\": \"file\""), Some(999.9));
     }
 
     #[test]

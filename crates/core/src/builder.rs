@@ -334,7 +334,8 @@ impl OramBuilder {
     ///
     /// # Errors
     ///
-    /// [`ConfigError::UnsupportedScheme`] for any other scheme point.
+    /// [`ConfigError::UnsupportedScheme`] for any other scheme point, or
+    /// a [`RecursiveOramConfig::validate`] error.
     pub fn recursive_config(&self) -> Result<RecursiveOramConfig, FreecursiveError> {
         if self.scheme != SchemePoint::RX8 {
             return Err(ConfigError::UnsupportedScheme {
@@ -362,6 +363,7 @@ impl OramBuilder {
         if let Some(durability) = self.durability {
             config.durability = durability;
         }
+        config.validate()?;
         Ok(config)
     }
 
@@ -643,6 +645,33 @@ mod tests {
             Err(FreecursiveError::Config(
                 ConfigError::UnsupportedScheme { .. }
             ))
+        ));
+    }
+
+    #[test]
+    fn rx8_rejects_degenerate_sizes_instead_of_panicking() {
+        let rx8 = || OramBuilder::for_scheme(SchemePoint::RX8).num_blocks(1 << 10);
+        for (field, builder) in [
+            ("num_blocks", rx8().num_blocks(0)),
+            ("block_bytes", rx8().block_bytes(0)),
+            ("z", rx8().z(0)),
+            ("onchip_entries", rx8().onchip_entries(0)),
+        ] {
+            assert!(
+                matches!(
+                    builder.build(),
+                    Err(FreecursiveError::Config(ConfigError::Degenerate))
+                ),
+                "{field} = 0"
+            );
+        }
+        // PosMap blocks too small for two leaves are the other degenerate
+        // shape, reachable only through the config itself.
+        let mut config = rx8().recursive_config().unwrap();
+        config.posmap_block_bytes = 4;
+        assert!(matches!(
+            RecursiveOram::<PathOramBackend>::new(config),
+            Err(FreecursiveError::Config(ConfigError::XTooSmall { x: 1 }))
         ));
     }
 

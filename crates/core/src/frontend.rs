@@ -947,31 +947,18 @@ impl<B: OramBackend> Oram for FreecursiveOram<B> {
     fn access_batch(&mut self, requests: &[Request]) -> Result<Vec<Response>, FreecursiveError> {
         // The batched path executes the same walk as `access` but without
         // per-request `Request` cloning: write payloads are borrowed straight
-        // out of the batch.  Contents are byte-identical to issuing the
-        // requests one by one (pinned down by the integration tests).
-        //
-        // The whole batch runs inside one backend batch window, which lets
-        // the backend dedupe the upper tree levels shared by the batch's
-        // paths — read and sealed once per batch instead of once per access
-        // (a no-op over the in-memory arena).  The window is bracketed
-        // entirely inside this call, so snapshots never observe an open
-        // window.
-        self.backend.begin_batch();
-        let result: Result<Vec<Response>, FreecursiveError> = requests
+        // out of the batch.  Batching changes how many requests one call
+        // carries, never the tree I/O, so responses and the tree are
+        // byte-identical to issuing the requests one by one (pinned down by
+        // the integration tests).
+        requests
             .iter()
             .enumerate()
             .map(|(index, request)| {
                 self.access_ref(request)
                     .map_err(|e| e.with_batch_index(index))
             })
-            .collect();
-        // Close the window even when an access failed: earlier successful
-        // accesses in the batch have deferred writebacks that still must
-        // reach the store.  An access error stays the primary failure.
-        let flushed = self.backend.end_batch();
-        let responses = result?;
-        flushed?;
-        Ok(responses)
+            .collect()
     }
 
     fn access_batch_owned(

@@ -5,8 +5,8 @@
 //! (Fletcher, Ren, Kwon, van Dijk, Devadas — ASPLOS 2015).
 //!
 //! How this crate's frontends fit the whole system — crate graph, the life
-//! of one access down to bytes on disk, the batch scheduler, and the
-//! per-layer obliviousness argument — is mapped end to end in
+//! of one access down to bytes on disk, the RAM treetop over the file tier,
+//! and the per-layer obliviousness argument — is mapped end to end in
 //! `docs/ARCHITECTURE.md` at the workspace root.
 //!
 //! The paper's contribution is an ORAM *frontend* — the logic that manages

@@ -7,7 +7,7 @@
 //! total, independent of program locality.  This is the overhead the PLB is
 //! designed to remove.
 
-use crate::error::FreecursiveError;
+use crate::error::{ConfigError, FreecursiveError};
 use crate::stats::FrontendStats;
 use crate::traits::{Oram, Request, Response};
 use path_oram::{
@@ -79,6 +79,28 @@ impl RecursiveOramConfig {
     pub fn x(&self) -> u64 {
         (self.posmap_block_bytes / posmap::uncompressed::LEAF_ENTRY_BYTES) as u64
     }
+
+    /// Validates the configuration.
+    ///
+    /// # Errors
+    ///
+    /// [`ConfigError::Degenerate`] for a zero size, [`ConfigError::XTooSmall`]
+    /// when a PosMap block holds fewer than two leaves.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        if self.num_blocks == 0
+            || self.data_block_bytes == 0
+            || self.posmap_block_bytes == 0
+            || self.z == 0
+            || self.onchip_entries == 0
+        {
+            return Err(ConfigError::Degenerate);
+        }
+        let x = self.x();
+        if x < 2 {
+            return Err(ConfigError::XTooSmall { x });
+        }
+        Ok(())
+    }
 }
 
 /// The baseline Recursive Path ORAM controller: one ORAM tree per recursion
@@ -140,8 +162,10 @@ impl<B: OramBackend> RecursiveOram<B> {
     ///
     /// # Errors
     ///
-    /// Propagates backend construction errors.
+    /// [`ConfigError`] from [`RecursiveOramConfig::validate`], and backend
+    /// construction errors.
     pub fn new(config: RecursiveOramConfig) -> Result<Self, FreecursiveError> {
+        config.validate()?;
         let rec = RecursionAddressing::new(config.num_blocks, config.x(), config.onchip_entries);
         let mut backends = Vec::new();
         for level in 0..rec.num_levels() {
@@ -283,6 +307,7 @@ impl<B: OramBackend> RecursiveOram<B> {
         }
         let mut r = SnapReader::new(&payload);
         let config = Self::get_config(&mut r, dir)?;
+        config.validate()?;
         let rng_state = crate::persist::get_rng_state(&mut r)?;
         let onchip_count = r.len(r.remaining() / 8)?;
         let mut onchip_entries = Vec::with_capacity(onchip_count);
@@ -497,33 +522,16 @@ impl<B: OramBackend> Oram for RecursiveOram<B> {
     }
 
     fn access_batch(&mut self, requests: &[Request]) -> Result<Vec<Response>, FreecursiveError> {
-        // One backend batch window per level for the whole batch: each
-        // level's ORAM dedupes the upper tree buckets shared by the batch's
-        // paths (read/sealed once per batch, not once per access).  The
-        // windows are bracketed entirely inside this call — closed even when
-        // an access fails, since earlier accesses' deferred writebacks must
-        // still reach the stores; an access error stays the primary failure.
-        for backend in &mut self.backends {
-            backend.begin_batch();
-        }
-        let result: Result<Vec<Response>, FreecursiveError> = requests
+        // Borrows write payloads out of the batch instead of cloning each
+        // request; otherwise exactly the sequential walk, request by request.
+        requests
             .iter()
             .enumerate()
             .map(|(index, request)| {
                 self.access_ref(request)
                     .map_err(|e| e.with_batch_index(index))
             })
-            .collect();
-        let mut flushed = Ok(());
-        for backend in &mut self.backends {
-            let end = backend.end_batch();
-            if flushed.is_ok() {
-                flushed = end;
-            }
-        }
-        let responses = result?;
-        flushed?;
-        Ok(responses)
+            .collect()
     }
 
     fn access_batch_owned(

@@ -31,9 +31,8 @@
 //! shard execution; [`PendingBatch::wait`] collects the responses.  The
 //! sync [`OramClient::access_batch`]/[`Oram::access`] paths are submit +
 //! wait.  Workers execute each sub-batch through their shard's
-//! `access_batch`, so batched submission composes the thread-level
-//! parallelism here with the per-shard batch dedup window (see
-//! `docs/ARCHITECTURE.md` at the workspace root).
+//! `access_batch`; batching changes how many requests one call carries,
+//! never the tree I/O.
 //!
 //! # Failure model
 //!

@@ -38,10 +38,7 @@
 //! order.  Because requests to *different* addresses commute (and requests
 //! to the same address always land on the same shard, in order), the
 //! result is byte-identical to sequential execution.  Each shard runs its
-//! sub-batch through its own frontend's `access_batch`, so the backend's
-//! batch dedup window (shared upper-level buckets read and sealed once per
-//! window — see `docs/ARCHITECTURE.md` at the workspace root) applies per
-//! shard.  On error the global
+//! sub-batch through its own frontend's `access_batch`.  On error the global
 //! index of the failing request is reported via
 //! [`FreecursiveError::Batch`]; addresses and write sizes are validated
 //! up front, before any shard executes, so malformed batches fail without

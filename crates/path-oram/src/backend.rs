@@ -17,7 +17,7 @@ use crate::stats::BackendStats;
 use crate::storage::{StorageKind, TreeStorage};
 use crate::tree::{deepest_common_level, path_linear_indices_into};
 use crate::types::{AccessOp, BlockData, BlockId, Leaf};
-use crate::wal::{Durability, MAX_RECORD_BUCKETS};
+use crate::wal::Durability;
 use oram_crypto::ctr::KeystreamSpan;
 use std::collections::HashSet;
 use std::path::Path;
@@ -205,33 +205,19 @@ pub trait OramBackend: Send {
         Ok(has_data.then_some(out))
     }
 
-    /// Opens a batched-access window: until [`OramBackend::end_batch`], the
-    /// backend may defer and coalesce tree I/O across accesses — notably by
-    /// keeping the top tree levels (shared by every path in the batch) in a
-    /// controller-side cache that is read once and written back once per
-    /// batch instead of once per access.
-    ///
-    /// The scheduling is semantically invisible: every access inside the
-    /// window returns byte-identical results to the same accesses issued
-    /// unbatched, and after `end_batch` the untrusted tree holds the same
-    /// blocks in the same buckets.  Only the I/O and sealing *schedule*
-    /// changes — which is fine obliviousness-wise, because the set of
-    /// touched paths (the only thing the schedule reveals) is exactly the
-    /// per-access leak the paper already concedes (§3.1, Property 1).
-    ///
-    /// Contract: windows must be bracketed (`begin_batch` … accesses …
-    /// `end_batch`) with no snapshot/persist call in between; `end_batch`
-    /// must be called even when an access inside the window fails.  The
-    /// default is a no-op for backends with nothing to coalesce.
+    /// A no-op that no workspace caller invokes and no workspace backend
+    /// overrides.  It stays only because the `perf_stack` benchmark's
+    /// tracing wrapper forwards it.  Batching changes how many requests
+    /// one call carries, never the tree I/O; the storage treetop (see
+    /// [`TreeStorage`]) is how the upper levels stay in RAM.
     fn begin_batch(&mut self) {}
 
-    /// Closes the batched-access window opened by
-    /// [`OramBackend::begin_batch`], sealing and writing back any deferred
-    /// state.  No-op when no window is open (so it is always safe to call).
+    /// The no-op counterpart of [`OramBackend::begin_batch`], kept for the
+    /// same reason.
     ///
     /// # Errors
     ///
-    /// [`OramError::Storage`] if the deferred writeback fails.
+    /// None from the default.
     fn end_batch(&mut self) -> Result<(), OramError> {
         Ok(())
     }
@@ -289,43 +275,7 @@ pub struct PathOramBackend {
     /// reads payloads out of `path_buf`, so the staging area must be a
     /// separate allocation.)
     write_buf: Vec<u8>,
-    /// Whether a batched-access window is open (see
-    /// [`OramBackend::begin_batch`]).  Only ever true over file-backed
-    /// stores: an arena-only tree is already RAM-resident, so there is no
-    /// I/O to coalesce, and its zero-copy fast path writes sealed buckets
-    /// straight into untrusted memory — deferral would park plaintext
-    /// there.
-    batch_active: bool,
-    /// Number of top tree levels covered by the batch cache,
-    /// `min(levels, MAX_BATCH_CACHE_LEVELS)`.
-    batch_cache_levels: u32,
-    /// `2^batch_cache_levels - 1`: buckets with a linear index below this
-    /// have a batch-cache slot.
-    batch_cache_buckets: u64,
-    /// The batch dedup cache: plaintext images of the top tree levels,
-    /// bucket `i` at `[i * bucket_bytes, (i+1) * bucket_bytes)`.  During a
-    /// window, evictions install these levels here (once per bucket, not
-    /// once per path) and reads are served from it; `end_batch` seals the
-    /// whole cache in one engine pass and flushes it in WAL-logged chunks.
-    batch_cache: Vec<u8>,
-    /// One bit per batch-cache bucket: set when the cache holds a deferred
-    /// image newer than the store (reads of set buckets must not touch the
-    /// store — its image is stale).  Only evictions set bits, so
-    /// present == dirty.
-    batch_present: Vec<u64>,
-    /// Scratch: bucket indices of the flush chunk being assembled.
-    flush_idx: Vec<u64>,
-    /// Scratch: packed images of the flush chunk (present cache buckets are
-    /// sparse, `TreeStorage::write_path` wants them contiguous).
-    flush_buf: Vec<u8>,
 }
-
-/// Depth of the batch dedup cache: covering 8 levels (255 buckets, ~80 KiB
-/// at the paper's 320-byte buckets) captures the bulk of the cross-path
-/// sharing — level ℓ has `2^ℓ` buckets, so collisions above level 8 are
-/// negligible for realistic batch sizes — while keeping the controller-side
-/// footprint fixed and small.
-const MAX_BATCH_CACHE_LEVELS: u32 = 8;
 
 /// High bit of an eviction-classifier entry: set for `path_blocks` indices,
 /// clear for stash slab slots.
@@ -495,11 +445,6 @@ impl PathOramBackend {
         // allocating it unconditionally keeps construction uniform (one
         // path image, ~the size of `path_buf`).
         let write_buf = vec![0u8; levels * params.bucket_bytes()];
-        // The batch cache and its flush scratch are, like `write_buf`, only
-        // exercised by file-backed stores, but allocated unconditionally so
-        // construction stays uniform and the steady state allocation-free.
-        let batch_cache_levels = params.levels().min(MAX_BATCH_CACHE_LEVELS);
-        let batch_cache_buckets = (1u64 << batch_cache_levels) - 1;
         Self {
             params,
             storage,
@@ -514,19 +459,8 @@ impl PathOramBackend {
                 .map(|_| Vec::with_capacity(max_candidates))
                 .collect(),
             evict_carry: Vec::with_capacity(max_candidates),
-            cipher_spans: Vec::with_capacity(levels.max(batch_cache_buckets as usize)),
+            cipher_spans: Vec::with_capacity(levels),
             write_buf,
-            batch_active: false,
-            batch_cache_levels,
-            batch_cache_buckets,
-            batch_cache: vec![0u8; batch_cache_buckets as usize * params.bucket_bytes()],
-            batch_present: vec![0u64; (batch_cache_buckets as usize).div_ceil(64)],
-            flush_idx: Vec::with_capacity(MAX_RECORD_BUCKETS),
-            flush_buf: vec![
-                0u8;
-                MAX_RECORD_BUCKETS.min(batch_cache_buckets as usize)
-                    * params.bucket_bytes()
-            ],
         }
     }
 
@@ -648,36 +582,6 @@ impl PathOramBackend {
         self.storage.persist_to(dir, label)
     }
 
-    // lint: ct-scope, no-alloc
-    #[inline]
-    fn is_batch_present(&self, index: u64) -> bool {
-        self.batch_present[(index / 64) as usize] & (1 << (index % 64)) != 0
-    }
-
-    #[inline]
-    fn set_batch_present(&mut self, index: u64) {
-        self.batch_present[(index / 64) as usize] |= 1 << (index % 64);
-    }
-
-    /// Byte range of bucket `index`'s slot in the batch cache.
-    #[inline]
-    fn cache_range(&self, index: u64) -> std::ops::Range<usize> {
-        let start = index as usize * self.params.bucket_bytes();
-        start..start + self.params.bucket_bytes()
-    }
-
-    /// Whether a bucket holds a parseable image: either the store
-    /// initialised it, or a batch window deferred a newer image into the
-    /// cache (whose store-side image, if any, is stale).  Reduces to plain
-    /// store initialisation outside a window — the present bitmap is only
-    /// ever set while one is open.
-    #[inline]
-    fn bucket_valid(&self, index: u64) -> bool {
-        (self.batch_active && index < self.batch_cache_buckets && self.is_batch_present(index))
-            || self.storage.is_initialized(index)
-    }
-    // lint: end
-
     /// Queues the keystream span that unseals the bucket image at `level`
     /// of the path scratch, its seed read from the plaintext header; nothing
     /// in plaintext mode.
@@ -704,14 +608,15 @@ impl PathOramBackend {
     }
     // lint: end
 
-    /// Reads the path's buckets: each initialised bucket is copied into the
-    /// path scratch buffer, the whole path is decrypted in one batched
-    /// engine pass, and each bucket's real blocks are classified for the
-    /// upcoming eviction in the same pass that parses it.  The block of
-    /// interest (`addr`) is copied into the stash; every other real block
-    /// only gets a [`PathBlockRef`] into the scratch plus a classifier entry
-    /// — it is written back straight from there.  No per-bucket or
-    /// per-block allocation.
+    /// Reads the path's buckets: the store copies each initialised bucket
+    /// into the path scratch buffer (memcpys out of the treetop arena, at
+    /// most ⌈levels/k⌉ subtree-extent reads from the file tier below it),
+    /// the whole path is decrypted in one batched engine pass, and each
+    /// bucket's real blocks are classified for the upcoming eviction in the
+    /// same pass that parses it.  The block of interest (`addr`) is copied
+    /// into the stash; every other real block only gets a [`PathBlockRef`]
+    /// into the scratch plus a classifier entry — it is written back
+    /// straight from there.  No per-bucket or per-block allocation.
     // lint: ct-scope, no-alloc
     fn read_path(&mut self, addr: BlockId, leaf: Leaf) -> Result<(), OramError> {
         let bucket_bytes = self.params.bucket_bytes();
@@ -721,76 +626,20 @@ impl PathOramBackend {
         }
         self.cipher_spans.clear();
 
-        if !self.storage.is_file_backed() {
-            // The arena is the whole tree: copy every initialised bucket
-            // straight out of it into the path scratch.
-            for level in 0..self.path_idx.len() {
-                let bucket_idx = self.path_idx[level];
-                self.stats.bytes_read += bucket_bytes as u64;
-                if !self.storage.is_initialized(bucket_idx) {
-                    continue;
-                }
-                let bucket_base = level * bucket_bytes;
-                self.path_buf[bucket_base..bucket_base + bucket_bytes]
-                    .copy_from_slice(self.storage.arena_bucket(bucket_idx));
+        self.storage
+            .read_path_into(&self.path_idx, &mut self.path_buf)?;
+        for level in 0..self.path_idx.len() {
+            let bucket_idx = self.path_idx[level];
+            self.stats.bytes_read += bucket_bytes as u64;
+            if self.storage.is_initialized(bucket_idx) {
                 self.queue_unseal(level, bucket_idx);
-            }
-        } else {
-            // File-backed: the path's suffix lands in the scratch with one
-            // batched span read — the file tier coalesces it into at most
-            // ⌈levels/k⌉ contiguous subtree extents — then decrypts in the
-            // same single engine pass as the arena path.
-            //
-            // Inside a batch window the top `batch_cache_levels` are served
-            // from the dedup cache instead: a bucket a previous access in
-            // the window already wrote is copied out of the cache (already
-            // plaintext — no store read, no span), so each shared upper
-            // bucket costs one store read and one seal per *batch* rather
-            // than one per *path*.  Outside a window `split` is 0 and this
-            // is exactly the old single-read code.
-            let split = if self.batch_active {
-                (self.batch_cache_levels as usize).min(self.path_idx.len())
-            } else {
-                0
-            };
-            for level in 0..split {
-                let bucket_idx = self.path_idx[level];
-                self.stats.bytes_read += bucket_bytes as u64;
-                let bucket_base = level * bucket_bytes;
-                if self.is_batch_present(bucket_idx) {
-                    let range = self.cache_range(bucket_idx);
-                    self.path_buf[bucket_base..bucket_base + bucket_bytes]
-                        .copy_from_slice(&self.batch_cache[range]);
-                    continue;
-                }
-                if !self.storage.is_initialized(bucket_idx) {
-                    continue;
-                }
-                self.storage.read_bucket_into(
-                    bucket_idx,
-                    &mut self.path_buf[bucket_base..bucket_base + bucket_bytes],
-                )?;
-                self.queue_unseal(level, bucket_idx);
-            }
-            if split < self.path_idx.len() {
-                self.storage.read_path_into(
-                    &self.path_idx[split..],
-                    &mut self.path_buf[split * bucket_bytes..],
-                )?;
-            }
-            for level in split..self.path_idx.len() {
-                let bucket_idx = self.path_idx[level];
-                self.stats.bytes_read += bucket_bytes as u64;
-                if self.storage.is_initialized(bucket_idx) {
-                    self.queue_unseal(level, bucket_idx);
-                }
             }
         }
 
         self.cipher
             .apply_spans(&self.cipher_spans, &mut self.path_buf);
         for (level, &bucket_idx) in self.path_idx.iter().enumerate() {
-            if !self.bucket_valid(bucket_idx) {
+            if !self.storage.is_initialized(bucket_idx) {
                 continue;
             }
             let bucket_base = level * bucket_bytes;
@@ -904,21 +753,6 @@ impl PathOramBackend {
             // one positional write each).  The old seeds come from the
             // path scratch, whose headers were copied verbatim during the
             // read (the keystream spans exclude them).
-            //
-            // Inside a batch window the top `batch_cache_levels` skip the
-            // staging buffer: they are serialised (plaintext, new seed
-            // already stamped in the header) straight into their dedup
-            // cache slots, where later accesses in the window overwrite
-            // them in place.  Only the final image per bucket is sealed
-            // and written — once, at `end_batch` — so the shared upper
-            // levels cost one store write per batch instead of one per
-            // path.  Outside a window `split` is 0 and this is exactly
-            // the old code.
-            let split = if self.batch_active {
-                self.batch_cache_levels as usize
-            } else {
-                0
-            };
             for level in (0..=leaf_level).rev() {
                 let bucket_idx = self.path_idx[level as usize];
                 self.evict_carry
@@ -927,11 +761,7 @@ impl PathOramBackend {
                 let take = self.params.z.min(self.evict_carry.len() - carry_pos);
 
                 let bucket_base = level as usize * bucket_bytes;
-                // The cache counts as a newer image than the store (see
-                // `bucket_valid`): per-bucket seed chains must continue
-                // from the deferred header, not restart from the store's
-                // stale one.
-                let old_seed = if self.bucket_valid(bucket_idx) {
+                let old_seed = if self.storage.is_initialized(bucket_idx) {
                     u64::from_le_bytes(
                         self.path_buf[bucket_base..bucket_base + 8]
                             .try_into()
@@ -942,44 +772,26 @@ impl PathOramBackend {
                 };
                 let seed = self.cipher.writeback_seed(old_seed);
 
-                if (level as usize) < split {
-                    let range = self.cache_range(bucket_idx);
-                    fill_bucket(
-                        &mut self.batch_cache[range],
-                        &self.params,
-                        seed,
-                        take,
-                        &self.evict_carry,
-                        &mut carry_pos,
-                        &self.path_blocks,
-                        &self.path_buf,
-                        &mut self.stash,
-                    );
-                    self.set_batch_present(bucket_idx);
-                    // Sealing is deferred to `end_batch`, which accounts
-                    // the one real encryption pass per bucket.
-                } else {
-                    fill_bucket(
-                        &mut self.write_buf[bucket_base..bucket_base + bucket_bytes],
-                        &self.params,
-                        seed,
-                        take,
-                        &self.evict_carry,
-                        &mut carry_pos,
-                        &self.path_blocks,
-                        &self.path_buf,
-                        &mut self.stash,
-                    );
-                    self.cipher.push_span(
-                        &mut self.cipher_spans,
-                        bucket_idx,
-                        seed,
-                        bucket_base,
-                        &self.params,
-                    );
-                    if self.cipher.mode() != EncryptionMode::None {
-                        self.stats.buckets_encrypted += 1;
-                    }
+                fill_bucket(
+                    &mut self.write_buf[bucket_base..bucket_base + bucket_bytes],
+                    &self.params,
+                    seed,
+                    take,
+                    &self.evict_carry,
+                    &mut carry_pos,
+                    &self.path_blocks,
+                    &self.path_buf,
+                    &mut self.stash,
+                );
+                self.cipher.push_span(
+                    &mut self.cipher_spans,
+                    bucket_idx,
+                    seed,
+                    bucket_base,
+                    &self.params,
+                );
+                if self.cipher.mode() != EncryptionMode::None {
+                    self.stats.buckets_encrypted += 1;
                 }
 
                 self.stats.blocks_evicted += take as u64;
@@ -988,12 +800,7 @@ impl PathOramBackend {
             }
             self.cipher
                 .apply_spans(&self.cipher_spans, &mut self.write_buf);
-            if split <= leaf_level as usize {
-                self.storage.write_path(
-                    &self.path_idx[split..],
-                    &self.write_buf[split * bucket_bytes..],
-                )?;
-            }
+            self.storage.write_path(&self.path_idx, &self.write_buf)?;
         }
 
         // Spill unplaced path blocks into the stash; they join the next
@@ -1076,86 +883,6 @@ impl OramBackend for PathOramBackend {
     fn reset_stats(&mut self) {
         self.stats = BackendStats::default();
     }
-
-    fn begin_batch(&mut self) {
-        // Arena-only stores get nothing from batching — the tree is already
-        // RAM-resident and served zero-copy — and their fast path writes
-        // sealed buckets directly into untrusted memory, which deferral
-        // would subvert.  Leave the window closed; every access then takes
-        // the unbatched path unchanged.
-        if !self.storage.is_file_backed() {
-            return;
-        }
-        self.batch_active = true;
-        for word in &mut self.batch_present {
-            *word = 0;
-        }
-    }
-
-    // lint: no-alloc
-    fn end_batch(&mut self) -> Result<(), OramError> {
-        if !self.batch_active {
-            return Ok(());
-        }
-        self.batch_active = false;
-        let bucket_bytes = self.params.bucket_bytes();
-
-        // Seal every deferred bucket in one batched engine pass: the seed
-        // each image was built with sits in its plaintext header (stamped
-        // by `fill_bucket`), and the spans exclude the header bytes.
-        self.cipher_spans.clear();
-        for index in 0..self.batch_cache_buckets {
-            if !self.is_batch_present(index) {
-                continue;
-            }
-            let base = index as usize * bucket_bytes;
-            let seed = u64::from_le_bytes(
-                self.batch_cache[base..base + 8]
-                    .try_into()
-                    .expect("seed header"),
-            );
-            self.cipher
-                .push_span(&mut self.cipher_spans, index, seed, base, &self.params);
-            if self.cipher.mode() != EncryptionMode::None {
-                self.stats.buckets_encrypted += 1;
-            }
-        }
-        self.cipher
-            .apply_spans(&self.cipher_spans, &mut self.batch_cache);
-
-        // Flush in ascending-index chunks through `write_path`, so every
-        // chunk is WAL-logged before the tree is touched, exactly like an
-        // ordinary eviction writeback: any durable mutation advances the
-        // store's sequence number, which keeps the controller snapshot
-        // barrier sound — a crash mid-flush recovers to a sequence number
-        // no controller snapshot carries and is refused at resume.
-        let mut index = 0u64;
-        while index < self.batch_cache_buckets {
-            self.flush_idx.clear();
-            let mut fill = 0usize;
-            while index < self.batch_cache_buckets && self.flush_idx.len() < MAX_RECORD_BUCKETS {
-                if self.is_batch_present(index) {
-                    // lint: allow(no-alloc, chunk list pre-reserved to the WAL record bound at construction)
-                    self.flush_idx.push(index);
-                    let base = index as usize * bucket_bytes;
-                    self.flush_buf[fill..fill + bucket_bytes]
-                        .copy_from_slice(&self.batch_cache[base..base + bucket_bytes]);
-                    fill += bucket_bytes;
-                }
-                index += 1;
-            }
-            if self.flush_idx.is_empty() {
-                break;
-            }
-            self.storage
-                .write_path(&self.flush_idx, &self.flush_buf[..fill])?;
-        }
-        for word in &mut self.batch_present {
-            *word = 0;
-        }
-        Ok(())
-    }
-    // lint: end
 
     // lint: ct-scope, no-alloc
     fn access_into(
@@ -1594,84 +1321,6 @@ mod tests {
         });
         assert_eq!(mem, file);
         assert_eq!(mem, tiered);
-    }
-
-    #[test]
-    fn batched_windows_match_unbatched_accesses_byte_for_byte() {
-        // The same seeded workload, unbatched vs chopped into batch
-        // windows of various sizes, over every store kind: responses must
-        // match, and because the write-back seed sequence is identical
-        // (deferral changes when buckets are *sealed*, not which seed each
-        // eviction stamps), the final tree must be ciphertext-identical
-        // too.
-        let run = |kind: &StorageKind, window: usize| {
-            let params = OramParams::new(512, 16, 4);
-            let mut b = PathOramBackend::new_with_storage(
-                params,
-                EncryptionMode::GlobalSeed,
-                [3u8; 16],
-                0,
-                kind,
-                Durability::None,
-                0,
-            )
-            .unwrap();
-            let mut rng = StdRng::seed_from_u64(1234);
-            let leaves = b.params().num_leaves();
-            let mut posmap: Vec<u64> = (0..512).map(|_| rng.gen_range(0..leaves)).collect();
-            let mut responses = Vec::new();
-            let mut i = 0u64;
-            while i < 500 {
-                if window > 0 {
-                    b.begin_batch();
-                }
-                for _ in 0..window.max(1) {
-                    if i >= 500 {
-                        break;
-                    }
-                    let addr = rng.gen_range(0..512u64);
-                    let new_leaf = rng.gen_range(0..leaves);
-                    let old_leaf = posmap[addr as usize];
-                    posmap[addr as usize] = new_leaf;
-                    if i.is_multiple_of(3) {
-                        b.access(
-                            AccessOp::Write,
-                            addr,
-                            old_leaf,
-                            new_leaf,
-                            Some(&[i as u8; 16]),
-                        )
-                        .unwrap();
-                    } else {
-                        responses.push(
-                            b.access(AccessOp::Read, addr, old_leaf, new_leaf, None)
-                                .unwrap(),
-                        );
-                    }
-                    i += 1;
-                }
-                if window > 0 {
-                    b.end_batch().unwrap();
-                }
-            }
-            let snapshots: Vec<Vec<u8>> = (0..b.storage().num_buckets() as u64)
-                .map(|idx| b.storage().snapshot_bucket(idx))
-                .collect();
-            (responses, snapshots)
-        };
-        let tiered_kind = StorageKind::TempTiered {
-            memory_budget: 16 << 10,
-        };
-        let baseline = run(&StorageKind::TempFile, 0);
-        for window in [1usize, 7, 16] {
-            assert_eq!(
-                run(&StorageKind::TempFile, window),
-                baseline,
-                "file w={window}"
-            );
-            assert_eq!(run(&tiered_kind, window), baseline, "tiered w={window}");
-            assert_eq!(run(&StorageKind::Mem, window), baseline, "mem w={window}");
-        }
     }
 
     #[test]

@@ -1021,8 +1021,8 @@ impl FileStore {
             let (slot, at) = match self.stage.containing(staged, start, len) {
                 Some(slot) => (slot, (start - self.stage.spans[slot].0) as usize),
                 None => {
-                    // Not staged (an `end_batch` flush chunk, a write with
-                    // no read before it): read the window's bytes first.
+                    // Not staged (a write with no path read before it):
+                    // read the window's bytes first.
                     // It may overlap staged windows, which it makes stale.
                     coherent = false;
                     let spare = self.stage.spans.len();
@@ -1271,8 +1271,9 @@ pub fn treetop_levels_for_budget(params: &OramParams, memory_budget: u64) -> u32
 /// exponentially larger bottom levels (with almost none) stay on disk.
 /// Because a path's linear bucket indices are `2^ℓ - 1 ≤ index < 2^{ℓ+1}-1`
 /// at level `ℓ`, "level < K" is exactly "linear index < 2^K - 1": routing
-/// is one comparison, and an ascending index list — a root-to-leaf path or
-/// an `end_batch` chunk — splits into an arena prefix plus a file suffix.
+/// is one comparison, and an ascending index list such as a root-to-leaf
+/// path splits into an arena prefix plus a file suffix.  This arena is the
+/// only RAM copy of the upper tree.
 /// Each [`StorageKind`] is this store at one value of `K`: `Mem` is
 /// `K` = levels with no file, `File` is `K` = 0, and `Tiered` takes `K`
 /// from [`treetop_levels_for_budget`].
@@ -1608,7 +1609,7 @@ impl TreeStorage {
     }
 
     /// Batched span read: copies every *initialised* bucket of `indices`
-    /// (ascending, as a root-to-leaf path or an `end_batch` chunk is) into
+    /// (ascending, as a root-to-leaf path is) into
     /// `buf` at stride `level * bucket_bytes`; slots of uninitialised
     /// buckets are left untouched.  This is the read half of the one-pass
     /// path pipeline: the caller decrypts the whole buffer in one batched
@@ -2494,8 +2495,8 @@ mod tests {
     /// the end that every bucket reads back alike.  The operations:
     /// root-to-leaf paths with and without a read first, a read of another
     /// path first, a tampered or flushed neighbour between read and write,
-    /// `end_batch`-style ascending chunks of upper-level buckets, and
-    /// buckets returned to uninitialised.
+    /// ascending chunks of upper-level buckets that no path read staged,
+    /// and buckets returned to uninitialised.
     fn check_window_writes_match_per_bucket_writes(
         p: &OramParams,
         windowed: &mut TreeStorage,
@@ -2508,13 +2509,13 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(seed);
         let bb = p.bucket_bytes();
         let buckets = p.num_buckets();
-        // The batch cache's levels (< 8): with K = 6 a chunk's windows can
-        // span treetop buckets of the next subtree.
+        // The top 8 levels: with K = 6 a chunk's windows can span treetop
+        // buckets of the next subtree.
         let upper = buckets.min(255);
         let mut scratch = vec![0u8; MAX_RECORD_BUCKETS * bb];
         for step in 0..300 {
             let indices: Vec<u64> = if rng.gen_range(0..4) == 0 {
-                // An `end_batch` flush chunk: ascending upper-level buckets.
+                // An ascending chunk of upper-level buckets, many windows.
                 (0..upper)
                     .filter(|_| rng.gen_bool(0.25))
                     .take(MAX_RECORD_BUCKETS)

@@ -48,13 +48,10 @@
 //!
 //! A record carries at most [`MAX_RECORD_BUCKETS`] buckets, and a record's
 //! indices need not form a root-to-leaf path — any ascending index list is
-//! valid.  Two non-path writers rely on this: the batch scheduler's
-//! `end_batch` flush (deferred top-level buckets, written in ascending
-//! chunks of ≤ 64 so every durable mutation advances the sequence number
-//! and the snapshot barrier stays sound mid-flush) and the file-tier
-//! suffixes a [`crate::TreeStorage`] with a RAM treetop hands down.  Its
-//! *treetop* writes, by contrast, are volatile arena writes and never reach
-//! the log — the crash-safety argument for that exemption lives with
+//! valid.  The file-tier suffixes a [`crate::TreeStorage`] with a RAM
+//! treetop hands down rely on this.  Its *treetop* writes, by contrast, are
+//! volatile arena writes and never reach the log — the crash-safety
+//! argument for that exemption lives with
 //! [`crate::TreeStorage`], and the system-wide durability state machine is
 //! drawn in `docs/ARCHITECTURE.md` at the workspace root.
 

@@ -3,21 +3,17 @@
 //!
 //! A counting global allocator wraps the system allocator; after a warm-up
 //! that touches every block (so the residency set, stash slab, classifier
-//! lists, scratch buffers and the batch scheduler's dedup cache have all
-//! reached their working capacities), two thousand further accesses — half
-//! sequential, half inside `begin_batch`/`end_batch` windows — must perform
-//! **zero** heap allocations:
+//! lists and scratch buffers have all reached their working capacities),
+//! two thousand further accesses must perform **zero** heap allocations:
 //!
 //! * `Mem` — the arena is the whole tree and the backend works on it in
-//!   place; the batch scheduler is a no-op there (the arena already is a
-//!   top-level cache) and the bracketing itself must stay free;
+//!   place;
 //! * `TempFile` — no treetop: positional I/O goes straight between the
 //!   kernel and the backend's reusable scratch buffers (`path_buf` in,
 //!   `write_buf` out), so the file tier cannot silently reintroduce
 //!   per-access allocation;
-//! * `TempTiered` — treetop buckets are memcpy'd from the arena, deeper
-//!   buckets go through the file tier, and the dedup cache fills, seal pass
-//!   and chunked flush share the same zero budget.
+//! * `TempTiered` — treetop buckets are memcpy'd from the arena and deeper
+//!   buckets go through the file tier, on the same zero budget.
 //!
 //! The `#[global_allocator]` is process-wide and the test harness runs the
 //! three cases on concurrent threads, so allocations are counted per thread:
@@ -67,10 +63,6 @@ static ALLOCATOR: CountingAllocator = CountingAllocator;
 
 const N: u64 = 1 << 10;
 const BLOCK: usize = 64;
-
-/// Batch window width; matches the frontend's `access_batch` bracketing of
-/// `begin_batch` / `end_batch`.
-const WINDOW: u64 = 16;
 
 /// The pinned allocation budget for the measured steady-state accesses.  It
 /// is zero for every store today; if a legitimate change ever needs to
@@ -149,33 +141,19 @@ impl Driver {
         }
     }
 
-    fn batched(&mut self, windows: u64) {
-        for window in 0..windows {
-            self.backend.begin_batch();
-            for i in 0..WINDOW {
-                self.mixed(window * WINDOW + i);
-            }
-            self.backend.end_batch().unwrap();
-        }
-    }
-
-    /// Warms up, then asserts the pinned budget over 1000 sequential and
-    /// 1008 batched accesses.
+    /// Warms up, then asserts the pinned budget over 2008 accesses.
     fn assert_steady_state_is_allocation_free(&mut self, store: &str) {
         // Warm-up: write every block once (populating the residency set to
-        // its final size), then run the mixed workload in both submission
-        // modes long enough for every scratch buffer, map and the dedup
-        // cache to reach steady capacity.
+        // its final size), then run the mixed workload long enough for
+        // every scratch buffer and map to reach steady capacity.
         for addr in 0..N {
             self.access(AccessOp::Write, addr);
         }
-        self.sequential(2000);
-        self.batched(2000 / WINDOW);
+        self.sequential(4000);
 
         let slab_before = self.backend.stash_slot_capacity();
         let before = ALLOCATIONS.get();
-        self.sequential(1000);
-        self.batched(63);
+        self.sequential(2008);
         let allocation_delta = ALLOCATIONS.get() - before;
 
         assert_eq!(

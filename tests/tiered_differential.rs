@@ -8,12 +8,13 @@
 //! and final contents to an in-memory oracle for every treetop split,
 //! including both degenerate corners (budget 0: everything file-backed;
 //! unbounded budget: the whole tree in the arena).  The same must hold when
-//! the workload is submitted through `access_batch` — which engages the
-//! backend's batch dedup scheduler over file-backed stores — and across a
-//! mid-run persist/resume cycle, where the budget travels inside the
-//! snapshot's config codec.
+//! the workload is submitted through `access_batch`, and across a mid-run
+//! persist/resume cycle, where the budget travels inside the snapshot's
+//! config codec.  Batching changes how many requests one call carries,
+//! never the tree I/O: under strict durability a batched run leaves the
+//! same tree, metadata and log files as the sequential one.
 
-use freecursive::{Oram, OramBuilder, Request, SchemePoint, StorageKind};
+use freecursive::{Durability, Oram, OramBuilder, Request, SchemePoint, StorageKind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::path::PathBuf;
@@ -96,12 +97,9 @@ fn tiered_matches_the_mem_oracle_across_the_k_sweep() {
 
 #[test]
 fn batched_submission_is_byte_identical_to_sequential_over_every_store() {
-    // `access_batch` engages the backend's dedup scheduler for file and
-    // tiered stores (upper-level buckets shared by the batch's paths are
-    // read and sealed once per batch).  The schedule must be semantically
-    // invisible: batched responses byte-identical to the same requests
-    // issued one at a time, and the final contents identical to the
-    // in-memory oracle's.
+    // `Oram::access_batch` on every store kind: batched responses
+    // byte-identical to the same requests issued one at a time, and the
+    // final contents identical too.
     for storage in [
         StorageKind::TempFile,
         StorageKind::TempTiered {
@@ -135,6 +133,58 @@ fn batched_submission_is_byte_identical_to_sequential_over_every_store() {
                 batched.read(addr).unwrap(),
                 sequential.read(addr).unwrap(),
                 "{label}: final contents of block {addr}"
+            );
+        }
+    }
+}
+
+#[test]
+fn batched_and_sequential_submission_leave_identical_strict_files() {
+    // Batching must not change the tree I/O: the same requests in
+    // `access_batch` windows of 16 and one at a time leave byte-identical
+    // tree, metadata and log files, treetop or not.
+    const FILES: [&str; 3] = ["tree0.oram", "tree0.meta", "tree0.wal"];
+    let run = |tag: &str, budget: Option<u64>, batched: bool| {
+        let dir = snap_dir(tag);
+        let storage = match budget {
+            None => StorageKind::File { dir: dir.clone() },
+            Some(memory_budget) => StorageKind::Tiered {
+                dir: dir.clone(),
+                memory_budget,
+            },
+        };
+        let mut oram = builder(SchemePoint::PX16, storage)
+            .durability(Durability::Strict)
+            .build()
+            .unwrap();
+        let mut rng = StdRng::seed_from_u64(0x5791C7);
+        let requests: Vec<Request> = (0..480).map(|i| request(i, &mut rng)).collect();
+        let responses: Vec<_> = if batched {
+            requests
+                .chunks(16)
+                .flat_map(|window| oram.access_batch(window).unwrap())
+                .collect()
+        } else {
+            requests
+                .into_iter()
+                .map(|req| oram.access(req).unwrap())
+                .collect()
+        };
+        drop(oram);
+        let files = FILES.map(|name| std::fs::read(dir.join(name)).unwrap());
+        std::fs::remove_dir_all(&dir).ok();
+        (responses, files)
+    };
+    for budget in [None, Some(64 << 10)] {
+        let (seq_responses, seq_files) = run("strict-seq", budget, false);
+        let (batch_responses, batch_files) = run("strict-batch", budget, true);
+        assert_eq!(batch_responses, seq_responses, "budget {budget:?}");
+        for (name, (batched, sequential)) in FILES.iter().zip(batch_files.iter().zip(&seq_files)) {
+            assert!(
+                batched == sequential,
+                "budget {budget:?}: {name} differs ({} vs {} bytes)",
+                batched.len(),
+                sequential.len()
             );
         }
     }
@@ -187,10 +237,8 @@ fn tiered_persist_resume_is_byte_identical_and_carries_the_budget() {
 
 #[test]
 fn batches_spanning_a_persist_cycle_stay_consistent() {
-    // Interleave batched windows with persist/resume: every window is
-    // bracketed inside one `access_batch` call, so a snapshot taken between
-    // windows must capture a fully flushed tree (no deferred state may leak
-    // across the persist boundary).
+    // Interleave `access_batch` calls with persist/resume: a snapshot taken
+    // between batches must resume to exactly the contents the oracle holds.
     let dir = snap_dir("batch-persist");
     let mut oracle = builder(SchemePoint::PX16, StorageKind::Mem)
         .build()
