@@ -18,9 +18,10 @@
 //! * `--max-inflight <n>` — per-tenant in-flight item quota (default
 //!   `1024`).
 //!
-//! A misspelled flag (`--shard 4`), a flag missing its value, or a value
-//! that does not parse (`--scheme pic_x33`, `--tenants alpha`) exits with
-//! code 2 and a usage line rather than being ignored or panicking
+//! A misspelled flag (`--shard 4`), a flag missing its value, a value that
+//! does not parse (`--scheme pic_x33`, `--tenants alpha`), or sizes the
+//! builder rejects (`--blocks 0`, `--blocks 1099511627776`) exit with code 2
+//! and a usage line rather than being ignored or panicking
 //! (`bench::harness`).
 //!
 //! The server prints `listening on <addr>` once ready — `loadgen --addr`
@@ -94,7 +95,7 @@ fn main() {
         .block_bytes(block_bytes)
         .shards(shards)
         .build_service()
-        .expect("service builds");
+        .unwrap_or_else(|e| flags.reject(&format!("cannot build the service: {e}")));
     let server = NetServer::spawn(
         service,
         ServerConfig {
@@ -131,6 +132,17 @@ mod tests {
                 err.contains("--scheme") && err.contains("pic_x32"),
                 "{bad:?}: {err}"
             );
+        }
+    }
+
+    #[test]
+    fn sizes_the_builder_rejects_are_errors_for_main_to_reject() {
+        for blocks in [0, 1 << 40] {
+            let built = OramBuilder::for_scheme(SchemePoint::PicX32)
+                .num_blocks(blocks)
+                .shards(2)
+                .build_service();
+            assert!(built.is_err(), "--blocks {blocks}");
         }
     }
 

@@ -1,7 +1,7 @@
 //! The single construction path for every evaluation design point.
 //!
 //! [`OramBuilder`] replaces the old ad-hoc constructors
-//! (`FreecursiveConfig::pic_x32`, `RecursiveOramConfig::r_x8`, …) with one
+//! (`FreecursiveConfig::pic_x32`, `FreecursiveConfig::r_x8`, …) with one
 //! entry point keyed by [`SchemePoint`]:
 //!
 //! ```
@@ -27,7 +27,6 @@ use crate::config::{FreecursiveConfig, PosMapFormat};
 use crate::error::{ConfigError, FreecursiveError};
 use crate::frontend::FreecursiveOram;
 use crate::insecure::InsecureOram;
-use crate::recursive::{RecursiveOram, RecursiveOramConfig};
 use crate::scheme::SchemePoint;
 use crate::service::OramService;
 use crate::sharded::ShardedOram;
@@ -119,10 +118,11 @@ impl OramBuilder {
 
     /// Sets the PLB capacity in bytes.
     ///
-    /// The functional frontend always keeps a small PLB (it is clamped to at
-    /// least four blocks per way — the recursion walk parks in-flight PosMap
-    /// blocks there), so very small values measure a minimal PLB, not a
-    /// PLB-less design; use the `R_X8` scheme for the no-PLB baseline.
+    /// 0 means no PLB: the frontend then keeps one tree per recursion level
+    /// instead of the unified tree and walks all of them on every request —
+    /// the `R_X8` shape, with this scheme's PosMap format and PMMAC flag
+    /// (see [`FreecursiveConfig::plb_capacity_bytes`]).  Any other value is
+    /// clamped to at least four blocks per way.
     pub fn plb_capacity_bytes(mut self, bytes: usize) -> Self {
         self.plb_capacity_bytes = Some(bytes);
         self
@@ -257,17 +257,18 @@ impl OramBuilder {
             .unwrap_or_else(|| self.scheme.default_block_bytes())
     }
 
-    /// Resolves the [`FreecursiveConfig`] for a PLB/unified-tree scheme
-    /// point (`P_X16`, `PC_X32`, `PC_X64`, `PI_X8`, `PIC_X32`, or the
+    /// Resolves the [`FreecursiveConfig`] for a tree-backed scheme point
+    /// (`R_X8`, `P_X16`, `PC_X32`, `PC_X64`, `PI_X8`, `PIC_X32`, or the
     /// non-recursive `Phantom_4KB` emulation).
     ///
     /// # Errors
     ///
-    /// [`ConfigError::UnsupportedScheme`] for `insecure`/`R_X8`, or any
-    /// validation error of the resolved configuration.
+    /// [`ConfigError::UnsupportedScheme`] for `insecure`, or any validation
+    /// error of the resolved configuration.
     pub fn freecursive_config(&self) -> Result<FreecursiveConfig, FreecursiveError> {
         let block = self.block_bytes_in_effect();
         let mut config = match self.scheme {
+            SchemePoint::RX8 => FreecursiveConfig::r_x8(self.num_blocks, block),
             SchemePoint::PX16 => FreecursiveConfig::p_x16(self.num_blocks, block),
             SchemePoint::PcX32 | SchemePoint::PcX64 => {
                 FreecursiveConfig::pc_x32(self.num_blocks, block)
@@ -281,7 +282,7 @@ impl OramBuilder {
                 cfg.onchip_entries = self.num_blocks;
                 cfg
             }
-            SchemePoint::Insecure | SchemePoint::RX8 => {
+            SchemePoint::Insecure => {
                 return Err(ConfigError::UnsupportedScheme {
                     scheme: self.scheme.label(),
                 }
@@ -330,43 +331,6 @@ impl OramBuilder {
         Ok(config)
     }
 
-    /// Resolves the [`RecursiveOramConfig`] for the `R_X8` baseline.
-    ///
-    /// # Errors
-    ///
-    /// [`ConfigError::UnsupportedScheme`] for any other scheme point, or
-    /// a [`RecursiveOramConfig::validate`] error.
-    pub fn recursive_config(&self) -> Result<RecursiveOramConfig, FreecursiveError> {
-        if self.scheme != SchemePoint::RX8 {
-            return Err(ConfigError::UnsupportedScheme {
-                scheme: self.scheme.label(),
-            }
-            .into());
-        }
-        let mut config = RecursiveOramConfig::r_x8(self.num_blocks, self.block_bytes_in_effect());
-        if let Some(z) = self.z {
-            config.z = z;
-        }
-        if let Some(entries) = self.onchip_entries {
-            config.onchip_entries = entries;
-        }
-        if let Some(mode) = self.encryption {
-            config.encryption = mode;
-        }
-        if let Some(seed) = self.seed {
-            config.seed = seed;
-        }
-        if let Some(kind) = &self.storage {
-            config.storage = kind.clone();
-        }
-        config.storage = self.apply_memory_budget(config.storage);
-        if let Some(durability) = self.durability {
-            config.durability = durability;
-        }
-        config.validate()?;
-        Ok(config)
-    }
-
     /// Builds a [`FreecursiveOram`] over an explicit backend type — the
     /// generic seam (e.g. `build_freecursive_on::<InsecureBackend>()` for a
     /// full frontend over flat memory).
@@ -388,25 +352,6 @@ impl OramBuilder {
     /// As for [`OramBuilder::build_freecursive_on`].
     pub fn build_freecursive(&self) -> Result<FreecursiveOram, FreecursiveError> {
         self.build_freecursive_on::<PathOramBackend>()
-    }
-
-    /// Builds a baseline [`RecursiveOram`] over an explicit backend type.
-    ///
-    /// # Errors
-    ///
-    /// As for [`OramBuilder::recursive_config`], plus backend construction
-    /// failures.
-    pub fn build_recursive_on<B: OramBackend>(&self) -> Result<RecursiveOram<B>, FreecursiveError> {
-        RecursiveOram::new(self.recursive_config()?)
-    }
-
-    /// Builds the baseline [`RecursiveOram`] over the Path ORAM backend.
-    ///
-    /// # Errors
-    ///
-    /// As for [`OramBuilder::build_recursive_on`].
-    pub fn build_recursive(&self) -> Result<RecursiveOram, FreecursiveError> {
-        self.build_recursive_on::<PathOramBackend>()
     }
 
     /// Builds the flat [`InsecureOram`] baseline.
@@ -442,7 +387,6 @@ impl OramBuilder {
         }
         Ok(match self.scheme {
             SchemePoint::Insecure => Box::new(self.build_insecure()?),
-            SchemePoint::RX8 => Box::new(self.build_recursive()?),
             _ => Box::new(self.build_freecursive()?),
         })
     }
@@ -472,14 +416,8 @@ impl OramBuilder {
         // combination fails identically for every shard count (the
         // per-shard builds below re-use the already-validated settings and
         // differ only in seed).
-        match self.scheme {
-            SchemePoint::Insecure => {}
-            SchemePoint::RX8 => {
-                prototype.recursive_config()?;
-            }
-            _ => {
-                prototype.freecursive_config()?;
-            }
+        if self.scheme != SchemePoint::Insecure {
+            prototype.freecursive_config()?;
         }
         // File-backed storage descends into one subdirectory per shard, so
         // shards never collide on tree files.
@@ -521,9 +459,9 @@ impl OramBuilder {
 
     /// Rebuilds an instance from a snapshot directory written by
     /// [`crate::Oram::persist`], as a trait object.  The snapshot records
-    /// which frontend wrote it (Freecursive, Recursive baseline, Insecure,
-    /// or a sharded composite with per-shard subdirectories) and its full
-    /// configuration — including whether the tree was memory- or
+    /// which frontend wrote it (Freecursive, with or without a PLB;
+    /// Insecure; or a sharded composite with per-shard subdirectories) and
+    /// its full configuration — including whether the trees were memory- or
     /// file-backed; file-backed snapshots reopen their tree files in place,
     /// so `dir` stays the live storage directory of the resumed instance.
     ///
@@ -549,9 +487,6 @@ impl OramBuilder {
         match kind {
             crate::persist::KIND_FREECURSIVE => {
                 Ok(Box::new(FreecursiveOram::<PathOramBackend>::resume(dir)?))
-            }
-            crate::persist::KIND_RECURSIVE => {
-                Ok(Box::new(RecursiveOram::<PathOramBackend>::resume(dir)?))
             }
             crate::persist::KIND_INSECURE => Ok(Box::new(InsecureOram::resume(dir)?)),
             crate::persist::KIND_SHARDED if allow_composite => {
@@ -594,6 +529,15 @@ mod tests {
             .unwrap();
         assert_eq!(cfg.block_bytes, 128);
         assert_eq!(cfg.x(), 64);
+        // R_X8 is the same frontend with no PLB: raw leaves, X = 8.
+        let cfg = OramBuilder::for_scheme(SchemePoint::RX8)
+            .num_blocks(1 << 16)
+            .freecursive_config()
+            .unwrap();
+        assert_eq!(cfg.plb_capacity_bytes, 0);
+        assert!(!cfg.pmmac);
+        assert_eq!(cfg.posmap_format, PosMapFormat::UncompressedLeaves);
+        assert_eq!((cfg.x(), cfg.onchip_entries), (8, 2048));
     }
 
     #[test]
@@ -629,13 +573,7 @@ mod tests {
     #[test]
     fn mismatched_scheme_and_target_is_an_error() {
         assert!(matches!(
-            OramBuilder::for_scheme(SchemePoint::RX8).freecursive_config(),
-            Err(FreecursiveError::Config(
-                ConfigError::UnsupportedScheme { .. }
-            ))
-        ));
-        assert!(matches!(
-            OramBuilder::for_scheme(SchemePoint::PcX32).recursive_config(),
+            OramBuilder::for_scheme(SchemePoint::Insecure).freecursive_config(),
             Err(FreecursiveError::Config(
                 ConfigError::UnsupportedScheme { .. }
             ))
@@ -665,14 +603,52 @@ mod tests {
                 "{field} = 0"
             );
         }
-        // PosMap blocks too small for two leaves are the other degenerate
-        // shape, reachable only through the config itself.
-        let mut config = rx8().recursive_config().unwrap();
-        config.posmap_block_bytes = 4;
+        // PosMap blocks holding fewer than two entries are the other
+        // degenerate shape.
         assert!(matches!(
-            RecursiveOram::<PathOramBackend>::new(config),
+            rx8().x(1).build(),
             Err(FreecursiveError::Config(ConfigError::XTooSmall { x: 1 }))
         ));
+    }
+
+    /// Builds `builder` and expects the oversized-capacity error.
+    fn assert_too_many_blocks(builder: OramBuilder) {
+        let num_blocks = builder.num_blocks;
+        assert!(
+            matches!(
+                builder.build(),
+                Err(FreecursiveError::Config(ConfigError::TooManyBlocks { num_blocks: n })) if n == num_blocks
+            ),
+            "{} at {num_blocks} blocks",
+            builder.scheme().label()
+        );
+    }
+
+    #[test]
+    fn oversized_pic_x32_is_a_config_error() {
+        let builder = OramBuilder::for_scheme(SchemePoint::PicX32).num_blocks(1 << 40);
+        assert!(matches!(
+            builder.freecursive_config(),
+            Err(FreecursiveError::Config(ConfigError::TooManyBlocks { .. }))
+        ));
+        assert_too_many_blocks(builder);
+    }
+
+    #[test]
+    fn oversized_rx8_is_a_config_error() {
+        assert_too_many_blocks(OramBuilder::for_scheme(SchemePoint::RX8).num_blocks(1 << 40));
+    }
+
+    #[test]
+    fn oversized_insecure_is_a_config_error() {
+        assert_too_many_blocks(OramBuilder::for_scheme(SchemePoint::Insecure).num_blocks(1 << 34));
+    }
+
+    #[test]
+    fn insecure_near_u64_max_is_a_config_error_not_a_hang() {
+        assert_too_many_blocks(
+            OramBuilder::for_scheme(SchemePoint::Insecure).num_blocks((1 << 63) - 1),
+        );
     }
 
     #[test]

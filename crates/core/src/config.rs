@@ -6,11 +6,16 @@
 //!
 //! | Preset       | PLB | PMMAC | Compressed | X (64 B blocks) |
 //! |--------------|-----|-------|------------|-----------------|
-//! | `R_X8`       | –   | –     | –          | 8 (baseline Recursive ORAM) |
+//! | `R_X8`       | –   | –     | –          | 8 (baseline Recursive ORAM: one tree per level, 32 B PosMap blocks) |
 //! | `P_X16`      | ✓   | –     | –          | 16 |
 //! | `PC_X32`     | ✓   | –     | ✓          | 32 |
 //! | `PI_X8`      | ✓   | ✓     | –          | 8 (flat 64-bit counters) |
 //! | `PIC_X32`    | ✓   | ✓     | ✓          | 32 |
+//!
+//! Every row is the same frontend.  The PLB column is
+//! [`FreecursiveConfig::plb_capacity_bytes`]: with a PLB all levels share
+//! one unified tree (§4.2); without one (capacity 0) each recursion level
+//! keeps its own tree, which is exactly Recursive ORAM (§3.2).
 //!
 //! The preset constructors below are the raw material of
 //! [`crate::OramBuilder`]; external code should construct design points
@@ -18,8 +23,10 @@
 //! rather than calling the presets directly.
 
 use crate::error::ConfigError;
-use path_oram::{Durability, EncryptionMode, StorageKind};
+use oram_crypto::mac::MAC_BYTES;
+use path_oram::{Durability, EncryptionMode, OramParams, StorageKind};
 use posmap::compressed::{CompressedPosMapBlock, DEFAULT_ALPHA, DEFAULT_BETA};
+use posmap::RecursionAddressing;
 use serde::{Deserialize, Serialize};
 
 /// How PosMap blocks represent the leaves of the blocks they cover.
@@ -73,6 +80,20 @@ impl PosMapFormat {
             1u64 << (63 - (raw as u64).leading_zeros())
         }
     }
+
+    /// The smallest PosMap block, in bytes, that holds `x` entries of this
+    /// format: the block size of a PosMap level's own tree when there is no
+    /// PLB (X = 8 raw leaves give the `R_X8` baseline's 32-byte blocks).
+    pub(crate) fn block_bytes_for(&self, x: u64) -> usize {
+        let x = x as usize;
+        match self {
+            PosMapFormat::UncompressedLeaves => x * posmap::uncompressed::LEAF_ENTRY_BYTES,
+            PosMapFormat::FlatCounters => x * 8,
+            PosMapFormat::Compressed { alpha, beta } => {
+                (*alpha as usize + x * *beta as usize).div_ceil(8)
+            }
+        }
+    }
 }
 
 /// Full configuration of a Freecursive ORAM controller instance.
@@ -91,10 +112,12 @@ pub struct FreecursiveConfig {
     pub x_override: Option<u64>,
     /// Enable PMMAC integrity verification (§6).
     pub pmmac: bool,
-    /// PLB capacity in bytes.  Clamped at construction to at least four
-    /// blocks per way: the recursion walk parks in-flight PosMap blocks in
-    /// the PLB, so the functional frontend cannot run PLB-less (the no-PLB
-    /// comparison point is the separate-tree `R_X8` design).
+    /// PLB capacity in bytes.  0 means no PLB: nothing then needs the
+    /// recursion levels to share a tree (§4.1.2), so each level gets its
+    /// own, of blocks just large enough for X entries of the format, and
+    /// every request walks all H of them — the Recursive ORAM of `R_X8`.
+    /// A nonzero capacity is clamped at construction to at least four
+    /// blocks per way.
     pub plb_capacity_bytes: usize,
     /// PLB associativity (1 = direct-mapped, the paper's default §7.1.3).
     pub plb_associativity: usize,
@@ -106,7 +129,7 @@ pub struct FreecursiveConfig {
     pub stash_capacity: usize,
     /// Seed for deterministic key and leaf generation.
     pub seed: u64,
-    /// Where the unified tree lives (in-memory arena or file-backed store).
+    /// Where the trees live (in-memory arena or file-backed store).
     /// Defaults to the ambient [`StorageKind::from_env`] resolution, so the
     /// `ORAM_STORAGE=file` test leg covers every construction site.
     pub storage: StorageKind,
@@ -142,6 +165,36 @@ impl FreecursiveConfig {
             seed: 1,
             storage: StorageKind::from_env(),
             durability: Durability::from_env(),
+        }
+    }
+
+    /// The paper's `R_X8` baseline, Recursive ORAM as optimised by \[26\]:
+    /// no PLB (so one tree per recursion level), raw leaves, no integrity,
+    /// X = 8 (32-byte PosMap blocks) and an 8 KB on-chip PosMap.
+    ///
+    /// ```
+    /// use freecursive::{Oram, OramBuilder, SchemePoint};
+    ///
+    /// # fn main() -> Result<(), freecursive::FreecursiveError> {
+    /// let mut oram = OramBuilder::for_scheme(SchemePoint::RX8)
+    ///     .num_blocks(1 << 12)
+    ///     .onchip_entries(16)
+    ///     .build_freecursive()?;
+    /// oram.write(5, &vec![0xAA; 64])?;
+    /// assert_eq!(oram.read(5)?, vec![0xAA; 64]);
+    /// // Every request walked all H trees.
+    /// let h = u64::from(oram.num_levels());
+    /// assert_eq!(oram.stats().total_backend_accesses(), 2 * h);
+    /// # Ok(())
+    /// # }
+    /// ```
+    pub fn r_x8(num_blocks: u64, block_bytes: usize) -> Self {
+        Self {
+            posmap_format: PosMapFormat::UncompressedLeaves,
+            x_override: Some(8),
+            plb_capacity_bytes: 0,
+            onchip_entries: (8 << 10) / 4,
+            ..Self::base(num_blocks, block_bytes)
         }
     }
 
@@ -220,13 +273,35 @@ impl FreecursiveConfig {
             .unwrap_or_else(|| self.posmap_format.max_x(self.block_bytes))
     }
 
+    /// Block count and payload bytes (block plus any PMMAC trailer) of each
+    /// ORAM tree this configuration builds: the one unified tree with a
+    /// PLB, otherwise one tree per recursion level, index = level.
+    pub(crate) fn trees(&self, rec: &RecursionAddressing) -> Vec<(u64, usize)> {
+        let mac = if self.pmmac { MAC_BYTES } else { 0 };
+        if self.plb_capacity_bytes > 0 {
+            return vec![(rec.unified_total_blocks(), self.block_bytes + mac)];
+        }
+        let posmap_bytes = self.posmap_format.block_bytes_for(rec.x());
+        (0..rec.num_levels())
+            .map(|level| {
+                let bytes = if level == 0 {
+                    self.block_bytes
+                } else {
+                    posmap_bytes
+                };
+                (rec.blocks_at_level(level), bytes + mac)
+            })
+            .collect()
+    }
+
     /// Validates the configuration.
     ///
     /// # Errors
     ///
     /// Returns a [`ConfigError`] when parameters are inconsistent: PMMAC with
-    /// the uncompressed-leaf format, an X that does not fit the block, or
-    /// degenerate sizes.
+    /// the uncompressed-leaf format, an X that does not fit the unified
+    /// tree's block, degenerate sizes, or a tree deeper than
+    /// [`path_oram::OramParams::MAX_LEAF_LEVEL`].
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.num_blocks == 0 || self.block_bytes == 0 || self.z == 0 {
             return Err(ConfigError::Degenerate);
@@ -238,12 +313,21 @@ impl FreecursiveConfig {
         if x < 2 {
             return Err(ConfigError::XTooSmall { x });
         }
+        // Only the unified tree makes PosMap blocks data-block sized.
         let max = self.posmap_format.max_x(self.block_bytes);
-        if x > max {
+        if self.plb_capacity_bytes > 0 && x > max {
             return Err(ConfigError::XTooLarge { x, max });
         }
         if self.onchip_entries == 0 {
             return Err(ConfigError::Degenerate);
+        }
+        let rec = RecursionAddressing::new(self.num_blocks, x, self.onchip_entries);
+        for (blocks, _) in self.trees(&rec) {
+            if OramParams::leaf_level_for(blocks, self.z).is_none() {
+                return Err(ConfigError::TooManyBlocks {
+                    num_blocks: self.num_blocks,
+                });
+            }
         }
         Ok(())
     }
@@ -265,6 +349,7 @@ mod tests {
 
     #[test]
     fn presets_match_paper_x_values_for_64_byte_blocks() {
+        assert_eq!(preset(SchemePoint::RX8, 1 << 20, 64).x(), 8);
         assert_eq!(preset(SchemePoint::PX16, 1 << 20, 64).x(), 16);
         assert_eq!(preset(SchemePoint::PcX32, 1 << 20, 64).x(), 32);
         assert_eq!(preset(SchemePoint::PiX8, 1 << 20, 64).x(), 8);
@@ -280,6 +365,7 @@ mod tests {
     #[test]
     fn validation_accepts_presets() {
         for scheme in [
+            SchemePoint::RX8,
             SchemePoint::PX16,
             SchemePoint::PcX32,
             SchemePoint::PiX8,

@@ -31,8 +31,14 @@ pub enum ConfigError {
         /// The largest X the block can hold.
         max: u64,
     },
+    /// The configured capacity needs an ORAM tree deeper than
+    /// [`path_oram::OramParams::MAX_LEAF_LEVEL`].
+    TooManyBlocks {
+        /// The offending number of data blocks.
+        num_blocks: u64,
+    },
     /// The requested scheme point cannot be built by this constructor (e.g.
-    /// asking [`crate::OramBuilder::build_freecursive`] for `R_X8`).
+    /// asking [`crate::OramBuilder::build_freecursive`] for `insecure`).
     UnsupportedScheme {
         /// The label of the offending scheme point.
         scheme: &'static str,
@@ -62,6 +68,11 @@ impl std::fmt::Display for ConfigError {
                     "x = {x} does not fit in the posmap block (maximum {max})"
                 )
             }
+            ConfigError::TooManyBlocks { num_blocks } => write!(
+                f,
+                "{num_blocks} blocks need a tree deeper than the supported leaf level {}",
+                path_oram::OramParams::MAX_LEAF_LEVEL
+            ),
             ConfigError::UnsupportedScheme { scheme } => {
                 write!(
                     f,

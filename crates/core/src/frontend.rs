@@ -8,9 +8,12 @@
 //! it is missing (each with a `readrmv`), and finally accesses the data
 //! block.  PLB evictions are `append`ed back into the stash (§4.2.2–§4.2.4).
 //!
-//! The same code path implements the `P_X16`, `PC_X32`, `PI_X8` and `PIC_X32`
-//! design points of the evaluation; which one you get is decided by the
-//! [`FreecursiveConfig`] PosMap format and PMMAC flag.
+//! The same code path implements every tree-backed design point of the
+//! evaluation; which one you get is decided by the [`FreecursiveConfig`]
+//! PosMap format, PMMAC flag and PLB capacity.  With no PLB (capacity 0)
+//! nothing forces the levels into one tree (§4.1.2), so each recursion
+//! level keeps its own and the walk starts at the top every time: that is
+//! the Recursive ORAM baseline `R_X8` (§3.2).
 
 use crate::config::FreecursiveConfig;
 use crate::error::FreecursiveError;
@@ -20,7 +23,7 @@ use crate::traits::{Oram, Request, Response};
 use oram_crypto::mac::{MacKey, MAC_BYTES};
 use oram_crypto::prf::{AesPrf, Prf};
 use path_oram::{AccessOp, OramBackend, OramError, OramParams, PathOramBackend};
-use posmap::addressing::{tag_address, RecursionAddressing};
+use posmap::addressing::{tag_address, untag_address, RecursionAddressing};
 use posmap::onchip::{OnChipEntryKind, OnChipPosMap};
 use posmap::{Plb, PlbEntry};
 use rand::rngs::StdRng;
@@ -73,15 +76,22 @@ struct ResolvedChild {
 pub struct FreecursiveOram<B: OramBackend = PathOramBackend> {
     config: FreecursiveConfig,
     rec: RecursionAddressing,
-    backend: B,
-    plb: Plb<PlbPayload>,
+    /// The ORAM trees: the unified tree alone when there is a PLB, else one
+    /// tree per recursion level (index = level, so index 0 is always the
+    /// tree holding the data blocks).
+    trees: Vec<B>,
+    /// `None` when the configured PLB capacity is 0.
+    plb: Option<Plb<PlbPayload>>,
+    /// Without a PLB: the PosMap block fetched last, parked on chip as the
+    /// parent of the next level's block and appended back to its tree once
+    /// that block is fetched (the last one after the data access).  Always
+    /// empty between requests, and unused with a PLB.
+    parked: Option<PlbEntry<PlbPayload>>,
     onchip: OnChipPosMap,
     prf: AesPrf,
     mac_key: MacKey,
     rng: StdRng,
     stats: FrontendStats,
-    /// Leaf level L of the unified tree.
-    leaf_level: u32,
     /// Scratch: payloads fetched from the backend land here (capacity reused
     /// across requests, so the fetch path does not allocate).  Its length
     /// after a fetch is the backend payload size: block bytes plus the MAC
@@ -100,41 +110,38 @@ pub struct FreecursiveOram<B: OramBackend = PathOramBackend> {
 /// snapshot only needs to carry the configuration itself.
 struct Derived {
     rec: RecursionAddressing,
-    params: OramParams,
-    leaf_level: u32,
-    enc_key: [u8; 16],
+    /// Geometry and bucket-cipher key of each tree; the index is the tree's
+    /// storage label.
+    trees: Vec<(OramParams, [u8; 16])>,
     prf_key: [u8; 16],
     mac_key: [u8; 16],
-    payload_bytes: usize,
 }
 
 impl Derived {
     fn from_config(config: &FreecursiveConfig) -> Self {
-        let x = config.x();
-        let rec = RecursionAddressing::new(config.num_blocks, x, config.onchip_entries);
-        let payload_bytes = config.block_bytes + if config.pmmac { MAC_BYTES } else { 0 };
-        let params = OramParams::new(rec.unified_total_blocks(), payload_bytes, config.z)
-            .with_stash_capacity(config.stash_capacity);
-        let leaf_level = params.leaf_level();
-
-        let mut enc_key = [0u8; 16];
-        enc_key[..8].copy_from_slice(&config.seed.to_le_bytes());
-        enc_key[8] = 0xE1;
-        let mut prf_key = [0u8; 16];
-        prf_key[..8].copy_from_slice(&config.seed.to_le_bytes());
-        prf_key[8] = 0x9F;
-        let mut mac_key = [0u8; 16];
-        mac_key[..8].copy_from_slice(&config.seed.to_le_bytes());
-        mac_key[8] = 0x3C;
-
+        let rec = RecursionAddressing::new(config.num_blocks, config.x(), config.onchip_entries);
+        let key = |tag: u8, label: u32| {
+            let mut key = [0u8; 16];
+            key[..8].copy_from_slice(&config.seed.to_le_bytes());
+            key[8] = tag;
+            key[12..].copy_from_slice(&label.to_le_bytes());
+            key
+        };
+        let trees = config
+            .trees(&rec)
+            .into_iter()
+            .zip(0u32..)
+            .map(|((blocks, payload_bytes), label)| {
+                let params = OramParams::new(blocks, payload_bytes, config.z)
+                    .with_stash_capacity(config.stash_capacity);
+                (params, key(0xE1, label))
+            })
+            .collect();
         Self {
             rec,
-            params,
-            leaf_level,
-            enc_key,
-            prf_key,
-            mac_key,
-            payload_bytes,
+            trees,
+            prf_key: key(0x9F, 0),
+            mac_key: key(0x3C, 0),
         }
     }
 }
@@ -150,36 +157,39 @@ impl<B: OramBackend> FreecursiveOram<B> {
     pub fn new(config: FreecursiveConfig) -> Result<Self, FreecursiveError> {
         config.validate()?;
         let derived = Derived::from_config(&config);
-        let backend = B::new_backend_with(
-            derived.params,
-            config.encryption,
-            derived.enc_key,
-            config.seed,
-            &config.storage,
-            config.durability,
-            0,
-        )?;
-        Ok(Self::assemble(config, derived, backend))
+        let trees = derived
+            .trees
+            .iter()
+            .zip(0u32..)
+            .map(|(&(params, key), label)| {
+                B::new_backend_with(
+                    params,
+                    config.encryption,
+                    key,
+                    config.seed,
+                    &config.storage,
+                    config.durability,
+                    label,
+                )
+            })
+            .collect::<Result<_, _>>()?;
+        Ok(Self::assemble(config, derived, trees))
     }
 
-    /// Everything `new` does after the backend exists; shared with the
-    /// resume path, which constructs the backend from a snapshot instead.
-    fn assemble(config: FreecursiveConfig, derived: Derived, backend: B) -> Self {
+    /// Everything `new` does after the trees exist; shared with the resume
+    /// path, which constructs them from a snapshot instead.
+    fn assemble(config: FreecursiveConfig, derived: Derived, trees: Vec<B>) -> Self {
         let Derived {
             rec,
-            params: _,
-            leaf_level,
             prf_key,
             mac_key,
-            payload_bytes,
             ..
         } = derived;
-        let plb_blocks = (config.plb_capacity_bytes / config.block_bytes)
-            .max(config.plb_associativity.max(1) * 4);
-        let plb = Plb::new(
-            plb_blocks - plb_blocks % config.plb_associativity.max(1),
-            config.plb_associativity.max(1),
-        );
+        let ways = config.plb_associativity.max(1);
+        let plb = (config.plb_capacity_bytes > 0).then(|| {
+            let blocks = (config.plb_capacity_bytes / config.block_bytes).max(ways * 4);
+            Plb::new(blocks - blocks % ways, ways)
+        });
         let onchip_kind = if config.pmmac {
             OnChipEntryKind::Counter
         } else {
@@ -191,11 +201,19 @@ impl<B: OramBackend> FreecursiveOram<B> {
             // A deployed ORAM starts with every block mapped to a uniform
             // random leaf; with PMMAC the zero counters already map through
             // the PRF to pseudorandom leaves, but raw leaf entries must be
-            // randomised explicitly or every first touch walks path 0.
+            // randomised explicitly or every first touch walks path 0.  The
+            // top level's blocks live in the last tree.
+            let top_tree = trees.last().expect("at least the data tree");
+            let leaves = top_tree.params().num_leaves();
             for i in 0..onchip.len() as u64 {
-                onchip.set(i, rng.gen_range(0..(1u64 << leaf_level)));
+                onchip.set(i, rng.gen_range(0..leaves));
             }
         }
+        let payload_bytes = trees
+            .iter()
+            .map(|t| t.params().block_bytes)
+            .max()
+            .unwrap_or_default();
         let zero_block = vec![0u8; config.block_bytes];
         Self {
             rng,
@@ -203,11 +221,11 @@ impl<B: OramBackend> FreecursiveOram<B> {
             mac_key: MacKey::new(mac_key),
             config,
             rec,
-            backend,
+            trees,
             plb,
+            parked: None,
             onchip,
             stats: FrontendStats::default(),
-            leaf_level,
             payload_buf: Vec::with_capacity(payload_bytes),
             sealed_buf: Vec::with_capacity(payload_bytes),
             result_buf: Vec::new(),
@@ -220,15 +238,16 @@ impl<B: OramBackend> FreecursiveOram<B> {
         &self.rec
     }
 
-    /// The unified-tree backend (read-only view).
+    /// The backend of the tree holding the data blocks: the unified tree
+    /// with a PLB, the level-0 tree without one (read-only view).
     pub fn backend(&self) -> &B {
-        &self.backend
+        &self.trees[0]
     }
 
-    /// Mutable access to the unified-tree backend — the active adversary's
-    /// handle on untrusted memory (see [`crate::adversary`]).
+    /// Mutable access to [`FreecursiveOram::backend`] — the active
+    /// adversary's handle on untrusted memory (see [`crate::adversary`]).
     pub fn backend_mut(&mut self) -> &mut B {
-        &mut self.backend
+        &mut self.trees[0]
     }
 
     /// The configuration this controller was built with.
@@ -241,9 +260,30 @@ impl<B: OramBackend> FreecursiveOram<B> {
         self.rec.num_levels()
     }
 
-    /// Current PLB occupancy in blocks (diagnostics).
+    /// Current PLB occupancy in blocks (diagnostics; 0 without a PLB).
     pub fn plb_occupancy(&self) -> usize {
-        self.plb.len()
+        self.plb.as_ref().map_or(0, Plb::len)
+    }
+
+    /// Index into `trees` of the tree serving recursion level `level`.
+    fn tree_of(&self, level: u32) -> usize {
+        if self.plb.is_some() {
+            0
+        } else {
+            level as usize
+        }
+    }
+
+    /// Leaf level L of the tree serving recursion level `level`.
+    fn leaf_level(&self, level: u32) -> u32 {
+        self.trees[self.tree_of(level)].params().leaf_level()
+    }
+
+    /// Bytes of a level-`level` block's contents: its tree's payload minus
+    /// the PMMAC trailer.
+    fn block_bytes_at(&self, level: u32) -> usize {
+        let mac = if self.config.pmmac { MAC_BYTES } else { 0 };
+        self.trees[self.tree_of(level)].params().block_bytes - mac
     }
 
     // ------------------------------------------------------------------
@@ -308,9 +348,10 @@ impl<B: OramBackend> FreecursiveOram<B> {
 
     /// Persists the whole instance into `dir`: configuration, on-chip
     /// PosMap, PLB contents (with LRU order), RNG stream position,
-    /// statistics and the backend's controller state in a digest-sealed
-    /// `oram.state`, plus the unified tree's files written by the backend's
-    /// store.  Resume with [`crate::OramBuilder::resume`] (or
+    /// statistics and each tree's backend controller state in a
+    /// digest-sealed `oram.state`, plus each tree's files, written by its
+    /// backend's store under its index as label.  Resume with
+    /// [`crate::OramBuilder::resume`] (or
     /// [`FreecursiveOram::resume`] for a concrete backend type); the
     /// resumed instance's responses are byte-identical to an uninterrupted
     /// run's.
@@ -328,9 +369,9 @@ impl<B: OramBackend> FreecursiveOram<B> {
         for &entry in self.onchip.entries() {
             put_u64(&mut payload, entry);
         }
-        let num_sets = self.plb.iter_sets().count();
-        put_u64(&mut payload, num_sets as u64);
-        for set in self.plb.iter_sets() {
+        let sets: Vec<_> = self.plb.iter().flat_map(Plb::iter_sets).collect();
+        put_u64(&mut payload, sets.len() as u64);
+        for set in sets {
             put_u64(&mut payload, set.len() as u64);
             for entry in set {
                 put_u64(&mut payload, entry.unified_addr);
@@ -342,17 +383,23 @@ impl<B: OramBackend> FreecursiveOram<B> {
                 );
             }
         }
-        crate::persist::put_plb_stats(&mut payload, &self.plb.stats());
+        let plb_stats = self.plb.as_ref().map(Plb::stats).unwrap_or_default();
+        crate::persist::put_plb_stats(&mut payload, &plb_stats);
         crate::persist::put_frontend_stats(&mut payload, &self.stats);
         let mut backend_state = Vec::new();
-        self.backend.save_state(&mut backend_state)?;
-        put_bytes(&mut payload, &backend_state);
+        for tree in &self.trees {
+            backend_state.clear();
+            tree.save_state(&mut backend_state)?;
+            put_bytes(&mut payload, &backend_state);
+        }
         path_oram::snapshot::write_state_file(
             &crate::persist::state_path(dir),
             crate::persist::KIND_FREECURSIVE,
             &payload,
         )?;
-        self.backend.persist_tree(dir, 0)?;
+        for (tree, label) in self.trees.iter().zip(0u32..) {
+            tree.persist_tree(dir, label)?;
+        }
         Ok(())
     }
 
@@ -403,22 +450,35 @@ impl<B: OramBackend> FreecursiveOram<B> {
         }
         let plb_stats = crate::persist::get_plb_stats(&mut r)?;
         let stats = crate::persist::get_frontend_stats(&mut r)?;
-        let backend_state = r.bytes()?.to_vec();
+        // One backend state per tree; the configuration says how many.
+        let derived = Derived::from_config(&config);
+        let states = derived
+            .trees
+            .iter()
+            .map(|_| r.bytes())
+            .collect::<Result<Vec<_>, _>>()?;
         r.finish()?;
 
-        let derived = Derived::from_config(&config);
-        let backend = B::resume_backend(
-            derived.params,
-            config.encryption,
-            derived.enc_key,
-            config.seed,
-            &config.storage,
-            config.durability,
-            dir,
-            0,
-            &backend_state,
-        )?;
-        let mut oram = Self::assemble(config, derived, backend);
+        let trees = derived
+            .trees
+            .iter()
+            .zip(0u32..)
+            .zip(states)
+            .map(|((&(params, key), label), state)| {
+                B::resume_backend(
+                    params,
+                    config.encryption,
+                    key,
+                    config.seed,
+                    &config.storage,
+                    config.durability,
+                    dir,
+                    label,
+                    state,
+                )
+            })
+            .collect::<Result<_, _>>()?;
+        let mut oram = Self::assemble(config, derived, trees);
         oram.rng = StdRng::from_state(rng_state);
         if !oram.onchip.load_entries(&onchip_entries) {
             return Err(OramError::Snapshot {
@@ -426,26 +486,27 @@ impl<B: OramBackend> FreecursiveOram<B> {
             }
             .into());
         }
-        if num_sets != oram.plb.iter_sets().count() {
+        if num_sets != oram.plb.as_ref().map_or(0, |plb| plb.iter_sets().count()) {
             return Err(OramError::Snapshot {
                 detail: "plb set count does not match the configuration".into(),
             }
             .into());
         }
-        // Re-inserting set by set in saved order restores residency and LRU
-        // state exactly (the index function is unchanged); an eviction here
-        // would mean the snapshot disagrees with the configured geometry.
-        for set in sets {
-            for entry in set {
-                if oram.plb.insert(entry).is_some() {
+        if let Some(plb) = &mut oram.plb {
+            // Re-inserting set by set in saved order restores residency and
+            // LRU state exactly (the index function is unchanged); an
+            // eviction here would mean the snapshot disagrees with the
+            // configured geometry.
+            for entry in sets.into_iter().flatten() {
+                if plb.insert(entry).is_some() {
                     return Err(OramError::Snapshot {
                         detail: "plb snapshot overflows the configured associativity".into(),
                     }
                     .into());
                 }
             }
+            plb.set_stats(plb_stats);
         }
-        oram.plb.set_stats(plb_stats);
         oram.stats = stats;
         Ok(oram)
     }
@@ -455,9 +516,9 @@ impl<B: OramBackend> FreecursiveOram<B> {
     // ------------------------------------------------------------------
 
     /// Verifies a fetched backend payload in place: with PMMAC, the MAC
-    /// trailer is checked against the expected counter (the data portion is
-    /// `payload[..block_bytes]`).  A counter of zero means the block has
-    /// never been written back by this controller, so the backend's implicit
+    /// trailer (the last [`MAC_BYTES`]) is checked against the expected
+    /// counter over the data before it.  A counter of zero means the block
+    /// has never been written back by this controller, so the backend's implicit
     /// zero block is accepted without verification (a real deployment writes
     /// MACs during initialisation instead).
     ///
@@ -476,8 +537,7 @@ impl<B: OramBackend> FreecursiveOram<B> {
         if !config.pmmac {
             return Ok(());
         }
-        let data = &payload[..config.block_bytes];
-        let mac_bytes = &payload[config.block_bytes..];
+        let (data, mac_bytes) = payload.split_at(payload.len() - MAC_BYTES);
         let counter = counter.expect("pmmac requires counters");
         stats.macs_verified += 1;
         if counter == 0 {
@@ -517,20 +577,15 @@ impl<B: OramBackend> FreecursiveOram<B> {
         out.extend_from_slice(mac.as_bytes());
     }
 
-    fn count_path_access(&mut self, is_posmap: bool) {
-        let bytes = self.backend.params().access_bytes();
-        // A Merkle-tree scheme ([25]) hashes every block on the path twice per
-        // access: once to check the read and once to update the hashes on the
-        // write-back (§6.3); PMMAC hashes the block of interest twice.
-        let merkle = 2 * u64::from(self.backend.params().levels()) * self.backend.params().z as u64;
-        self.stats.merkle_equivalent_hashes += merkle;
-        if is_posmap {
-            self.stats.posmap_backend_accesses += 1;
-            self.stats.posmap_bytes_moved += bytes;
-        } else {
-            self.stats.data_backend_accesses += 1;
-            self.stats.data_bytes_moved += bytes;
-        }
+    /// Accounts one path access to the tree serving `level`: returns the
+    /// bytes it moved, and charges the hashes a Merkle-tree scheme (\[25\])
+    /// would have spent on it — every block on the path, once to check the
+    /// read and once to update the write-back (§6.3), where PMMAC hashes
+    /// only the block of interest.
+    fn path_access_bytes(&mut self, level: u32) -> u64 {
+        let params = *self.trees[self.tree_of(level)].params();
+        self.stats.merkle_equivalent_hashes += 2 * u64::from(params.levels()) * params.z as u64;
+        params.access_bytes()
     }
 
     // ------------------------------------------------------------------
@@ -538,11 +593,13 @@ impl<B: OramBackend> FreecursiveOram<B> {
     // ------------------------------------------------------------------
 
     /// Resolves the child block at recursion level `level` covering `a0` from
-    /// its parent (the on-chip PosMap for the top level, a PLB-resident
-    /// PosMap block otherwise), advancing the parent entry so the child is
-    /// remapped.
+    /// its parent (the on-chip PosMap for the top level, otherwise the
+    /// level + 1 PosMap block, which the walk holds on chip: in the PLB, or
+    /// without one in the parked slot), advancing the parent entry so the
+    /// child is remapped.
     fn resolve_child(&mut self, level: u32, a0: u64) -> ResolvedChild {
         let child_unified = self.rec.unified_addr(level, a0);
+        let leaf_level = self.leaf_level(level);
         let h = self.rec.num_levels();
         if level == h - 1 {
             // Parent is the on-chip PosMap.
@@ -552,12 +609,9 @@ impl<B: OramBackend> FreecursiveOram<B> {
                 let new_counter = self.onchip.increment(idx);
                 // One batched PRF call derives both the fetch leaf and the
                 // remap leaf.
-                let (current_leaf, new_leaf) = self.prf.leaf_pair_for(
-                    child_unified,
-                    current_counter,
-                    new_counter,
-                    self.leaf_level,
-                );
+                let (current_leaf, new_leaf) =
+                    self.prf
+                        .leaf_pair_for(child_unified, current_counter, new_counter, leaf_level);
                 ResolvedChild {
                     current_leaf,
                     current_counter: Some(current_counter),
@@ -569,7 +623,7 @@ impl<B: OramBackend> FreecursiveOram<B> {
                 }
             } else {
                 let current_leaf = self.onchip.get(idx);
-                let new_leaf = self.rng.gen_range(0..(1u64 << self.leaf_level));
+                let new_leaf = self.rng.gen_range(0..(1u64 << leaf_level));
                 self.onchip.set(idx, new_leaf);
                 ResolvedChild {
                     current_leaf,
@@ -582,17 +636,15 @@ impl<B: OramBackend> FreecursiveOram<B> {
                 }
             }
         } else {
-            // Parent is the PosMap block at level + 1, which is guaranteed to
-            // be PLB-resident at this point of the walk.
             let parent_unified = self.rec.unified_addr(level + 1, a0);
             let entry_index = self.rec.entry_index(level + 1, a0);
             // lint: allow(no-alloc, AesPrf is a fixed round-key array; the clone is a stack copy)
             let prf = self.prf.clone();
-            let leaf_level = self.leaf_level;
-            let entry = self
-                .plb
-                .peek_mut(parent_unified)
-                .expect("parent PosMap block must be PLB-resident during the walk");
+            let entry = match &mut self.plb {
+                Some(plb) => plb.peek_mut(parent_unified),
+                None => self.parked.as_mut(),
+            }
+            .expect("parent PosMap block must be on chip during the walk");
             let current_counter = entry.payload.block.child_counter(entry_index);
             let current_leaf =
                 entry
@@ -630,6 +682,9 @@ impl<B: OramBackend> FreecursiveOram<B> {
         let parent_index = self.rec.posmap_block_addr(level + 1, a0);
         let x = self.rec.x();
         let level_blocks = self.rec.blocks_at_level(level);
+        let tree = self.tree_of(level);
+        let leaf_level = self.leaf_level(level);
+        let block_bytes = self.block_bytes_at(level);
         for j in 0..x as usize {
             if j == skip_entry {
                 continue;
@@ -644,21 +699,17 @@ impl<B: OramBackend> FreecursiveOram<B> {
             // A sibling PosMap block may currently live in the PLB; its
             // stored leaf/counter must be updated in place instead of going
             // through the Backend (and only the new leaf is needed).
-            if level >= 1 {
-                if let Some(entry) = self.plb.peek_mut(sibling_unified) {
-                    entry.leaf = self
-                        .prf
-                        .leaf_for(sibling_unified, new_counter, self.leaf_level);
-                    entry.payload.counter = Some(new_counter);
-                    continue;
-                }
+            if let Some(entry) = self.plb.as_mut().and_then(|p| p.peek_mut(sibling_unified)) {
+                entry.leaf = self.prf.leaf_for(sibling_unified, new_counter, leaf_level);
+                entry.payload.counter = Some(new_counter);
+                continue;
             }
             // Backend round-trip: derive the fetch leaf and the remap leaf
             // in one batched PRF call.
             let (old_leaf, new_leaf) =
                 self.prf
-                    .leaf_pair_for(sibling_unified, old_counter, new_counter, self.leaf_level);
-            let fetched = self.backend.access_into(
+                    .leaf_pair_for(sibling_unified, old_counter, new_counter, leaf_level);
+            let fetched = self.trees[tree].access_into(
                 AccessOp::ReadRmv,
                 sibling_unified,
                 old_leaf,
@@ -668,9 +719,7 @@ impl<B: OramBackend> FreecursiveOram<B> {
             )?;
             assert!(fetched, "backend readrmv returned no data");
             self.stats.group_remap_accesses += 1;
-            self.stats.posmap_bytes_moved += self.backend.params().access_bytes();
-            self.stats.merkle_equivalent_hashes +=
-                2 * u64::from(self.backend.params().levels()) * self.backend.params().z as u64;
+            self.stats.posmap_bytes_moved += self.path_access_bytes(level);
             Self::verify_payload(
                 &self.config,
                 &self.mac_key,
@@ -685,10 +734,10 @@ impl<B: OramBackend> FreecursiveOram<B> {
                 &mut self.stats,
                 sibling_unified,
                 Some(new_counter),
-                &self.payload_buf[..self.config.block_bytes],
+                &self.payload_buf[..block_bytes],
                 &mut self.sealed_buf,
             );
-            self.backend.access(
+            self.trees[tree].access(
                 AccessOp::Append,
                 sibling_unified,
                 0,
@@ -700,22 +749,25 @@ impl<B: OramBackend> FreecursiveOram<B> {
         Ok(())
     }
 
-    /// Parses a PosMap block fetched from the Backend.  A never-written block
-    /// (all zero bytes) is given freshly randomised leaves when the format
-    /// stores raw leaves, emulating the random initial position map a
-    /// deployed ORAM starts from; counter-based formats need no special
-    /// handling because zero counters already PRF to pseudorandom leaves.
-    fn parse_posmap_block(&mut self, data: &[u8]) -> PosMapBlockPayload {
+    /// Parses a level-`level` PosMap block fetched from the Backend.  A
+    /// never-written block (all zero bytes) is given freshly randomised
+    /// leaves when the format stores raw leaves, emulating the random
+    /// initial position map a deployed ORAM starts from; counter-based
+    /// formats need no special handling because zero counters already PRF
+    /// to pseudorandom leaves.
+    fn parse_posmap_block(&mut self, level: u32, data: &[u8]) -> PosMapBlockPayload {
         let x = self.rec.x();
         if matches!(
             self.config.posmap_format,
             crate::config::PosMapFormat::UncompressedLeaves
         ) && data.iter().all(|&b| b == 0)
         {
+            // The entries are leaves of the level below, in its tree.
+            let child_leaves = 1u64 << self.leaf_level(level - 1);
             let mut block = PosMapBlockPayload::new_zeroed(self.config.posmap_format, x);
             if let PosMapBlockPayload::Leaves(leaves) = &mut block {
                 for j in 0..x as usize {
-                    leaves.set_leaf(j, self.rng.gen_range(0..(1u64 << self.leaf_level)));
+                    leaves.set_leaf(j, self.rng.gen_range(0..child_leaves));
                 }
             }
             return block;
@@ -723,10 +775,12 @@ impl<B: OramBackend> FreecursiveOram<B> {
         PosMapBlockPayload::from_bytes(data, self.config.posmap_format, x)
     }
 
-    /// Appends a PosMap block evicted from the PLB back into the unified
-    /// tree (§4.2.4 step 2).
+    /// Appends a PosMap block leaving the chip — evicted from the PLB
+    /// (§4.2.4 step 2), or displaced from the parked slot — back into the
+    /// tree serving its level.
     fn append_evicted(&mut self, victim: PlbEntry<PlbPayload>) -> Result<(), OramError> {
-        let data = victim.payload.block.to_bytes(self.config.block_bytes);
+        let (level, _) = untag_address(victim.unified_addr);
+        let data = victim.payload.block.to_bytes(self.block_bytes_at(level));
         Self::seal_payload(
             &self.config,
             &self.mac_key,
@@ -736,7 +790,8 @@ impl<B: OramBackend> FreecursiveOram<B> {
             &data,
             &mut self.sealed_buf,
         );
-        self.backend.access(
+        let tree = self.tree_of(level);
+        self.trees[tree].access(
             AccessOp::Append,
             victim.unified_addr,
             0,
@@ -782,20 +837,23 @@ impl<B: OramBackend> FreecursiveOram<B> {
         let h = self.rec.num_levels();
 
         // Step 1: PLB lookup loop — find the lowest level whose *parent*
-        // PosMap block is already on chip.
+        // PosMap block is already on chip.  Without a PLB nothing is, and
+        // the walk starts at the top without probing.
         let mut start_level = h - 1;
-        for i in 0..h - 1 {
-            let parent_unified = self.rec.unified_addr(i + 1, a0);
-            // lint: allow(secret-branch, the PLB lookup loop's termination level is the hit depth revealed by design per section 4.1.2)
-            if self.plb.lookup(parent_unified).is_some() {
-                start_level = i;
-                break;
+        if let Some(plb) = &mut self.plb {
+            for i in 0..h - 1 {
+                let parent_unified = self.rec.unified_addr(i + 1, a0);
+                // lint: allow(secret-branch, the PLB lookup loop's termination level is the hit depth revealed by design per section 4.1.2)
+                if plb.lookup(parent_unified).is_some() {
+                    start_level = i;
+                    break;
+                }
             }
+            self.stats.plb = plb.stats();
         }
-        self.stats.plb = self.plb.stats();
 
         // Steps 2 and 3: walk down from `start_level`, fetching PosMap blocks
-        // into the PLB, then access the data block itself.
+        // onto the chip, then access the data block itself.
         for level in (0..=start_level).rev() {
             let child_unified = self.rec.unified_addr(level, a0);
             let resolved = self.resolve_child(level, a0);
@@ -804,28 +862,41 @@ impl<B: OramBackend> FreecursiveOram<B> {
                 self.group_remap(level, a0, skip, remap)?;
             }
 
+            let tree = self.tree_of(level);
+            let fetched = self.trees[tree].access_into(
+                AccessOp::ReadRmv,
+                child_unified,
+                resolved.current_leaf,
+                0,
+                None,
+                &mut self.payload_buf,
+            )?;
+            assert!(fetched, "backend readrmv returned no data");
+            let bytes = self.path_access_bytes(level);
             if level >= 1 {
-                // PosMap block fetch (readrmv) and PLB refill.
-                let fetched = self.backend.access_into(
-                    AccessOp::ReadRmv,
-                    child_unified,
-                    resolved.current_leaf,
-                    0,
-                    None,
-                    &mut self.payload_buf,
-                )?;
-                assert!(fetched, "backend readrmv returned no data");
-                self.count_path_access(true);
-                Self::verify_payload(
-                    &self.config,
-                    &self.mac_key,
-                    &mut self.stats,
-                    child_unified,
-                    resolved.current_counter,
-                    &self.payload_buf,
-                )?;
+                self.stats.posmap_backend_accesses += 1;
+                self.stats.posmap_bytes_moved += bytes;
+            } else {
+                self.stats.data_backend_accesses += 1;
+                self.stats.data_bytes_moved += bytes;
+            }
+            Self::verify_payload(
+                &self.config,
+                &self.mac_key,
+                &mut self.stats,
+                child_unified,
+                resolved.current_counter,
+                &self.payload_buf,
+            )?;
+            let block_bytes = self.block_bytes_at(level);
+
+            if level >= 1 {
+                // The PosMap block goes on chip: into the PLB, whose victim
+                // is appended back; or, without a PLB, into the parked slot,
+                // whose previous occupant — this block's parent, already
+                // advanced — goes back to its own tree.
                 let payload = std::mem::take(&mut self.payload_buf);
-                let block = self.parse_posmap_block(&payload[..self.config.block_bytes]);
+                let block = self.parse_posmap_block(level, &payload[..block_bytes]);
                 self.payload_buf = payload;
                 let entry = PlbEntry {
                     unified_addr: child_unified,
@@ -835,39 +906,27 @@ impl<B: OramBackend> FreecursiveOram<B> {
                         counter: resolved.advance.new_counter,
                     },
                 };
-                // lint: allow(no-alloc, PLB way lists are bounded by the associativity and reuse their capacity after warm-up)
-                if let Some(victim) = self.plb.insert(entry) {
+                let displaced = match &mut self.plb {
+                    // lint: allow(no-alloc, PLB way lists are bounded by the associativity and reuse their capacity after warm-up)
+                    Some(plb) => plb.insert(entry),
+                    None => self.parked.replace(entry),
+                };
+                if let Some(victim) = displaced {
                     self.append_evicted(victim)?;
                 }
-                self.stats.plb = self.plb.stats();
+                if let Some(plb) = &self.plb {
+                    self.stats.plb = plb.stats();
+                }
             } else {
                 // Data block access.
-                let fetched = self.backend.access_into(
-                    AccessOp::ReadRmv,
-                    child_unified,
-                    resolved.current_leaf,
-                    0,
-                    None,
-                    &mut self.payload_buf,
-                )?;
-                assert!(fetched, "backend readrmv returned no data");
-                self.count_path_access(false);
-                Self::verify_payload(
-                    &self.config,
-                    &self.mac_key,
-                    &mut self.stats,
-                    child_unified,
-                    resolved.current_counter,
-                    &self.payload_buf,
-                )?;
                 // lint: allow(no-alloc, grows the caller's buffer to block_bytes once; steady state reuses its capacity)
-                out.extend_from_slice(&self.payload_buf[..self.config.block_bytes]);
+                out.extend_from_slice(&self.payload_buf[..block_bytes]);
                 let write_back: &[u8] = if remove {
                     &self.zero_block
                 } else if let Some(new_data) = write_data {
                     new_data
                 } else {
-                    &self.payload_buf[..self.config.block_bytes]
+                    &self.payload_buf[..block_bytes]
                 };
                 Self::seal_payload(
                     &self.config,
@@ -878,7 +937,7 @@ impl<B: OramBackend> FreecursiveOram<B> {
                     write_back,
                     &mut self.sealed_buf,
                 );
-                self.backend.access(
+                self.trees[tree].access(
                     AccessOp::Append,
                     child_unified,
                     0,
@@ -886,8 +945,15 @@ impl<B: OramBackend> FreecursiveOram<B> {
                     Some(&self.sealed_buf),
                 )?;
                 self.stats.appends += 1;
+                if let Some(parent) = self.parked.take() {
+                    self.append_evicted(parent)?;
+                }
                 // lint: allow(no-alloc, diagnostics snapshot of flat counters; copied once per request after the path work)
-                self.stats.backend = self.backend.stats().clone();
+                let mut backend = self.trees[0].stats().clone();
+                for tree in &self.trees[1..] {
+                    backend.accumulate(tree.stats());
+                }
+                self.stats.backend = backend;
                 return Ok(());
             }
         }
@@ -1001,8 +1067,12 @@ impl<B: OramBackend> Oram for FreecursiveOram<B> {
 
     fn reset_stats(&mut self) {
         self.stats = FrontendStats::default();
-        self.plb.reset_stats();
-        self.backend.reset_stats();
+        if let Some(plb) = &mut self.plb {
+            plb.reset_stats();
+        }
+        for tree in &mut self.trees {
+            tree.reset_stats();
+        }
     }
 
     fn persist(&self, dir: &std::path::Path) -> Result<(), FreecursiveError> {

@@ -7,7 +7,7 @@
 //! [`crate::OramBuilder`] dispatch uniform and gives tests an apples-to-apples
 //! contents oracle.
 
-use crate::error::FreecursiveError;
+use crate::error::{ConfigError, FreecursiveError};
 use crate::stats::FrontendStats;
 use crate::traits::{Oram, Request, Response};
 use path_oram::{AccessOp, InsecureBackend, OramBackend, OramError, OramParams};
@@ -26,10 +26,14 @@ impl InsecureOram {
     ///
     /// # Errors
     ///
-    /// Returns [`FreecursiveError::Config`] if either size is zero.
+    /// Returns [`FreecursiveError::Config`] if either size is zero, or if
+    /// `num_blocks` exceeds what the backend's geometry can describe.
     pub fn new(num_blocks: u64, block_bytes: usize) -> Result<Self, FreecursiveError> {
         if num_blocks == 0 || block_bytes == 0 {
-            return Err(crate::error::ConfigError::Degenerate.into());
+            return Err(ConfigError::Degenerate.into());
+        }
+        if OramParams::leaf_level_for(num_blocks, 1).is_none() {
+            return Err(ConfigError::TooManyBlocks { num_blocks }.into());
         }
         let params = OramParams::new(num_blocks, block_bytes, 1);
         Ok(Self {

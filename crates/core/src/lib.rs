@@ -25,12 +25,13 @@
 //!    Merkle path (§6).
 //!
 //! This crate contains the functional controllers behind one processor-facing
-//! interface, the [`Oram`] trait: [`FreecursiveOram`] (the
-//! PLB/compressed/PMMAC frontend), [`RecursiveOram`] (the `R_X8` baseline of
-//! the evaluation), and [`InsecureOram`] (the flat "no ORAM" baseline).  Both
-//! tree frontends are generic over the [`path_oram::OramBackend`] substrate
-//! seam, and every design point is constructed through [`OramBuilder`] keyed
-//! by [`SchemePoint`].  The scalable trace-driven *timing* simulator that
+//! interface, the [`Oram`] trait: [`FreecursiveOram`], the one tree-backed
+//! frontend (PLB/compressed/PMMAC; with no PLB it keeps one tree per
+//! recursion level, which is the `R_X8` Recursive ORAM baseline of the
+//! evaluation), and [`InsecureOram`] (the flat "no ORAM" baseline).  The tree
+//! frontend is generic over the [`path_oram::OramBackend`] substrate seam,
+//! and every design point is constructed through [`OramBuilder`] keyed by
+//! [`SchemePoint`].  The scalable trace-driven *timing* simulator that
 //! regenerates the paper's figures lives in the `oram-sim` crate; the Path
 //! ORAM backend substrate in `path-oram`.
 //!
@@ -81,7 +82,8 @@ pub mod frontend;
 pub mod insecure;
 pub mod payload;
 pub(crate) mod persist;
-pub mod recursive;
+#[cfg(test)]
+mod recursive;
 pub mod scheme;
 pub mod service;
 pub mod sharded;
@@ -95,7 +97,6 @@ pub use config::{FreecursiveConfig, PosMapFormat};
 pub use error::{ConfigError, FreecursiveError, MapError};
 pub use frontend::FreecursiveOram;
 pub use insecure::InsecureOram;
-pub use recursive::{RecursiveOram, RecursiveOramConfig};
 pub use scheme::SchemePoint;
 pub use service::{OramClient, OramService, PendingBatch};
 pub use sharded::{ShardRouter, ShardedOram};
@@ -116,8 +117,6 @@ const _: () = {
     const fn assert_send<T: Send>() {}
     assert_send::<FreecursiveOram<PathOramBackend>>();
     assert_send::<FreecursiveOram<InsecureBackend>>();
-    assert_send::<RecursiveOram<PathOramBackend>>();
-    assert_send::<RecursiveOram<InsecureBackend>>();
     assert_send::<InsecureOram>();
     assert_send::<Box<dyn Oram>>();
     assert_send::<ShardedOram>();

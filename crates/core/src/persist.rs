@@ -21,10 +21,10 @@ use std::path::{Path, PathBuf};
 /// File name of the state file inside a snapshot directory.
 pub(crate) const STATE_FILE: &str = "oram.state";
 
-/// Snapshot kind tag: a [`crate::FreecursiveOram`] instance.
+/// Snapshot kind tag: a [`crate::FreecursiveOram`] instance, with or
+/// without a PLB.  (Tag 2 is retired: it named the separate Recursive ORAM
+/// frontend that `R_X8` used to be, and now resumes as a snapshot error.)
 pub(crate) const KIND_FREECURSIVE: u8 = 1;
-/// Snapshot kind tag: a [`crate::RecursiveOram`] instance.
-pub(crate) const KIND_RECURSIVE: u8 = 2;
 /// Snapshot kind tag: an [`crate::InsecureOram`] instance.
 pub(crate) const KIND_INSECURE: u8 = 3;
 /// Snapshot kind tag: a [`crate::ShardedOram`] composite (per-shard

@@ -4,7 +4,7 @@ use path_oram::BackendStats;
 use posmap::PlbStats;
 use serde::{Deserialize, Serialize};
 
-/// Counters accumulated by a Freecursive (or baseline Recursive) frontend.
+/// Counters accumulated by a Freecursive frontend (with or without a PLB).
 ///
 /// The evaluation figures are all derived from these: Figure 6/8 from the
 /// backend-access counts (latency), Figure 7 from the byte counters, §6.3
@@ -45,8 +45,9 @@ pub struct FrontendStats {
     /// Backend counters mirrored after every request, so callers holding an
     /// `Oram` trait object can see the tree machinery's work — including the
     /// `buckets_decrypted`/`buckets_encrypted` crypto counters — without
-    /// reaching through to a concrete backend.  For frontends owning several
-    /// trees (the recursive baseline) this is the sum over all of them.
+    /// reaching through to a concrete backend.  Without a PLB the frontend
+    /// owns one tree per recursion level, and this is the sum over all of
+    /// them (maxima such as `max_stash_occupancy` take the largest).
     pub backend: BackendStats,
 }
 

@@ -58,8 +58,8 @@ pub trait OramBackend: Send {
     /// Builds a backend whose tree lives in the given [`StorageKind`],
     /// under the given [`Durability`] discipline (file-backed stores keep a
     /// write-ahead log for anything but [`Durability::None`]).  `label`
-    /// distinguishes several trees sharing one storage directory (the
-    /// recursive frontend passes its level index).
+    /// distinguishes several trees sharing one storage directory (a
+    /// frontend with one tree per recursion level passes the level index).
     ///
     /// The default ignores the hints and delegates to
     /// [`OramBackend::new_backend`] — correct for backends without
@@ -664,8 +664,9 @@ impl PathOramBackend {
     /// Writes the path back: the candidates were already classified by the
     /// deepest level they may legally occupy on the current path — path
     /// blocks during [`PathOramBackend::read_path`], stash slots in one
-    /// O(stash) pass here — then buckets are filled deepest-first and
-    /// serialised/sealed directly into their arena slots.  Path blocks that
+    /// O(stash) pass here — then buckets are filled deepest-first, each
+    /// serialised straight into its arena slot or, with a file tier, into
+    /// the staging image, and sealed in one pass.  Path blocks that
     /// find no room (possible once the accessed block stole a slot) are
     /// spilled into the stash at the end.
     // lint: ct-scope, no-alloc
@@ -690,117 +691,77 @@ impl PathOramBackend {
         self.cipher_spans.clear();
         let mut carry_pos = 0usize;
 
-        if !self.storage.is_file_backed() {
-            // Arena fast path: buckets are serialised (with the write-back
-            // seed already stamped) straight into their arena slots; the
-            // spans queued here are paid off by one batched sealing pass
-            // over the arena after the walk.
-            for level in (0..=leaf_level).rev() {
-                let bucket_idx = self.path_idx[level as usize];
-                self.evict_carry
-                    // lint: allow(no-alloc, carry list pre-reserved to the stash-plus-path bound)
-                    .extend(self.evict_depth[level as usize].iter().copied());
-                let take = self.params.z.min(self.evict_carry.len() - carry_pos);
+        // Mem buckets are serialised (write-back seed stamped) straight into
+        // their arena slots and sealed there; with a file tier they go into
+        // the staging buffer, which is sealed and handed to the store as
+        // one `write_path` (one positional write per subtree window
+        // `read_path` staged).  The old seeds come from the path scratch,
+        // whose headers the read copied verbatim (the keystream spans
+        // exclude them); one batched engine pass seals the whole path.
+        let file_backed = self.storage.is_file_backed();
+        for level in (0..=leaf_level).rev() {
+            let bucket_idx = self.path_idx[level as usize];
+            self.evict_carry
+                // lint: allow(no-alloc, carry list pre-reserved to the stash-plus-path bound)
+                .extend(self.evict_depth[level as usize].iter().copied());
+            let take = self.params.z.min(self.evict_carry.len() - carry_pos);
 
-                // Preserve the old seed so the per-bucket-seed discipline
-                // can increment it (§6.4); a never-written bucket starts
-                // at 0.
-                let old_seed = if self.storage.is_initialized(bucket_idx) {
-                    u64::from_le_bytes(
-                        self.storage.arena_bucket(bucket_idx)[..8]
-                            .try_into()
-                            .expect("seed header"),
-                    )
-                } else {
-                    0
-                };
-                let seed = self.cipher.writeback_seed(old_seed);
+            // Preserve the old seed so the per-bucket-seed discipline can
+            // increment it (§6.4); a never-written bucket starts at 0.
+            let bucket_base = level as usize * bucket_bytes;
+            let old_seed = if self.storage.is_initialized(bucket_idx) {
+                u64::from_le_bytes(
+                    self.path_buf[bucket_base..bucket_base + 8]
+                        .try_into()
+                        .expect("seed header"),
+                )
+            } else {
+                0
+            };
+            let seed = self.cipher.writeback_seed(old_seed);
 
-                fill_bucket(
-                    self.storage.arena_slot_mut(bucket_idx),
-                    &self.params,
-                    seed,
-                    take,
-                    &self.evict_carry,
-                    &mut carry_pos,
-                    &self.path_blocks,
-                    &self.path_buf,
-                    &mut self.stash,
-                );
-                self.cipher.push_span(
-                    &mut self.cipher_spans,
-                    bucket_idx,
-                    seed,
-                    self.storage.arena_offset(bucket_idx),
-                    &self.params,
-                );
-                if self.cipher.mode() != EncryptionMode::None {
-                    self.stats.buckets_encrypted += 1;
-                }
-
-                self.stats.blocks_evicted += take as u64;
-                self.stats.dummies_written += (self.params.z - take) as u64;
-                self.stats.bytes_written += bucket_bytes as u64;
-            }
-            // One batched engine pass seals the whole written path.
-            self.cipher
-                .apply_spans(&self.cipher_spans, self.storage.arena_mut());
-        } else {
-            // File-backed: serialise the whole path into the staging
-            // buffer, seal it in the same single batched engine pass, then
-            // hand it to the store as one `write_path` call (the file tier
-            // writes its suffix as the subtree windows `read_path` staged,
-            // one positional write each).  The old seeds come from the
-            // path scratch, whose headers were copied verbatim during the
-            // read (the keystream spans exclude them).
-            for level in (0..=leaf_level).rev() {
-                let bucket_idx = self.path_idx[level as usize];
-                self.evict_carry
-                    // lint: allow(no-alloc, carry list pre-reserved to the stash-plus-path bound)
-                    .extend(self.evict_depth[level as usize].iter().copied());
-                let take = self.params.z.min(self.evict_carry.len() - carry_pos);
-
-                let bucket_base = level as usize * bucket_bytes;
-                let old_seed = if self.storage.is_initialized(bucket_idx) {
-                    u64::from_le_bytes(
-                        self.path_buf[bucket_base..bucket_base + 8]
-                            .try_into()
-                            .expect("seed header"),
-                    )
-                } else {
-                    0
-                };
-                let seed = self.cipher.writeback_seed(old_seed);
-
-                fill_bucket(
+            let (image, span_offset) = if file_backed {
+                (
                     &mut self.write_buf[bucket_base..bucket_base + bucket_bytes],
-                    &self.params,
-                    seed,
-                    take,
-                    &self.evict_carry,
-                    &mut carry_pos,
-                    &self.path_blocks,
-                    &self.path_buf,
-                    &mut self.stash,
-                );
-                self.cipher.push_span(
-                    &mut self.cipher_spans,
-                    bucket_idx,
-                    seed,
                     bucket_base,
-                    &self.params,
-                );
-                if self.cipher.mode() != EncryptionMode::None {
-                    self.stats.buckets_encrypted += 1;
-                }
-
-                self.stats.blocks_evicted += take as u64;
-                self.stats.dummies_written += (self.params.z - take) as u64;
-                self.stats.bytes_written += bucket_bytes as u64;
+                )
+            } else {
+                let offset = self.storage.arena_offset(bucket_idx);
+                (self.storage.arena_slot_mut(bucket_idx), offset)
+            };
+            fill_bucket(
+                image,
+                &self.params,
+                seed,
+                take,
+                &self.evict_carry,
+                &mut carry_pos,
+                &self.path_blocks,
+                &self.path_buf,
+                &mut self.stash,
+            );
+            self.cipher.push_span(
+                &mut self.cipher_spans,
+                bucket_idx,
+                seed,
+                span_offset,
+                &self.params,
+            );
+            if self.cipher.mode() != EncryptionMode::None {
+                self.stats.buckets_encrypted += 1;
             }
+
+            self.stats.blocks_evicted += take as u64;
+            self.stats.dummies_written += (self.params.z - take) as u64;
+            self.stats.bytes_written += bucket_bytes as u64;
+        }
+        if file_backed {
             self.cipher
                 .apply_spans(&self.cipher_spans, &mut self.write_buf);
             self.storage.write_path(&self.path_idx, &self.write_buf)?;
+        } else {
+            self.cipher
+                .apply_spans(&self.cipher_spans, self.storage.arena_mut());
         }
 
         // Spill unplaced path blocks into the stash; they join the next

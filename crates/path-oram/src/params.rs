@@ -66,21 +66,18 @@ impl OramParams {
     /// # Panics
     ///
     /// Panics if any argument is zero, or if the resulting leaf level would
-    /// exceed [`OramParams::MAX_LEAF_LEVEL`].
+    /// exceed [`OramParams::MAX_LEAF_LEVEL`] (check with
+    /// [`OramParams::leaf_level_for`] first to reject such a size instead).
     pub fn new(num_blocks: u64, block_bytes: usize, z: usize) -> Self {
         assert!(num_blocks > 0, "ORAM must hold at least one block");
         assert!(block_bytes > 0, "blocks must be non-empty");
         assert!(z > 0, "buckets must have at least one slot");
-        let needed_slots = 2 * num_blocks;
-        let mut leaf_level = 0u32;
-        while (z as u64) << (leaf_level + 1) < needed_slots {
-            leaf_level += 1;
-        }
-        assert!(
-            leaf_level <= Self::MAX_LEAF_LEVEL,
-            "leaf level {leaf_level} exceeds the supported maximum {}",
-            Self::MAX_LEAF_LEVEL
-        );
+        let leaf_level = Self::leaf_level_for(num_blocks, z).unwrap_or_else(|| {
+            panic!(
+                "{num_blocks} blocks need a leaf level above the supported maximum {}",
+                Self::MAX_LEAF_LEVEL
+            )
+        });
         Self {
             num_blocks,
             block_bytes,
@@ -89,6 +86,15 @@ impl OramParams {
             stash_capacity: DEFAULT_STASH_CAPACITY,
             bucket_align: 64,
         }
+    }
+
+    /// The leaf level [`OramParams::new`] picks for `num_blocks` blocks in
+    /// buckets of `z` slots — the smallest `L` with `Z · 2^(L+1) ≥ 2N` — or
+    /// `None` when no `L ≤ MAX_LEAF_LEVEL` suffices.  The arithmetic is
+    /// widened, so every `u64` block count gets an answer.
+    pub fn leaf_level_for(num_blocks: u64, z: usize) -> Option<u32> {
+        let needed_slots = 2 * u128::from(num_blocks);
+        (0..=Self::MAX_LEAF_LEVEL).find(|&level| (z as u128) << (level + 1) >= needed_slots)
     }
 
     /// Overrides the leaf level (for experiments that fix L explicitly, e.g.
@@ -249,6 +255,17 @@ mod tests {
         assert!(a.leaf_level() < b.leaf_level());
         assert!(b.leaf_level() < c.leaf_level());
         assert_eq!(c.leaf_level() - b.leaf_level(), 4);
+    }
+
+    #[test]
+    fn leaf_level_for_bounds_the_tree_without_overflowing() {
+        assert_eq!(OramParams::leaf_level_for(1 << 26, 4), Some(24));
+        // The largest tree: 2^34 blocks of Z = 4 reach L = 32 exactly.
+        assert_eq!(OramParams::leaf_level_for(1 << 34, 4), Some(32));
+        assert_eq!(OramParams::leaf_level_for((1 << 34) + 1, 4), None);
+        // 2N overflows u64 here; the answer is still a clean `None`.
+        assert_eq!(OramParams::leaf_level_for((1 << 63) - 1, 1), None);
+        assert_eq!(OramParams::leaf_level_for(u64::MAX, 4), None);
     }
 
     #[test]

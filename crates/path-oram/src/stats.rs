@@ -96,8 +96,8 @@ impl BackendStats {
     }
 
     /// Accumulates another backend's counters into this one (used by
-    /// frontends that own several backends, e.g. the recursive baseline's
-    /// one-tree-per-level layout).
+    /// frontends that own several backends, e.g. a frontend without a
+    /// PLB, which keeps one tree per recursion level).
     pub fn accumulate(&mut self, other: &BackendStats) {
         self.path_accesses += other.path_accesses;
         self.appends += other.appends;

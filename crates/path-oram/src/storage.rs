@@ -1380,9 +1380,9 @@ impl TreeStorage {
     }
 
     /// Creates a fresh store of the given kind.  `label` distinguishes
-    /// several trees sharing one directory (the recursive frontend's
-    /// per-level ORAMs).  `durability` selects the WAL discipline of the
-    /// file tier; without one there is nothing to log and it is ignored.
+    /// several trees sharing one directory (the per-level ORAMs of a
+    /// frontend without a PLB).  `durability` selects the WAL discipline of
+    /// the file tier; without one there is nothing to log and it is ignored.
     ///
     /// # Errors
     ///

@@ -139,9 +139,12 @@ impl RecursionAddressing {
     }
 
     /// Total number of blocks (data + all PosMap levels) stored in the
-    /// unified ORAM tree.
+    /// unified ORAM tree, saturating at `u64::MAX` (no tree holds that many,
+    /// so a saturated total is rejected like any other oversized one).
     pub fn unified_total_blocks(&self) -> u64 {
-        (0..self.num_levels).map(|l| self.blocks_at_level(l)).sum()
+        (0..self.num_levels)
+            .map(|l| self.blocks_at_level(l))
+            .fold(0, u64::saturating_add)
     }
 }
 

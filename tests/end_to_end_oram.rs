@@ -1,5 +1,5 @@
 //! Cross-crate integration tests: the functional Freecursive controller
-//! against the baseline Recursive ORAM, the cache hierarchy, and synthetic
+//! against its no-PLB Recursive ORAM configuration, the cache hierarchy, and synthetic
 //! traces — exercising the whole stack the way the evaluation does.
 
 use cache_sim::{FunctionalOramMemory, MainMemory, ProcessorConfig, SecureProcessor};
@@ -11,15 +11,16 @@ use trace_gen::{SpecBenchmark, TraceGenerator};
 const N: u64 = 1 << 12;
 const BLOCK: usize = 64;
 
-/// Both frontends implement the same `Oram` contract; drive them with the
-/// same request sequence and check they produce identical contents.
+/// The frontend with a PLB (`PIC_X32`) and without one (`R_X8`, one tree per
+/// level) implement the same `Oram` contract; drive them with the same
+/// request sequence and check they produce identical contents.
 #[test]
 fn freecursive_and_recursive_agree_on_contents() {
     let mut reference = OramBuilder::for_scheme(SchemePoint::RX8)
         .num_blocks(N)
         .block_bytes(BLOCK)
         .onchip_entries(64)
-        .build_recursive()
+        .build_freecursive()
         .unwrap();
     let mut freecursive = OramBuilder::for_scheme(SchemePoint::PicX32)
         .num_blocks(N)

@@ -47,29 +47,33 @@ fn workload(seed: u64) -> Vec<Request> {
 }
 
 /// Tree backend vs. flat oracle: identical responses over 4k accesses for
-/// three scheme points (with and without compression and PMMAC), and
-/// identical final contents.
+/// five configurations (with and without compression, PMMAC and a PLB),
+/// and identical final contents.
 #[test]
 fn path_backend_matches_insecure_oracle_across_scheme_points() {
-    for (i, scheme) in [SchemePoint::PX16, SchemePoint::PcX32, SchemePoint::PicX32]
-        .into_iter()
-        .enumerate()
-    {
-        let mut tree = builder(scheme).build_freecursive().unwrap();
-        let mut flat = builder(scheme)
-            .build_freecursive_on::<InsecureBackend>()
-            .unwrap();
+    let configs = [
+        ("P_X16", builder(SchemePoint::PX16)),
+        ("PC_X32", builder(SchemePoint::PcX32)),
+        ("PIC_X32", builder(SchemePoint::PicX32)),
+        ("R_X8", builder(SchemePoint::RX8)),
+        (
+            "PIC_X32 without a PLB",
+            builder(SchemePoint::PicX32).plb_capacity_bytes(0),
+        ),
+    ];
+    for (i, (label, config)) in configs.into_iter().enumerate() {
+        let mut tree = config.build_freecursive().unwrap();
+        let mut flat = config.build_freecursive_on::<InsecureBackend>().unwrap();
         for (j, request) in workload(0xE0_0001 + i as u64).into_iter().enumerate() {
             let a = tree.access(request.clone()).unwrap();
             let b = flat.access(request).unwrap();
-            assert_eq!(a, b, "{} access {j}", scheme.label());
+            assert_eq!(a, b, "{label} access {j}");
         }
         for addr in 0..N {
             assert_eq!(
                 tree.read(addr).unwrap(),
                 flat.read(addr).unwrap(),
-                "{} final contents at {addr}",
-                scheme.label()
+                "{label} final contents at {addr}"
             );
         }
     }

@@ -194,16 +194,36 @@ fn directory_persisted_before_the_fused_kernel_is_byte_identical_and_resumes() {
 
 #[test]
 fn recursive_and_insecure_schemes_roundtrip_too() {
-    for scheme in [SchemePoint::RX8, SchemePoint::Insecure] {
-        let dir = snap_dir(&format!("extra-{}", scheme.label()));
-        let mut oracle = builder(scheme, StorageKind::Mem).build().unwrap();
-        let mut subject = builder(scheme, StorageKind::Mem).build().unwrap();
+    // R_X8 keeps one tree per recursion level, so the file-backed kinds
+    // must persist, log and reopen every level's `tree<level>.*` files.
+    let tiered = StorageKind::TempTiered {
+        memory_budget: 4 << 10,
+    };
+    let subjects = [
+        builder(SchemePoint::RX8, StorageKind::Mem),
+        builder(SchemePoint::RX8, StorageKind::TempFile).durability(Durability::Strict),
+        builder(SchemePoint::RX8, tiered).durability(Durability::Strict),
+        builder(SchemePoint::Insecure, StorageKind::Mem),
+    ];
+    for (k, subject_builder) in subjects.into_iter().enumerate() {
+        let label = format!(
+            "{} {:?}",
+            subject_builder.scheme().label(),
+            subject_builder.storage_in_effect()
+        );
+        let dir = snap_dir(&format!("extra-{k}"));
+        let mut oracle = subject_builder
+            .clone()
+            .storage(StorageKind::Mem)
+            .build()
+            .unwrap();
+        let mut subject = subject_builder.build().unwrap();
         let mut rng = StdRng::seed_from_u64(0xBEE);
         for i in 0..600 {
             let req = request(i, &mut rng);
             let expected = oracle.access(req.clone()).unwrap();
             let got = subject.access(req).unwrap();
-            assert_eq!(got, expected, "{}: access {i}", scheme.label());
+            assert_eq!(got, expected, "{label}: access {i}");
             if i == 299 {
                 subject.persist(&dir).unwrap();
                 drop(subject);
@@ -211,7 +231,11 @@ fn recursive_and_insecure_schemes_roundtrip_too() {
             }
         }
         for addr in 0..N {
-            assert_eq!(subject.read(addr).unwrap(), oracle.read(addr).unwrap());
+            assert_eq!(
+                subject.read(addr).unwrap(),
+                oracle.read(addr).unwrap(),
+                "{label}: final contents of block {addr}"
+            );
         }
         drop(subject);
         std::fs::remove_dir_all(&dir).ok();
@@ -461,9 +485,24 @@ fn tampered_tree_payload_bytes_on_disk_yield_integrity_never_wrong_data() {
 
 #[test]
 fn resuming_with_the_wrong_scheme_resumer_is_a_backend_error() {
-    use freecursive::RecursiveOram;
     let dir = persisted_snapshot("wrong-kind", StorageKind::Mem);
-    let err = RecursiveOram::<freecursive::PathOramBackend>::resume(&dir).unwrap_err();
+    let err = freecursive::InsecureOram::resume(&dir).unwrap_err();
     assert!(is_backend_error(&err), "got {err:?}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_state_file_with_the_retired_kind_tag_is_a_snapshot_error() {
+    // Tag 2 named the separate Recursive ORAM frontend that R_X8 used to
+    // be.  A well-formed state file carrying it must be refused cleanly.
+    let dir = persisted_snapshot("retired-kind", StorageKind::Mem);
+    let state = dir.join("oram.state");
+    let (_, payload) = path_oram::snapshot::read_state_file(&state).unwrap();
+    path_oram::snapshot::write_state_file(&state, 2, &payload).unwrap();
+    let err = resume_err(&dir);
+    assert!(
+        matches!(&err, FreecursiveError::Backend(path_oram::OramError::Snapshot { detail }) if detail.contains("kind tag 2")),
+        "got {err:?}"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
