@@ -4,8 +4,8 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use dram_sim::{DramConfig, DramSim};
 use oram_sim::runner::{run_benchmark, SimulationConfig};
-use oram_sim::scheme::SchemePoint;
-use oram_sim::timing::{TimingOram, TimingOramConfig};
+use oram_sim::timing::TimingOram;
+use oram_sim::SchemePoint;
 use trace_gen::SpecBenchmark;
 
 fn bench_dram_path(c: &mut Criterion) {
@@ -20,12 +20,13 @@ fn bench_dram_path(c: &mut Criterion) {
 
 fn bench_timing_frontend(c: &mut Criterion) {
     let mut group = c.benchmark_group("sim/timing_frontend");
+    let sim = SimulationConfig {
+        data_capacity_bytes: 1 << 30,
+        ..SimulationConfig::paper_default()
+    };
     for scheme in [SchemePoint::RX8, SchemePoint::PcX32, SchemePoint::PicX32] {
-        let mut oram = TimingOram::new(TimingOramConfig {
-            data_capacity_bytes: 1 << 30,
-            latency_samples: 4,
-            ..TimingOramConfig::paper_default(scheme)
-        });
+        let config = sim.oram_config(scheme).expect("a tree-backed design point");
+        let mut oram = TimingOram::new(config, &sim.dram(), 4);
         let mut addr = 0u64;
         group.bench_function(scheme.label(), |b| {
             b.iter(|| {

@@ -31,8 +31,13 @@ use crate::scheme::SchemePoint;
 use crate::service::OramService;
 use crate::sharded::ShardedOram;
 use crate::traits::Oram;
-use path_oram::{Durability, EncryptionMode, OramBackend, PathOramBackend, StorageKind};
+use path_oram::{Durability, EncryptionMode, OramBackend, OramError, PathOramBackend, StorageKind};
 use std::path::Path;
+
+/// The process environment, as [`OramBuilder::environment`] reads it.
+fn env_var(name: &str) -> Option<String> {
+    std::env::var(name).ok()
+}
 
 /// Builder for every ORAM design point of the evaluation.
 ///
@@ -54,7 +59,6 @@ pub struct OramBuilder {
     seed: Option<u64>,
     shards: u64,
     storage: Option<StorageKind>,
-    memory_budget: Option<u64>,
     durability: Option<Durability>,
 }
 
@@ -77,7 +81,6 @@ impl OramBuilder {
             seed: None,
             shards: 1,
             storage: None,
-            memory_budget: None,
             durability: None,
         }
     }
@@ -122,7 +125,8 @@ impl OramBuilder {
     /// instead of the unified tree and walks all of them on every request —
     /// the `R_X8` shape, with this scheme's PosMap format and PMMAC flag
     /// (see [`FreecursiveConfig::plb_capacity_bytes`]).  Any other value is
-    /// clamped to at least four blocks per way.
+    /// clamped to at least four blocks per way
+    /// ([`posmap::Plb::with_capacity_bytes`]).
     pub fn plb_capacity_bytes(mut self, bytes: usize) -> Self {
         self.plb_capacity_bytes = Some(bytes);
         self
@@ -188,67 +192,76 @@ impl OramBuilder {
     /// Sets where the ORAM tree lives: the in-memory arena (default), a
     /// file-backed store in a chosen directory, a tiered store splitting
     /// the treetop into RAM with the rest file-backed, or throwaway
-    /// temp-dir variants of either.  Unset, the ambient
-    /// [`StorageKind::from_env`] resolution applies (`ORAM_STORAGE=file`
-    /// selects temp-file storage, `ORAM_STORAGE=tiered` temp-dir tiered
-    /// storage).  With [`OramBuilder::shards`] > 1, file-backed shards
-    /// descend into `shard<i>/` subdirectories of the given directory.
+    /// temp-dir variants of either.  Unset, `ORAM_STORAGE` decides
+    /// (`file` selects temp-file storage, `tiered` temp-dir tiered storage
+    /// with the treetop budget from `ORAM_MEMORY_BUDGET`; see
+    /// [`OramBuilder::storage_in_effect`]).  With more than one
+    /// [`OramBuilder::shards`], file-backed shards descend into
+    /// `shard<i>/` subdirectories of the given directory.
     pub fn storage(mut self, kind: StorageKind) -> Self {
         self.storage = Some(kind);
         self
     }
 
-    /// Sets the RAM byte budget for tiered storage: the tiered store pins
-    /// the largest treetop (top K tree levels, `(2^K - 1)` buckets) that
-    /// fits the budget in memory and spills the rest to the file tier (see
-    /// [`path_oram::treetop_levels_for_budget`]).  Applies whenever the
-    /// storage kind in effect is tiered — including `ORAM_STORAGE=tiered`
-    /// from the environment — and overrides the budget carried by an
-    /// explicit [`StorageKind::Tiered`]/[`StorageKind::TempTiered`].
-    /// Unset, an explicit kind keeps its own budget and the environment
-    /// resolution uses `ORAM_MEMORY_BUDGET` (default
-    /// [`path_oram::DEFAULT_MEMORY_BUDGET`]).  Non-tiered kinds ignore it.
-    pub fn memory_budget(mut self, bytes: u64) -> Self {
-        self.memory_budget = Some(bytes);
-        self
-    }
-
-    /// The storage kind in effect (explicit override or environment
-    /// default), with [`OramBuilder::memory_budget`] applied to tiered
-    /// kinds.
-    pub fn storage_in_effect(&self) -> StorageKind {
-        self.apply_memory_budget(self.storage.clone().unwrap_or_else(StorageKind::from_env))
-    }
-
-    /// Re-derives a tiered kind's treetop budget from the builder's
-    /// [`OramBuilder::memory_budget`] override; non-tiered kinds and an
-    /// unset override pass through unchanged.
-    fn apply_memory_budget(&self, kind: StorageKind) -> StorageKind {
-        match (kind, self.memory_budget) {
-            (StorageKind::Tiered { dir, .. }, Some(memory_budget)) => {
-                StorageKind::Tiered { dir, memory_budget }
-            }
-            (StorageKind::TempTiered { .. }, Some(memory_budget)) => {
-                StorageKind::TempTiered { memory_budget }
-            }
-            (kind, _) => kind,
-        }
-    }
-
     /// Sets the write-ahead-log discipline for file-backed trees:
     /// [`Durability::None`] (no log, the default), `Batch(n)` (fsync the log
     /// every `n` path writebacks) or `Strict` (fsync every writeback).
-    /// Unset, the ambient [`Durability::from_env`] resolution applies
-    /// (`ORAM_DURABILITY=strict|batch:<n>`).  Memory-backed trees ignore it.
+    /// Unset, `ORAM_DURABILITY=strict|batch:<n>` decides (see
+    /// [`OramBuilder::durability_in_effect`]).  Memory-backed trees ignore
+    /// it.
     pub fn durability(mut self, durability: Durability) -> Self {
         self.durability = Some(durability);
         self
     }
 
-    /// The durability discipline in effect (explicit override or environment
-    /// default).
-    pub fn durability_in_effect(&self) -> Durability {
-        self.durability.unwrap_or_else(Durability::from_env)
+    /// The storage kind in effect: the explicit override, or else the
+    /// environment's `ORAM_STORAGE` / `ORAM_MEMORY_BUDGET` selection.
+    ///
+    /// # Errors
+    ///
+    /// [`FreecursiveError::Backend`] wrapping [`path_oram::OramError::Storage`]
+    /// for a malformed environment value.
+    pub fn storage_in_effect(&self) -> Result<StorageKind, FreecursiveError> {
+        Ok(self.environment(env_var)?.0)
+    }
+
+    /// The durability discipline in effect: the explicit override, or else
+    /// the environment's `ORAM_DURABILITY` selection.
+    ///
+    /// # Errors
+    ///
+    /// As for [`OramBuilder::storage_in_effect`].
+    pub fn durability_in_effect(&self) -> Result<Durability, FreecursiveError> {
+        Ok(self.environment(env_var)?.1)
+    }
+
+    /// Resolves the storage kind and durability once, reading variables
+    /// through `var` only for the knobs left unset: the one place the
+    /// configuration consults the environment.  An unset variable selects
+    /// [`StorageKind::Mem`] / [`Durability::None`]; a malformed one is an
+    /// error, never a silent fallback that un-tests what the operator asked
+    /// to test.
+    fn environment(
+        &self,
+        var: impl Fn(&str) -> Option<String>,
+    ) -> Result<(StorageKind, Durability), OramError> {
+        let storage = match &self.storage {
+            Some(kind) => kind.clone(),
+            None => {
+                let budget = var("ORAM_MEMORY_BUDGET")
+                    .map(|v| StorageKind::parse_memory_budget(&v))
+                    .transpose()?;
+                var("ORAM_STORAGE")
+                    .map_or(Ok(StorageKind::Mem), |v| StorageKind::parse(&v, budget))?
+            }
+        };
+        let durability = match self.durability {
+            Some(durability) => durability,
+            None => {
+                var("ORAM_DURABILITY").map_or(Ok(Durability::None), |v| Durability::parse(&v))?
+            }
+        };
+        Ok((storage, durability))
     }
 
     /// The block size in effect (explicit override or scheme default).
@@ -320,13 +333,7 @@ impl OramBuilder {
         if let Some(seed) = self.seed {
             config.seed = seed;
         }
-        if let Some(kind) = &self.storage {
-            config.storage = kind.clone();
-        }
-        config.storage = self.apply_memory_budget(config.storage);
-        if let Some(durability) = self.durability {
-            config.durability = durability;
-        }
+        (config.storage, config.durability) = self.environment(env_var)?;
         config.validate()?;
         Ok(config)
     }
@@ -421,7 +428,7 @@ impl OramBuilder {
         }
         // File-backed storage descends into one subdirectory per shard, so
         // shards never collide on tree files.
-        let storage = self.storage_in_effect();
+        let storage = self.storage_in_effect()?;
         (0..self.shards)
             .map(|shard| {
                 prototype
@@ -558,6 +565,49 @@ mod tests {
         assert_eq!(cfg.plb_capacity_bytes, 32 << 10);
         assert_eq!(cfg.plb_associativity, 4);
         assert_eq!(cfg.seed, 99);
+    }
+
+    /// An environment holding exactly the `NAME=value` pairs in `vars`.
+    fn env(vars: &str) -> impl Fn(&str) -> Option<String> + '_ {
+        move |name| {
+            let mut pairs = vars.split_whitespace();
+            pairs.find_map(|pair| pair.strip_prefix(name)?.strip_prefix('=').map(String::from))
+        }
+    }
+
+    #[test]
+    fn malformed_environment_values_are_errors_not_panics() {
+        let builder = OramBuilder::for_scheme(SchemePoint::PcX32);
+        for vars in [
+            "ORAM_STORAGE=bogus",
+            "ORAM_DURABILITY=stric",
+            "ORAM_STORAGE=tiered ORAM_MEMORY_BUDGET=lots",
+        ] {
+            let resolved = builder.environment(env(vars));
+            assert!(matches!(resolved, Err(OramError::Storage { .. })), "{vars}");
+        }
+    }
+
+    #[test]
+    fn the_environment_fills_only_unset_knobs() {
+        let builder = OramBuilder::for_scheme(SchemePoint::PcX32);
+        let unset = (StorageKind::Mem, Durability::None);
+        assert_eq!(builder.environment(env("")), Ok(unset));
+        let vars = "ORAM_STORAGE=tiered ORAM_MEMORY_BUDGET=64k ORAM_DURABILITY=batch:8";
+        let tiered = StorageKind::TempTiered {
+            memory_budget: 64 << 10,
+        };
+        assert_eq!(
+            builder.environment(env(vars)),
+            Ok((tiered, Durability::Batch(8)))
+        );
+        // Explicit knobs win, and the variables they shadow are not read.
+        let pinned = builder
+            .storage(StorageKind::TempFile)
+            .durability(Durability::Strict);
+        let bad = "ORAM_STORAGE=bogus ORAM_MEMORY_BUDGET=lots ORAM_DURABILITY=stric";
+        let explicit = (StorageKind::TempFile, Durability::Strict);
+        assert_eq!(pinned.environment(env(bad)), Ok(explicit));
     }
 
     #[test]

@@ -20,13 +20,21 @@
 //! The preset constructors below are the raw material of
 //! [`crate::OramBuilder`]; external code should construct design points
 //! through the builder (`OramBuilder::for_scheme(SchemePoint::PicX32)`)
-//! rather than calling the presets directly.
+//! rather than calling the presets directly.  The presets are pure: they
+//! keep the trees in memory with no write-ahead log.  Only the builder
+//! reads the environment (`ORAM_STORAGE`, `ORAM_MEMORY_BUDGET`,
+//! `ORAM_DURABILITY`), and a malformed value is a build error.
+//!
+//! A configuration is the whole description of a design point:
+//! [`FreecursiveConfig::addressing`] and [`FreecursiveConfig::trees`] give
+//! the recursion and the trees it builds, which both the functional
+//! frontend and the `oram-sim` timing model walk.
 
 use crate::error::ConfigError;
 use oram_crypto::mac::MAC_BYTES;
 use path_oram::{Durability, EncryptionMode, OramParams, StorageKind};
 use posmap::compressed::{CompressedPosMapBlock, DEFAULT_ALPHA, DEFAULT_BETA};
-use posmap::RecursionAddressing;
+use posmap::{Plb, RecursionAddressing};
 use serde::{Deserialize, Serialize};
 
 /// How PosMap blocks represent the leaves of the blocks they cover.
@@ -116,8 +124,9 @@ pub struct FreecursiveConfig {
     /// recursion levels to share a tree (§4.1.2), so each level gets its
     /// own, of blocks just large enough for X entries of the format, and
     /// every request walks all H of them — the Recursive ORAM of `R_X8`.
-    /// A nonzero capacity is clamped at construction to at least four
-    /// blocks per way.
+    /// A nonzero capacity is sized by [`Plb::with_capacity_bytes`], which
+    /// clamps it to at least four blocks per way (see
+    /// [`FreecursiveConfig::plb`]).
     pub plb_capacity_bytes: usize,
     /// PLB associativity (1 = direct-mapped, the paper's default §7.1.3).
     pub plb_associativity: usize,
@@ -129,23 +138,18 @@ pub struct FreecursiveConfig {
     pub stash_capacity: usize,
     /// Seed for deterministic key and leaf generation.
     pub seed: u64,
-    /// Where the trees live (in-memory arena or file-backed store).
-    /// Defaults to the ambient [`StorageKind::from_env`] resolution, so the
-    /// `ORAM_STORAGE=file` test leg covers every construction site.
+    /// Where the trees live (in-memory arena or file-backed store).  The
+    /// presets say [`StorageKind::Mem`]; [`crate::OramBuilder`] fills in
+    /// its override or the `ORAM_STORAGE` selection, so the
+    /// `ORAM_STORAGE=file` test leg covers every builder.
     pub storage: StorageKind,
     /// Write-ahead-log discipline for file-backed trees (see
-    /// [`path_oram::wal`]): `None` (no log, the default), `Batch(n)` or
-    /// `Strict`.  Defaults to the ambient [`Durability::from_env`]
-    /// resolution (`ORAM_DURABILITY=strict|batch:<n>`), so the
-    /// crash-recovery CI leg can switch every construction site at once.
+    /// [`path_oram::wal`]): `None` (no log, the presets' value),
+    /// `Batch(n)` or `Strict`.  [`crate::OramBuilder`] fills in its
+    /// override or the `ORAM_DURABILITY=strict|batch:<n>` selection, so the
+    /// crash-recovery CI leg can switch every builder at once.
     /// Memory-backed trees ignore it.
     pub durability: Durability,
-}
-
-impl Default for FreecursiveConfig {
-    fn default() -> Self {
-        Self::pc_x32(1 << 20, 64)
-    }
 }
 
 impl FreecursiveConfig {
@@ -163,8 +167,8 @@ impl FreecursiveConfig {
             encryption: EncryptionMode::GlobalSeed,
             stash_capacity: path_oram::params::DEFAULT_STASH_CAPACITY,
             seed: 1,
-            storage: StorageKind::from_env(),
-            durability: Durability::from_env(),
+            storage: StorageKind::Mem,
+            durability: Durability::None,
         }
     }
 
@@ -231,52 +235,33 @@ impl FreecursiveConfig {
         }
     }
 
-    /// Sets the PLB capacity in bytes.
-    pub fn with_plb_capacity(mut self, bytes: usize) -> Self {
-        self.plb_capacity_bytes = bytes;
-        self
-    }
-
-    /// Sets the on-chip PosMap capacity in entries.
-    pub fn with_onchip_entries(mut self, entries: u64) -> Self {
-        self.onchip_entries = entries;
-        self
-    }
-
-    /// Sets the RNG/key seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Sets the bucket encryption mode.
-    pub fn with_encryption(mut self, mode: EncryptionMode) -> Self {
-        self.encryption = mode;
-        self
-    }
-
-    /// Overrides X explicitly.
-    pub fn with_x(mut self, x: u64) -> Self {
-        self.x_override = Some(x);
-        self
-    }
-
-    /// Sets the write-ahead-log discipline for file-backed trees.
-    pub fn with_durability(mut self, durability: Durability) -> Self {
-        self.durability = durability;
-        self
-    }
-
     /// The PosMap fan-out X in effect.
     pub fn x(&self) -> u64 {
         self.x_override
             .unwrap_or_else(|| self.posmap_format.max_x(self.block_bytes))
     }
 
+    /// The recursion this configuration sets up: H, X and the block count
+    /// of every level.
+    pub fn addressing(&self) -> RecursionAddressing {
+        RecursionAddressing::new(self.num_blocks, self.x(), self.onchip_entries)
+    }
+
+    /// The (empty) PLB this configuration describes: `None` at capacity 0,
+    /// else sized by [`Plb::with_capacity_bytes`] in data-block-sized
+    /// PosMap blocks.  The functional frontend and the timing model both
+    /// take their PLB from here, so they cache the same blocks.
+    pub fn plb<V>(&self) -> Option<Plb<V>> {
+        let ways = self.plb_associativity.max(1);
+        (self.plb_capacity_bytes > 0)
+            .then(|| Plb::with_capacity_bytes(self.plb_capacity_bytes, self.block_bytes, ways))
+    }
+
     /// Block count and payload bytes (block plus any PMMAC trailer) of each
     /// ORAM tree this configuration builds: the one unified tree with a
     /// PLB, otherwise one tree per recursion level, index = level.
-    pub(crate) fn trees(&self, rec: &RecursionAddressing) -> Vec<(u64, usize)> {
+    pub fn trees(&self) -> Vec<(u64, usize)> {
+        let rec = self.addressing();
         let mac = if self.pmmac { MAC_BYTES } else { 0 };
         if self.plb_capacity_bytes > 0 {
             return vec![(rec.unified_total_blocks(), self.block_bytes + mac)];
@@ -321,8 +306,7 @@ impl FreecursiveConfig {
         if self.onchip_entries == 0 {
             return Err(ConfigError::Degenerate);
         }
-        let rec = RecursionAddressing::new(self.num_blocks, x, self.onchip_entries);
-        for (blocks, _) in self.trees(&rec) {
+        for (blocks, _) in self.trees() {
             if OramParams::leaf_level_for(blocks, self.z).is_none() {
                 return Err(ConfigError::TooManyBlocks {
                     num_blocks: self.num_blocks,
@@ -387,8 +371,42 @@ mod tests {
 
     #[test]
     fn oversized_x_override_is_rejected() {
-        let cfg = preset(SchemePoint::PcX32, 1 << 16, 64).with_x(1 << 20);
+        let cfg = FreecursiveConfig {
+            x_override: Some(1 << 20),
+            ..preset(SchemePoint::PcX32, 1 << 16, 64)
+        };
         assert!(matches!(cfg.validate(), Err(ConfigError::XTooLarge { .. })));
+    }
+
+    #[test]
+    fn pmmac_trees_carry_the_mac_field() {
+        // One unified tree each; only PIC_X32's payload grows by the MAC.
+        let pc = preset(SchemePoint::PcX32, 1 << 16, 64).trees();
+        let pic = preset(SchemePoint::PicX32, 1 << 16, 64).trees();
+        assert_eq!((pc.len(), pc[0].1), (1, 64));
+        assert_eq!(pic, vec![(pc[0].0, 64 + MAC_BYTES)]);
+    }
+
+    #[test]
+    fn baseline_posmap_trees_use_small_blocks() {
+        // R_X8: one tree per level, data blocks at level 0 and 32-byte PosMap
+        // blocks (X = 8 raw 4-byte leaves) above, as in [26].
+        let rx8 = preset(SchemePoint::RX8, 1 << 16, 64);
+        let rec = rx8.addressing();
+        assert!(rec.num_levels() >= 3);
+        let expected: Vec<_> = (0..rec.num_levels())
+            .map(|level| (rec.blocks_at_level(level), if level == 0 { 64 } else { 32 }))
+            .collect();
+        assert_eq!(rx8.trees(), expected);
+    }
+
+    #[test]
+    fn presets_never_read_the_environment() {
+        let cfg = FreecursiveConfig::pic_x32(1 << 10, 64);
+        assert_eq!(
+            (cfg.storage, cfg.durability),
+            (StorageKind::Mem, Durability::None)
+        );
     }
 
     #[test]

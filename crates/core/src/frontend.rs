@@ -109,7 +109,6 @@ pub struct FreecursiveOram<B: OramBackend = PathOramBackend> {
 /// configuration — computed identically by `new` and the resume path, so a
 /// snapshot only needs to carry the configuration itself.
 struct Derived {
-    rec: RecursionAddressing,
     /// Geometry and bucket-cipher key of each tree; the index is the tree's
     /// storage label.
     trees: Vec<(OramParams, [u8; 16])>,
@@ -119,7 +118,6 @@ struct Derived {
 
 impl Derived {
     fn from_config(config: &FreecursiveConfig) -> Self {
-        let rec = RecursionAddressing::new(config.num_blocks, config.x(), config.onchip_entries);
         let key = |tag: u8, label: u32| {
             let mut key = [0u8; 16];
             key[..8].copy_from_slice(&config.seed.to_le_bytes());
@@ -128,7 +126,7 @@ impl Derived {
             key
         };
         let trees = config
-            .trees(&rec)
+            .trees()
             .into_iter()
             .zip(0u32..)
             .map(|((blocks, payload_bytes), label)| {
@@ -138,7 +136,6 @@ impl Derived {
             })
             .collect();
         Self {
-            rec,
             trees,
             prf_key: key(0x9F, 0),
             mac_key: key(0x3C, 0),
@@ -179,17 +176,8 @@ impl<B: OramBackend> FreecursiveOram<B> {
     /// Everything `new` does after the trees exist; shared with the resume
     /// path, which constructs them from a snapshot instead.
     fn assemble(config: FreecursiveConfig, derived: Derived, trees: Vec<B>) -> Self {
-        let Derived {
-            rec,
-            prf_key,
-            mac_key,
-            ..
-        } = derived;
-        let ways = config.plb_associativity.max(1);
-        let plb = (config.plb_capacity_bytes > 0).then(|| {
-            let blocks = (config.plb_capacity_bytes / config.block_bytes).max(ways * 4);
-            Plb::new(blocks - blocks % ways, ways)
-        });
+        let rec = config.addressing();
+        let plb = config.plb();
         let onchip_kind = if config.pmmac {
             OnChipEntryKind::Counter
         } else {
@@ -217,8 +205,8 @@ impl<B: OramBackend> FreecursiveOram<B> {
         let zero_block = vec![0u8; config.block_bytes];
         Self {
             rng,
-            prf: AesPrf::new(prf_key),
-            mac_key: MacKey::new(mac_key),
+            prf: AesPrf::new(derived.prf_key),
+            mac_key: MacKey::new(derived.mac_key),
             config,
             rec,
             trees,

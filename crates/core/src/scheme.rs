@@ -1,11 +1,10 @@
 //! The named design points of the evaluation (§7.1.4 naming: P = PLB,
 //! I = integrity/PMMAC, C = compressed PosMap, followed by X).
 //!
-//! `SchemePoint` lives in this crate so that *every* consumer — the
-//! functional frontends via [`crate::OramBuilder`], the timing simulator in
-//! `oram-sim`, the cache model, tests, benches, and examples — names design
-//! points the same way.  (`oram-sim` re-exports it for backwards
-//! compatibility.)
+//! `SchemePoint` is only a name.  What a point *is* — PLB, PMMAC, PosMap
+//! format, X, the trees it builds — is its [`crate::FreecursiveConfig`],
+//! resolved by [`crate::OramBuilder::for_scheme`]; the functional frontend
+//! and the timing simulator in `oram-sim` both read that one table.
 
 use serde::{Deserialize, Serialize};
 
@@ -73,31 +72,6 @@ impl SchemePoint {
         }
     }
 
-    /// Whether this point uses the PLB + unified-tree frontend.
-    pub fn uses_plb(&self) -> bool {
-        matches!(
-            self,
-            SchemePoint::PX16
-                | SchemePoint::PcX32
-                | SchemePoint::PcX64
-                | SchemePoint::PiX8
-                | SchemePoint::PicX32
-        )
-    }
-
-    /// Whether PMMAC integrity verification is enabled.
-    pub fn pmmac(&self) -> bool {
-        matches!(self, SchemePoint::PiX8 | SchemePoint::PicX32)
-    }
-
-    /// Whether the compressed PosMap format is used.
-    pub fn compressed(&self) -> bool {
-        matches!(
-            self,
-            SchemePoint::PcX32 | SchemePoint::PcX64 | SchemePoint::PicX32
-        )
-    }
-
     /// The data block size in bytes this point is evaluated at (§7.1.4/§7.1.5
     /// and Figure 9): 64 B for the paper's main table, 128 B for `PC_X64`,
     /// 4 KB for Phantom.
@@ -108,79 +82,11 @@ impl SchemePoint {
             _ => 64,
         }
     }
-
-    /// The PosMap fan-out X for a given ORAM block size in bytes.
-    pub fn x(&self, block_bytes: usize) -> u64 {
-        let bits = block_bytes * 8;
-        let raw = match self {
-            SchemePoint::Insecure | SchemePoint::Phantom4K => return 1,
-            SchemePoint::RX8 => 8,
-            // Uncompressed: 32-bit leaves.
-            SchemePoint::PX16 => block_bytes / 4,
-            // Compressed: alpha = 64, beta = 14 (§5.3).
-            SchemePoint::PcX32 | SchemePoint::PcX64 | SchemePoint::PicX32 => (bits - 64) / 14,
-            // Flat 64-bit counters.
-            SchemePoint::PiX8 => block_bytes / 8,
-        } as u64;
-        // Power-of-two restriction (§5.3).
-        if raw == 0 {
-            1
-        } else {
-            1u64 << (63 - raw.leading_zeros())
-        }
-    }
-
-    /// The ORAM-block payload size including the PMMAC MAC field.
-    pub fn payload_bytes(&self, block_bytes: usize) -> usize {
-        block_bytes
-            + if self.pmmac() {
-                oram_crypto::mac::MAC_BYTES
-            } else {
-                0
-            }
-    }
-
-    /// PosMap-ORAM block size for the baseline separate-tree design
-    /// (32 bytes following \[26\]); unified designs use the data block size.
-    pub fn posmap_block_bytes(&self, block_bytes: usize) -> usize {
-        match self {
-            SchemePoint::RX8 => 32,
-            _ => block_bytes,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn x_values_match_paper_names_at_64_bytes() {
-        assert_eq!(SchemePoint::RX8.x(64), 8);
-        assert_eq!(SchemePoint::PX16.x(64), 16);
-        assert_eq!(SchemePoint::PcX32.x(64), 32);
-        assert_eq!(SchemePoint::PiX8.x(64), 8);
-        assert_eq!(SchemePoint::PicX32.x(64), 32);
-        // And at 128 bytes the compressed X doubles (PC_X64).
-        assert_eq!(SchemePoint::PcX64.x(128), 64);
-    }
-
-    #[test]
-    fn pmmac_flags_and_payloads() {
-        assert!(!SchemePoint::PcX32.pmmac());
-        assert!(SchemePoint::PicX32.pmmac());
-        assert_eq!(SchemePoint::PcX32.payload_bytes(64), 64);
-        assert_eq!(
-            SchemePoint::PicX32.payload_bytes(64),
-            64 + oram_crypto::mac::MAC_BYTES
-        );
-    }
-
-    #[test]
-    fn baseline_uses_small_posmap_blocks() {
-        assert_eq!(SchemePoint::RX8.posmap_block_bytes(64), 32);
-        assert_eq!(SchemePoint::PcX32.posmap_block_bytes(64), 64);
-    }
 
     #[test]
     fn labels_are_unique_and_stable() {

@@ -197,23 +197,21 @@ impl StorageKind {
     /// [`StorageKind::parse`] (with the treetop budget from
     /// `ORAM_MEMORY_BUDGET`); unset selects [`StorageKind::Mem`].  This is
     /// how the CI file- and tiered-storage test legs run the whole suite
-    /// over the other stores without touching call sites.
+    /// over the other stores without touching call sites (`freecursive`'s
+    /// `OramBuilder` makes the same selection for every unset storage knob).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on an unrecognised `ORAM_STORAGE` or unparsable
-    /// `ORAM_MEMORY_BUDGET` value: both are operator configuration errors,
-    /// and silently falling back to the memory store would un-test exactly
-    /// what the operator asked to test.
-    pub fn from_env() -> StorageKind {
-        let budget = match std::env::var("ORAM_MEMORY_BUDGET") {
-            Ok(v) => Some(Self::parse_memory_budget(&v).unwrap_or_else(|e| panic!("{e}"))),
-            Err(_) => None,
-        };
-        match std::env::var("ORAM_STORAGE") {
-            Ok(v) => Self::parse(&v, budget).unwrap_or_else(|e| panic!("{e}")),
-            Err(_) => StorageKind::Mem,
-        }
+    /// [`OramError::Storage`] for an unrecognised `ORAM_STORAGE` or
+    /// unparsable `ORAM_MEMORY_BUDGET` value: both are operator
+    /// configuration errors, and silently falling back to the memory store
+    /// would un-test exactly what the operator asked to test.
+    pub fn from_env() -> Result<StorageKind, OramError> {
+        let budget = std::env::var("ORAM_MEMORY_BUDGET")
+            .ok()
+            .map(|v| Self::parse_memory_budget(&v))
+            .transpose()?;
+        std::env::var("ORAM_STORAGE").map_or(Ok(StorageKind::Mem), |v| Self::parse(&v, budget))
     }
 
     /// A storage kind rooted under `name` within this one: directory-backed

@@ -148,22 +148,19 @@ impl Durability {
     }
 
     /// Resolves the ambient default: `ORAM_DURABILITY=strict` or
-    /// `ORAM_DURABILITY=batch:<n>` turn the WAL on for every constructed
-    /// instance (the crash-recovery CI leg's hook, mirroring
-    /// [`crate::StorageKind::from_env`]); unset selects
-    /// [`Durability::None`].
+    /// `ORAM_DURABILITY=batch:<n>` turn the WAL on (the crash-recovery CI
+    /// leg's hook, which `freecursive`'s `OramBuilder` applies to every
+    /// unset durability knob, mirroring [`crate::StorageKind::from_env`]);
+    /// unset selects [`Durability::None`].
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on an unrecognised `ORAM_DURABILITY` value (see
-    /// [`Durability::parse`]): an operator who typed `stric` or
+    /// [`OramError::Storage`] for an unrecognised `ORAM_DURABILITY` value
+    /// (see [`Durability::parse`]): an operator who typed `stric` or
     /// `batch:abc` asked for durability and must not silently run
     /// without it.
-    pub fn from_env() -> Durability {
-        match std::env::var("ORAM_DURABILITY") {
-            Ok(v) => Durability::parse(&v).unwrap_or_else(|e| panic!("{e}")),
-            Err(_) => Durability::None,
-        }
+    pub fn from_env() -> Result<Durability, OramError> {
+        std::env::var("ORAM_DURABILITY").map_or(Ok(Durability::None), |v| Durability::parse(&v))
     }
 
     /// Whether this discipline keeps a write-ahead log at all.

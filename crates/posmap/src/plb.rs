@@ -104,13 +104,19 @@ impl<V> Plb<V> {
     }
 
     /// Builds a PLB sized in bytes, as the paper specifies capacities
-    /// (e.g. "64 KB direct-mapped PLB"), given the PosMap block size.
+    /// (e.g. "64 KB direct-mapped PLB"), given the PosMap block size: as
+    /// many whole blocks as fit, rounded down to whole sets, but never
+    /// fewer than four blocks per way.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `block_bytes` or `associativity` is zero.
     pub fn with_capacity_bytes(
         capacity_bytes: usize,
         block_bytes: usize,
         associativity: usize,
     ) -> Self {
-        let blocks = (capacity_bytes / block_bytes).max(associativity);
+        let blocks = (capacity_bytes / block_bytes).max(associativity * 4);
         Self::new(blocks - blocks % associativity, associativity)
     }
 
@@ -333,6 +339,12 @@ mod tests {
         let plb64: Plb<()> = Plb::with_capacity_bytes(64 << 10, 64, 1);
         assert_eq!(plb8.capacity(), 128);
         assert_eq!(plb64.capacity(), 1024);
+        // Tiny capacities are clamped to four blocks per way, and a
+        // capacity that is not whole sets rounds down to them.
+        let tiny: Plb<()> = Plb::with_capacity_bytes(64, 64, 2);
+        assert_eq!(tiny.capacity(), 8);
+        let ragged: Plb<()> = Plb::with_capacity_bytes(11 * 64, 64, 2);
+        assert_eq!(ragged.capacity(), 10);
     }
 
     #[test]

@@ -13,8 +13,8 @@ use crate::experiments::ExperimentScale;
 use crate::latency::OramLatencyModel;
 use crate::report::{f2, format_table};
 use crate::runner::{geomean, run_benchmark, SimulationConfig};
-use crate::scheme::SchemePoint;
 use dram_sim::{DramConfig, DramSim, SubtreeLayout};
+use freecursive::SchemePoint;
 use path_oram::OramParams;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -4,12 +4,13 @@
 //! This is the motivating figure of the paper: with small (64–128 byte)
 //! blocks, 39–56 % of the bytes moved by a baseline Recursive ORAM belong to
 //! PosMap ORAM lookups, and the fraction grows with capacity.  The figure is
-//! purely analytic — it depends only on the tree geometries of the recursion
-//! (X = 8, Z = 4, buckets padded to 512 bits, following \[26\]).
+//! purely analytic — it depends only on the tree geometries of the recursion,
+//! which are `R_X8`'s trees as the builder resolves them (X = 8, 32-byte
+//! PosMap blocks, Z = 4, buckets padded to 512 bits, following \[26\]).
 
 use crate::report::{f2, format_table};
+use freecursive::{OramBuilder, SchemePoint};
 use path_oram::OramParams;
-use posmap::addressing::RecursionAddressing;
 use serde::{Deserialize, Serialize};
 
 /// One curve of Figure 3 (a block-size / on-chip-PosMap combination).
@@ -50,31 +51,32 @@ pub struct Fig3Result {
     pub series: Vec<(Fig3Series, Vec<Fig3Point>)>,
 }
 
-/// PosMap-ORAM block size following \[26\]: 32 bytes, i.e. X = 8 leaves.
-pub const POSMAP_BLOCK_BYTES: usize = 32;
-/// PosMap fan-out implied by 32-byte PosMap blocks.
-pub const X: u64 = 8;
-
-/// Computes the percentage of bytes from PosMap ORAMs for one configuration.
+/// Computes the percentage of bytes from PosMap ORAMs for one configuration
+/// of `R_X8`, returning it with the number of ORAMs in the recursion.
 pub fn posmap_byte_percent(
     capacity_bytes: u64,
     block_bytes: usize,
     onchip_posmap_bytes: usize,
     z: usize,
 ) -> (u32, f64) {
-    let num_blocks = capacity_bytes / block_bytes as u64;
     // On-chip PosMap entries are (uncompressed) leaves of ~4 bytes.
-    let onchip_entries = (onchip_posmap_bytes / 4) as u64;
-    let rec = RecursionAddressing::new(num_blocks, X, onchip_entries);
-    let data_params = OramParams::new(num_blocks, block_bytes, z);
-    let data_bytes = data_params.access_bytes();
-    let mut posmap_bytes = 0u64;
-    for level in 1..rec.num_levels() {
-        let params = OramParams::new(rec.blocks_at_level(level), POSMAP_BLOCK_BYTES, z);
-        posmap_bytes += params.access_bytes();
-    }
-    let percent = 100.0 * posmap_bytes as f64 / (posmap_bytes + data_bytes) as f64;
-    (rec.num_levels(), percent)
+    let config = OramBuilder::for_scheme(SchemePoint::RX8)
+        .num_blocks(capacity_bytes / block_bytes as u64)
+        .block_bytes(block_bytes)
+        .z(z)
+        .onchip_entries((onchip_posmap_bytes / 4) as u64)
+        .freecursive_config()
+        .expect("every Figure 3 point is a valid R_X8 configuration");
+    // One tree per level: the Data ORAM first, then the PosMap ORAMs.
+    let access_bytes: Vec<u64> = config
+        .trees()
+        .into_iter()
+        .map(|(blocks, payload_bytes)| OramParams::new(blocks, payload_bytes, z).access_bytes())
+        .collect();
+    let posmap_bytes: u64 = access_bytes[1..].iter().sum();
+    let total_bytes: u64 = access_bytes.iter().sum();
+    let percent = 100.0 * posmap_bytes as f64 / total_bytes as f64;
+    (access_bytes.len() as u32, percent)
 }
 
 /// Regenerates Figure 3.

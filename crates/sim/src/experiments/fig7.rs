@@ -9,7 +9,7 @@
 use crate::experiments::ExperimentScale;
 use crate::report::{format_table, kb};
 use crate::runner::{run_benchmark, SimulationConfig};
-use crate::scheme::SchemePoint;
+use freecursive::SchemePoint;
 use serde::{Deserialize, Serialize};
 
 /// The design points compared in the figure.

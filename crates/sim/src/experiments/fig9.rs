@@ -8,7 +8,7 @@
 use crate::experiments::ExperimentScale;
 use crate::report::{f2, format_table};
 use crate::runner::{geomean, run_benchmark, SimulationConfig};
-use crate::scheme::SchemePoint;
+use freecursive::SchemePoint;
 use serde::{Deserialize, Serialize};
 use trace_gen::SpecBenchmark;
 

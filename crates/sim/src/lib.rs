@@ -13,10 +13,14 @@
 //! * [`latency::OramLatencyModel`] — average latency of one backend access,
 //!   obtained by replaying subtree-layout path reads/writes through the
 //!   cycle-level `dram-sim` model (reproduces Table 2).
-//! * [`scheme::SchemePoint`] — the named design points of the evaluation
-//!   (`R_X8`, `P_X16`, `PC_X32`, `PC_X64`, `PI_X8`, `PIC_X32`, Phantom-4KB).
-//! * [`timing::TimingOram`] — an address-only model of each frontend: PLB
-//!   contents, recursion walks and byte counts, but no data.
+//! * [`SchemePoint`] (re-exported from `freecursive`) — the named design
+//!   points of the evaluation (`R_X8`, `P_X16`, `PC_X32`, `PC_X64`, `PI_X8`,
+//!   `PIC_X32`, Phantom-4KB).  What each one *is* comes from the same
+//!   [`freecursive::FreecursiveConfig`] the functional frontend is built
+//!   from ([`runner::SimulationConfig::oram_config`]).
+//! * [`timing::TimingOram`] — an address-only model of the frontend that
+//!   walks that configuration's trees: PLB contents, recursion walks and
+//!   byte counts, but no data.
 //! * [`runner`] — drives synthetic SPEC traces through the `cache-sim`
 //!   processor model with either a flat DRAM (insecure baseline) or a
 //!   [`timing::OramMemory`], producing slowdowns.
@@ -26,7 +30,7 @@
 //! # Examples
 //!
 //! ```
-//! use oram_sim::{scheme::SchemePoint, runner::SimulationConfig, runner};
+//! use oram_sim::{runner, runner::SimulationConfig, SchemePoint};
 //! use trace_gen::SpecBenchmark;
 //!
 //! let cfg = SimulationConfig::quick_test();
@@ -42,10 +46,9 @@ pub mod latency;
 pub mod phantom;
 pub mod report;
 pub mod runner;
-pub mod scheme;
 pub mod timing;
 
+pub use freecursive::SchemePoint;
 pub use latency::OramLatencyModel;
 pub use runner::{BenchmarkRun, SimulationConfig};
-pub use scheme::SchemePoint;
 pub use timing::{OramMemory, TimingOram};

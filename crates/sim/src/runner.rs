@@ -2,12 +2,12 @@
 //! chosen ORAM design point and reports slowdowns and traffic.
 
 use crate::phantom::{PhantomConfig, PhantomMemory, PhantomOram};
-use crate::scheme::SchemePoint;
-use crate::timing::{OramMemory, TimingOram, TimingOramConfig, TrafficStats};
+use crate::timing::{OramMemory, TimingOram, TrafficStats};
 use cache_sim::{
     CacheConfig, FlatLatencyMemory, HierarchyConfig, ProcessorConfig, RunResult, SecureProcessor,
 };
 use dram_sim::DramConfig;
+use freecursive::{FreecursiveConfig, FreecursiveError, OramBuilder, SchemePoint};
 use serde::{Deserialize, Serialize};
 use trace_gen::{SpecBenchmark, TraceGenerator};
 
@@ -98,29 +98,37 @@ impl SimulationConfig {
         }
     }
 
-    /// The timing-ORAM configuration for a scheme.
+    /// `scheme`'s configuration (the builder's preset) at this simulation's
+    /// capacity, block size, Z and PLB; a preset without a PLB keeps none.
+    /// On-chip PosMap entries are 8-byte counters under PMMAC, 4-byte
+    /// leaves with a PLB, and bit-packed ~2-byte leaves without one, where
+    /// the `R_X8` baseline also gets at least 256 KB, exactly as the paper's
+    /// evaluation does (§7.1.4: "giving it a 272 KB on-chip PosMap"; Figure
+    /// 7: "up to a 256 KB on-chip PosMap").  Phantom is [`crate::phantom`].
     ///
-    /// The R_X8 baseline is given a 256 KB on-chip PosMap (rather than the
-    /// PLB designs' 8 KB), exactly as the paper's evaluation does (§7.1.4:
-    /// "R_X8 ... giving it a 272 KB on-chip PosMap"; Figure 7 gives it "up to
-    /// a 256 KB on-chip PosMap").
-    pub fn oram_config(&self, scheme: SchemePoint) -> TimingOramConfig {
-        let onchip_posmap_bytes = if scheme == SchemePoint::RX8 {
-            self.onchip_posmap_bytes.max(256 << 10)
-        } else {
-            self.onchip_posmap_bytes
-        };
-        TimingOramConfig {
-            scheme,
-            data_capacity_bytes: self.data_capacity_bytes,
-            block_bytes: self.block_bytes,
-            z: self.z,
-            plb_capacity_bytes: self.plb_capacity_bytes,
-            plb_associativity: self.plb_associativity,
-            onchip_posmap_bytes,
-            dram: self.dram(),
-            latency_samples: self.latency_samples,
+    /// # Errors
+    ///
+    /// As for [`OramBuilder::freecursive_config`] (`insecure` has no trees).
+    pub fn oram_config(&self, scheme: SchemePoint) -> Result<FreecursiveConfig, FreecursiveError> {
+        let mut config = OramBuilder::for_scheme(scheme)
+            .num_blocks(self.data_capacity_bytes / self.block_bytes as u64)
+            .block_bytes(self.block_bytes)
+            .z(self.z)
+            .plb_associativity(self.plb_associativity)
+            .freecursive_config()?;
+        if config.plb_capacity_bytes > 0 {
+            config.plb_capacity_bytes = self.plb_capacity_bytes;
         }
+        let (entry_bytes, onchip_bytes) = if config.pmmac {
+            (8, self.onchip_posmap_bytes)
+        } else if config.plb_capacity_bytes == 0 {
+            (2, self.onchip_posmap_bytes.max(256 << 10))
+        } else {
+            (4, self.onchip_posmap_bytes)
+        };
+        config.onchip_entries = (onchip_bytes as u64 / entry_bytes).max(1);
+        config.validate()?;
+        Ok(config)
     }
 
     /// The processor configuration (cache line size follows the ORAM block).
@@ -245,7 +253,10 @@ pub fn run_benchmark(
             }
         }
         _ => {
-            let oram = TimingOram::new(cfg.oram_config(scheme));
+            let config = cfg
+                .oram_config(scheme)
+                .unwrap_or_else(|e| panic!("{}: {e}", scheme.label()));
+            let oram = TimingOram::new(config, &cfg.dram(), cfg.latency_samples);
             let mut cpu = SecureProcessor::new(cfg.processor(), OramMemory::new(oram));
             drive(&mut cpu, benchmark, cfg, |m| m.reset_stats());
             let result = cpu.result();

@@ -1,82 +1,24 @@
-//! Address-only (timing) models of the ORAM frontends, scalable to the
+//! Address-only (timing) model of the ORAM frontend, scalable to the
 //! paper's 4–64 GB capacities.
 //!
-//! The models track exactly the state that determines cost — the PLB contents
-//! and the recursion addressing — and charge each backend access the average
-//! latency calibrated by [`crate::latency::OramLatencyModel`].  Group-remap
-//! overhead (§5.2.2) is at most X/2^β = 0.2% of accesses for the compressed
-//! format and is ignored here (the functional frontend models it exactly).
+//! The model takes the same [`FreecursiveConfig`] the functional frontend
+//! is built from and walks the same trees ([`FreecursiveConfig::trees`]):
+//! the unified tree with a PLB, one tree per recursion level without one.
+//! It tracks exactly the state that determines cost — the PLB contents and
+//! the recursion addressing — and charges each backend access the average
+//! latency of its tree, calibrated by [`crate::latency::OramLatencyModel`].
+//! Group-remap overhead (§5.2.2) is at most X/2^β = 0.2% of accesses for the
+//! compressed format and is ignored here (the functional frontend models it
+//! exactly).
 
 use crate::latency::OramLatencyModel;
-use crate::scheme::SchemePoint;
 use cache_sim::MainMemory;
 use dram_sim::DramConfig;
+use freecursive::FreecursiveConfig;
 use path_oram::OramParams;
 use posmap::addressing::RecursionAddressing;
 use posmap::{Plb, PlbEntry};
 use serde::{Deserialize, Serialize};
-
-/// Configuration of a timing-model ORAM.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TimingOramConfig {
-    /// Which design point to model.
-    pub scheme: SchemePoint,
-    /// Logical data capacity in bytes (e.g. 4 GiB).
-    pub data_capacity_bytes: u64,
-    /// ORAM block size in bytes (the LLC line size in Figures 5–8).
-    pub block_bytes: usize,
-    /// Slots per bucket (Z).
-    pub z: usize,
-    /// PLB capacity in bytes.
-    pub plb_capacity_bytes: usize,
-    /// PLB associativity (1 = direct mapped).
-    pub plb_associativity: usize,
-    /// On-chip PosMap capacity in bytes.
-    pub onchip_posmap_bytes: usize,
-    /// DRAM configuration (channel count etc.).
-    pub dram: DramConfig,
-    /// Random-path samples used to calibrate each tree's average latency.
-    pub latency_samples: usize,
-}
-
-impl TimingOramConfig {
-    /// The paper's default configuration (Table 1): 4 GB ORAM of 64-byte
-    /// blocks, Z = 4, 64 KB direct-mapped PLB, 8 KB on-chip PosMap, 2 DRAM
-    /// channels.
-    pub fn paper_default(scheme: SchemePoint) -> Self {
-        Self {
-            scheme,
-            data_capacity_bytes: 4 << 30,
-            block_bytes: 64,
-            z: 4,
-            plb_capacity_bytes: 64 << 10,
-            plb_associativity: 1,
-            onchip_posmap_bytes: 8 << 10,
-            dram: DramConfig::default(),
-            latency_samples: 50,
-        }
-    }
-
-    /// Number of data blocks.
-    pub fn num_blocks(&self) -> u64 {
-        self.data_capacity_bytes / self.block_bytes as u64
-    }
-
-    /// On-chip PosMap capacity in entries: 8-byte counters under PMMAC,
-    /// 4-byte leaves for the PLB designs, and tightly bit-packed (~2-byte)
-    /// leaves for the R_X8 baseline, matching the paper's generosity toward
-    /// the baseline's large on-chip PosMap (§7.1.4).
-    pub fn onchip_entries(&self) -> u64 {
-        let entry = if self.scheme.pmmac() {
-            8
-        } else if self.scheme == SchemePoint::RX8 {
-            2
-        } else {
-            4
-        };
-        (self.onchip_posmap_bytes as u64 / entry).max(1)
-    }
-}
 
 /// Cost of one frontend request, in whatever the caller accumulates.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -135,111 +77,48 @@ impl TrafficStats {
     }
 }
 
-/// Per-recursion-level geometry for the baseline separate-tree design.
-#[derive(Debug, Clone)]
-struct BaselineLevel {
-    latency: OramLatencyModel,
-    access_bytes: u64,
-}
-
 /// The timing model of one ORAM design point.
 #[derive(Debug)]
 pub struct TimingOram {
-    config: TimingOramConfig,
+    config: FreecursiveConfig,
     rec: RecursionAddressing,
-    /// PLB of address-only entries (None for the baseline design).
+    /// Latency/byte model of each of the configuration's trees (index =
+    /// recursion level without a PLB; the unified tree alone with one).
+    trees: Vec<OramLatencyModel>,
+    /// PLB of address-only entries (`None` when the capacity is 0).
     plb: Option<Plb<()>>,
-    /// Latency/byte model of the unified tree (PLB designs) or the Data ORAM
-    /// (baseline).
-    data_latency: OramLatencyModel,
-    /// Latency/byte models of the separate PosMap ORAMs (baseline only),
-    /// indexed by recursion level (entry 0 unused).
-    baseline_levels: Vec<BaselineLevel>,
     stats: TrafficStats,
 }
 
 impl TimingOram {
-    /// Builds the timing model, calibrating DRAM latencies for every tree.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called for [`SchemePoint::Insecure`] or
-    /// [`SchemePoint::Phantom4K`] (those are modelled elsewhere).
-    pub fn new(config: TimingOramConfig) -> Self {
-        assert!(
-            !matches!(
-                config.scheme,
-                SchemePoint::Insecure | SchemePoint::Phantom4K
-            ),
-            "use FlatLatencyMemory / PhantomOram for this scheme"
-        );
-        let x = config.scheme.x(config.block_bytes);
-        let rec = RecursionAddressing::new(config.num_blocks(), x, config.onchip_entries());
-
-        if config.scheme.uses_plb() {
-            let payload = config.scheme.payload_bytes(config.block_bytes);
-            let params = OramParams::new(rec.unified_total_blocks(), payload, config.z);
-            let data_latency =
-                OramLatencyModel::new(params, config.dram.clone(), config.latency_samples);
-            let plb_blocks =
-                (config.plb_capacity_bytes / config.block_bytes).max(config.plb_associativity * 4);
-            let plb = Plb::new(
-                plb_blocks - plb_blocks % config.plb_associativity,
-                config.plb_associativity,
-            );
-            Self {
-                config,
-                rec,
-                plb: Some(plb),
-                data_latency,
-                baseline_levels: Vec::new(),
-                stats: TrafficStats::default(),
-            }
-        } else {
-            // Baseline: one tree per level.
-            let data_params = OramParams::new(rec.blocks_at_level(0), config.block_bytes, config.z);
-            let data_latency =
-                OramLatencyModel::new(data_params, config.dram.clone(), config.latency_samples);
-            let mut baseline_levels = Vec::new();
-            for level in 0..rec.num_levels() {
-                let block_bytes = if level == 0 {
-                    config.block_bytes
-                } else {
-                    config.scheme.posmap_block_bytes(config.block_bytes)
-                };
-                let params = OramParams::new(rec.blocks_at_level(level), block_bytes, config.z);
-                let latency =
-                    OramLatencyModel::new(params, config.dram.clone(), config.latency_samples);
-                let access_bytes = latency.params().access_bytes();
-                baseline_levels.push(BaselineLevel {
-                    latency,
-                    access_bytes,
-                });
-            }
-            Self {
-                config,
-                rec,
-                plb: None,
-                data_latency,
-                baseline_levels,
-                stats: TrafficStats::default(),
-            }
+    /// Builds the timing model of `config`, calibrating the DRAM latency of
+    /// every tree over `latency_samples` random paths.
+    pub fn new(config: FreecursiveConfig, dram: &DramConfig, latency_samples: usize) -> Self {
+        let trees = config
+            .trees()
+            .into_iter()
+            .map(|(blocks, payload_bytes)| {
+                let params = OramParams::new(blocks, payload_bytes, config.z);
+                OramLatencyModel::new(params, dram.clone(), latency_samples)
+            })
+            .collect();
+        Self {
+            rec: config.addressing(),
+            plb: config.plb(),
+            config,
+            trees,
+            stats: TrafficStats::default(),
         }
     }
 
     /// The configuration.
-    pub fn config(&self) -> &TimingOramConfig {
+    pub fn config(&self) -> &FreecursiveConfig {
         &self.config
     }
 
-    /// The recursion addressing (H, X, per-level block counts).
-    pub fn addressing(&self) -> &RecursionAddressing {
-        &self.rec
-    }
-
-    /// Latency model of the unified tree / Data ORAM.
+    /// Latency model of the tree holding the data blocks.
     pub fn data_latency(&self) -> &OramLatencyModel {
-        &self.data_latency
+        &self.trees[0]
     }
 
     /// Accumulated traffic statistics.
@@ -253,54 +132,51 @@ impl TimingOram {
         self.stats = TrafficStats::default();
     }
 
-    /// Serves one frontend request for data block `block_addr`.
+    /// Index of the tree serving recursion level `level`.
+    fn tree_of(&self, level: u32) -> usize {
+        if self.plb.is_some() {
+            0
+        } else {
+            level as usize
+        }
+    }
+
+    /// Serves one frontend request for data block `block_addr`: the
+    /// functional frontend's walk (§4.2.4), minus the data.
     pub fn access(&mut self, block_addr: u64) -> AccessCost {
-        let block_addr = block_addr % self.config.num_blocks().max(1);
+        let block_addr = block_addr % self.config.num_blocks.max(1);
         let h = self.rec.num_levels();
-        let pmmac = self.config.scheme.pmmac();
         let mut cost = AccessCost::default();
 
-        if let Some(plb) = &mut self.plb {
-            // PLB design: probe for the parent of each level starting at the
-            // data level (§4.2.4 step 1).
-            let mut start_level = h - 1;
-            for i in 0..h - 1 {
-                let parent = self.rec.unified_addr(i + 1, block_addr);
-                if plb.lookup(parent).is_some() {
-                    start_level = i;
-                    break;
+        // Step 1: start below the lowest level whose parent PosMap block is
+        // in the PLB; without a PLB, at the top.
+        let rec = &self.rec;
+        let start_level = self.plb.as_mut().map_or(h - 1, |plb| {
+            (0..h - 1)
+                .find(|&i| plb.lookup(rec.unified_addr(i + 1, block_addr)).is_some())
+                .unwrap_or(h - 1)
+        });
+        // Steps 2 and 3: fetch the missing PosMap blocks, then the data.
+        for level in (0..=start_level).rev() {
+            let tree = &self.trees[self.tree_of(level)];
+            let bytes = tree.params().access_bytes();
+            cost.cycles += tree.backend_access_cycles(self.config.pmmac);
+            if level == 0 {
+                cost.data_accesses = 1;
+                cost.data_bytes = bytes;
+            } else {
+                cost.posmap_accesses += 1;
+                cost.posmap_bytes += bytes;
+                // Only a PLB refill costs frontend cycles.
+                if let Some(plb) = &mut self.plb {
+                    plb.insert(PlbEntry {
+                        unified_addr: self.rec.unified_addr(level, block_addr),
+                        leaf: 0,
+                        payload: (),
+                    });
+                    cost.cycles += tree.frontend_cycles();
                 }
             }
-            let access_bytes = self.data_latency.params().access_bytes();
-            let backend_cycles = self.data_latency.backend_access_cycles(pmmac);
-            // PosMap fetches for levels start_level .. 1.
-            for level in (1..=start_level).rev() {
-                let unified = self.rec.unified_addr(level, block_addr);
-                plb.insert(PlbEntry {
-                    unified_addr: unified,
-                    leaf: 0,
-                    payload: (),
-                });
-                cost.posmap_accesses += 1;
-                cost.posmap_bytes += access_bytes;
-                cost.cycles += backend_cycles + self.data_latency.frontend_cycles();
-            }
-            // The data access itself.
-            cost.data_accesses = 1;
-            cost.data_bytes = access_bytes;
-            cost.cycles += backend_cycles;
-        } else {
-            // Baseline: every level, every time.
-            for level in (1..h).rev() {
-                let lvl = &self.baseline_levels[level as usize];
-                cost.posmap_accesses += 1;
-                cost.posmap_bytes += lvl.access_bytes;
-                cost.cycles += lvl.latency.backend_access_cycles(pmmac);
-            }
-            let data = &self.baseline_levels[0];
-            cost.data_accesses = 1;
-            cost.data_bytes = data.access_bytes;
-            cost.cycles += data.latency.backend_access_cycles(pmmac);
         }
 
         self.stats.requests += 1;
@@ -348,19 +224,30 @@ impl MainMemory for OramMemory {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::SimulationConfig;
+    use freecursive::{FreecursiveOram, InsecureBackend, Oram, OramBuilder, SchemePoint};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
-    fn small_config(scheme: SchemePoint) -> TimingOramConfig {
-        TimingOramConfig {
+    fn small(scheme: SchemePoint) -> TimingOram {
+        let sim = SimulationConfig {
             data_capacity_bytes: 64 << 20,
             latency_samples: 5,
-            ..TimingOramConfig::paper_default(scheme)
-        }
+            ..SimulationConfig::paper_default()
+        };
+        TimingOram::new(sim.oram_config(scheme).unwrap(), &sim.dram(), 5)
     }
 
     #[test]
     fn baseline_walks_every_level_every_time() {
-        let mut oram = TimingOram::new(small_config(SchemePoint::RX8));
-        let h = oram.addressing().num_levels() as u64;
+        // R_X8's own 8 KB on-chip PosMap (the simulation gives it 256 KB,
+        // which leaves fewer than three levels at 64 MiB).
+        let config = OramBuilder::for_scheme(SchemePoint::RX8)
+            .num_blocks((64 << 20) / 64)
+            .freecursive_config()
+            .unwrap();
+        let mut oram = TimingOram::new(config, &DramConfig::default(), 5);
+        let h = oram.config().addressing().num_levels() as u64;
         assert!(h >= 3);
         for addr in 0..100u64 {
             let cost = oram.access(addr);
@@ -371,7 +258,7 @@ mod tests {
 
     #[test]
     fn plb_design_skips_posmap_accesses_on_locality() {
-        let mut oram = TimingOram::new(small_config(SchemePoint::PcX32));
+        let mut oram = small(SchemePoint::PcX32);
         // Sequential block addresses share PosMap blocks.
         let mut total_posmap = 0;
         for addr in 0..1000u64 {
@@ -386,8 +273,8 @@ mod tests {
 
     #[test]
     fn plb_design_costs_less_than_baseline_on_sequential_traffic() {
-        let mut baseline = TimingOram::new(small_config(SchemePoint::RX8));
-        let mut plb = TimingOram::new(small_config(SchemePoint::PcX32));
+        let mut baseline = small(SchemePoint::RX8);
+        let mut plb = small(SchemePoint::PcX32);
         let mut base_cycles = 0;
         let mut plb_cycles = 0;
         for addr in 0..500u64 {
@@ -402,8 +289,8 @@ mod tests {
 
     #[test]
     fn pmmac_increases_per_access_bytes_via_mac_field() {
-        let pc = TimingOram::new(small_config(SchemePoint::PcX32));
-        let pic = TimingOram::new(small_config(SchemePoint::PicX32));
+        let pc = small(SchemePoint::PcX32);
+        let pic = small(SchemePoint::PicX32);
         assert!(
             pic.data_latency().params().access_bytes() >= pc.data_latency().params().access_bytes()
         );
@@ -411,7 +298,7 @@ mod tests {
 
     #[test]
     fn stats_accumulate_and_reset() {
-        let mut oram = TimingOram::new(small_config(SchemePoint::PcX32));
+        let mut oram = small(SchemePoint::PcX32);
         for addr in 0..50u64 {
             oram.access(addr * 1000);
         }
@@ -423,13 +310,42 @@ mod tests {
 
     #[test]
     fn oram_memory_translates_byte_addresses() {
-        let oram = TimingOram::new(small_config(SchemePoint::PcX32));
-        let mut mem = OramMemory::new(oram);
+        let mut mem = OramMemory::new(small(SchemePoint::PcX32));
         let lat = cache_sim::MainMemory::access(&mut mem, 0x1000, false);
         assert!(
             lat > 100,
             "an ORAM access takes hundreds of cycles, got {lat}"
         );
         assert_eq!(mem.oram().stats().requests, 1);
+    }
+
+    #[test]
+    fn timing_model_moves_what_the_functional_frontend_moves() {
+        // One configuration, two frontends: the address-only walk must make
+        // the same backend accesses and move the same bytes as the real one.
+        for scheme in SchemePoint::freecursive_points() {
+            let plb_bytes = if scheme == SchemePoint::RX8 { 0 } else { 2048 };
+            let config = OramBuilder::for_scheme(scheme)
+                .num_blocks(1 << 12)
+                .onchip_entries(16)
+                .plb_capacity_bytes(plb_bytes)
+                .freecursive_config()
+                .unwrap();
+            let mut timing = TimingOram::new(config.clone(), &DramConfig::default(), 1);
+            let mut functional = FreecursiveOram::<InsecureBackend>::new(config).unwrap();
+            let mut rng = StdRng::seed_from_u64(0x7E57);
+            for _ in 0..3000 {
+                let addr = rng.gen_range(0..1u64 << 12);
+                timing.access(addr);
+                functional.read(addr).unwrap();
+            }
+            let (t, f) = (timing.stats(), functional.stats());
+            let accesses = (f.posmap_backend_accesses, f.data_backend_accesses);
+            let bytes = (f.posmap_bytes_moved, f.data_bytes_moved);
+            let label = scheme.label();
+            assert_eq!((t.posmap_accesses, t.data_accesses), accesses, "{label}");
+            assert_eq!((t.posmap_bytes, t.data_bytes), bytes, "{label}");
+            assert!(t.posmap_accesses > 0, "{label}");
+        }
     }
 }

@@ -9,7 +9,7 @@
 //! ```
 
 use oram_sim::runner::{run_benchmark, SimulationConfig};
-use oram_sim::scheme::SchemePoint;
+use oram_sim::SchemePoint;
 use trace_gen::SpecBenchmark;
 
 fn main() {

@@ -6,7 +6,7 @@
 use oram_sim::experiments::{
     fig3, fig5, fig6, fig7, fig9, hash_bandwidth, table2, table3, ExperimentScale,
 };
-use oram_sim::scheme::SchemePoint;
+use oram_sim::SchemePoint;
 
 #[test]
 fn figure3_posmap_share_grows_with_capacity_and_shrinks_with_block_size() {

@@ -209,7 +209,7 @@ fn recursive_and_insecure_schemes_roundtrip_too() {
         let label = format!(
             "{} {:?}",
             subject_builder.scheme().label(),
-            subject_builder.storage_in_effect()
+            subject_builder.storage_in_effect().unwrap()
         );
         let dir = snap_dir(&format!("extra-{k}"));
         let mut oracle = subject_builder
