@@ -236,30 +236,20 @@ impl OramBuilder {
     }
 
     /// Resolves the storage kind and durability once, reading variables
-    /// through `var` only for the knobs left unset: the one place the
-    /// configuration consults the environment.  An unset variable selects
-    /// [`StorageKind::Mem`] / [`Durability::None`]; a malformed one is an
-    /// error, never a silent fallback that un-tests what the operator asked
-    /// to test.
+    /// through `var` ([`StorageKind::from_env`] / [`Durability::from_env`])
+    /// only for the knobs left unset: the one place the configuration
+    /// consults the environment.
     fn environment(
         &self,
         var: impl Fn(&str) -> Option<String>,
     ) -> Result<(StorageKind, Durability), OramError> {
         let storage = match &self.storage {
             Some(kind) => kind.clone(),
-            None => {
-                let budget = var("ORAM_MEMORY_BUDGET")
-                    .map(|v| StorageKind::parse_memory_budget(&v))
-                    .transpose()?;
-                var("ORAM_STORAGE")
-                    .map_or(Ok(StorageKind::Mem), |v| StorageKind::parse(&v, budget))?
-            }
+            None => StorageKind::from_env(&var)?,
         };
         let durability = match self.durability {
             Some(durability) => durability,
-            None => {
-                var("ORAM_DURABILITY").map_or(Ok(Durability::None), |v| Durability::parse(&v))?
-            }
+            None => Durability::from_env(&var)?,
         };
         Ok((storage, durability))
     }

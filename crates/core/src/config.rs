@@ -257,6 +257,16 @@ impl FreecursiveConfig {
             .then(|| Plb::with_capacity_bytes(self.plb_capacity_bytes, self.block_bytes, ways))
     }
 
+    /// Index into [`FreecursiveConfig::trees`] of the tree serving
+    /// recursion level `level`.
+    pub fn tree_of(&self, level: u32) -> usize {
+        if self.plb_capacity_bytes > 0 {
+            0
+        } else {
+            level as usize
+        }
+    }
+
     /// Block count and payload bytes (block plus any PMMAC trailer) of each
     /// ORAM tree this configuration builds: the one unified tree with a
     /// PLB, otherwise one tree per recursion level, index = level.

@@ -253,25 +253,16 @@ impl<B: OramBackend> FreecursiveOram<B> {
         self.plb.as_ref().map_or(0, Plb::len)
     }
 
-    /// Index into `trees` of the tree serving recursion level `level`.
-    fn tree_of(&self, level: u32) -> usize {
-        if self.plb.is_some() {
-            0
-        } else {
-            level as usize
-        }
-    }
-
     /// Leaf level L of the tree serving recursion level `level`.
     fn leaf_level(&self, level: u32) -> u32 {
-        self.trees[self.tree_of(level)].params().leaf_level()
+        self.trees[self.config.tree_of(level)].params().leaf_level()
     }
 
     /// Bytes of a level-`level` block's contents: its tree's payload minus
     /// the PMMAC trailer.
     fn block_bytes_at(&self, level: u32) -> usize {
         let mac = if self.config.pmmac { MAC_BYTES } else { 0 };
-        self.trees[self.tree_of(level)].params().block_bytes - mac
+        self.trees[self.config.tree_of(level)].params().block_bytes - mac
     }
 
     // ------------------------------------------------------------------
@@ -571,7 +562,7 @@ impl<B: OramBackend> FreecursiveOram<B> {
     /// read and once to update the write-back (§6.3), where PMMAC hashes
     /// only the block of interest.
     fn path_access_bytes(&mut self, level: u32) -> u64 {
-        let params = *self.trees[self.tree_of(level)].params();
+        let params = *self.trees[self.config.tree_of(level)].params();
         self.stats.merkle_equivalent_hashes += 2 * u64::from(params.levels()) * params.z as u64;
         params.access_bytes()
     }
@@ -670,7 +661,7 @@ impl<B: OramBackend> FreecursiveOram<B> {
         let parent_index = self.rec.posmap_block_addr(level + 1, a0);
         let x = self.rec.x();
         let level_blocks = self.rec.blocks_at_level(level);
-        let tree = self.tree_of(level);
+        let tree = self.config.tree_of(level);
         let leaf_level = self.leaf_level(level);
         let block_bytes = self.block_bytes_at(level);
         for j in 0..x as usize {
@@ -778,7 +769,7 @@ impl<B: OramBackend> FreecursiveOram<B> {
             &data,
             &mut self.sealed_buf,
         );
-        let tree = self.tree_of(level);
+        let tree = self.config.tree_of(level);
         self.trees[tree].access(
             AccessOp::Append,
             victim.unified_addr,
@@ -850,7 +841,7 @@ impl<B: OramBackend> FreecursiveOram<B> {
                 self.group_remap(level, a0, skip, remap)?;
             }
 
-            let tree = self.tree_of(level);
+            let tree = self.config.tree_of(level);
             let fetched = self.trees[tree].access_into(
                 AccessOp::ReadRmv,
                 child_unified,

@@ -91,28 +91,14 @@ mod tests {
 
     #[test]
     fn x_values_match_paper_names_at_64_bytes() {
-        let x = |scheme: SchemePoint, block: usize| {
-            OramBuilder::for_scheme(scheme)
-                .block_bytes(block)
-                .freecursive_config()
-                .unwrap()
-                .x()
-        };
-        assert_eq!(x(SchemePoint::RX8, 64), 8);
-        assert_eq!(x(SchemePoint::PX16, 64), 16);
-        assert_eq!(x(SchemePoint::PcX32, 64), 32);
-        assert_eq!(x(SchemePoint::PiX8, 64), 8);
-        assert_eq!(x(SchemePoint::PicX32, 64), 32);
-        // And at 128 bytes the compressed X doubles (PC_X64).
-        assert_eq!(x(SchemePoint::PcX64, 128), 64);
         // Every name's `_X<n>` suffix is the X its point resolves to at its
-        // evaluation block size.
-        for scheme in SchemePoint::freecursive_points()
-            .into_iter()
-            .chain([SchemePoint::PcX64])
-        {
+        // evaluation block size: 64 B, and 128 B for PC_X64, where the
+        // compressed X doubles (see `default_block_sizes_follow_the_evaluation`).
+        let points = SchemePoint::freecursive_points();
+        for scheme in points.into_iter().chain([SchemePoint::PcX64]) {
+            let config = OramBuilder::for_scheme(scheme).freecursive_config();
             let named: u64 = scheme.label().rsplit("_X").next().unwrap().parse().unwrap();
-            assert_eq!(x(scheme, scheme.default_block_bytes()), named, "{scheme:?}");
+            assert_eq!(config.unwrap().x(), named, "{scheme:?}");
         }
     }
 

@@ -193,12 +193,14 @@ impl StorageKind {
             })
     }
 
-    /// Resolves the ambient default: `ORAM_STORAGE` selects the kind via
+    /// Resolves the kind an environment selects, reading its variables
+    /// through `var`: `ORAM_STORAGE` selects the kind via
     /// [`StorageKind::parse`] (with the treetop budget from
-    /// `ORAM_MEMORY_BUDGET`); unset selects [`StorageKind::Mem`].  This is
-    /// how the CI file- and tiered-storage test legs run the whole suite
-    /// over the other stores without touching call sites (`freecursive`'s
-    /// `OramBuilder` makes the same selection for every unset storage knob).
+    /// `ORAM_MEMORY_BUDGET`); unset selects [`StorageKind::Mem`].
+    /// `freecursive`'s `OramBuilder` calls this (with the process
+    /// environment) for an unset storage knob, which is how the CI file-
+    /// and tiered-storage test legs run the whole suite over the other
+    /// stores without touching call sites.
     ///
     /// # Errors
     ///
@@ -206,12 +208,11 @@ impl StorageKind {
     /// unparsable `ORAM_MEMORY_BUDGET` value: both are operator
     /// configuration errors, and silently falling back to the memory store
     /// would un-test exactly what the operator asked to test.
-    pub fn from_env() -> Result<StorageKind, OramError> {
-        let budget = std::env::var("ORAM_MEMORY_BUDGET")
-            .ok()
+    pub fn from_env(var: impl Fn(&str) -> Option<String>) -> Result<StorageKind, OramError> {
+        let budget = var("ORAM_MEMORY_BUDGET")
             .map(|v| Self::parse_memory_budget(&v))
             .transpose()?;
-        std::env::var("ORAM_STORAGE").map_or(Ok(StorageKind::Mem), |v| Self::parse(&v, budget))
+        var("ORAM_STORAGE").map_or(Ok(StorageKind::Mem), |v| Self::parse(&v, budget))
     }
 
     /// A storage kind rooted under `name` within this one: directory-backed

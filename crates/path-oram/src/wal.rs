@@ -147,11 +147,13 @@ impl Durability {
         }
     }
 
-    /// Resolves the ambient default: `ORAM_DURABILITY=strict` or
-    /// `ORAM_DURABILITY=batch:<n>` turn the WAL on (the crash-recovery CI
-    /// leg's hook, which `freecursive`'s `OramBuilder` applies to every
-    /// unset durability knob, mirroring [`crate::StorageKind::from_env`]);
-    /// unset selects [`Durability::None`].
+    /// Resolves the discipline an environment selects, reading its
+    /// variables through `var`: `ORAM_DURABILITY=strict` or
+    /// `ORAM_DURABILITY=batch:<n>` turn the WAL on; unset selects
+    /// [`Durability::None`].  `freecursive`'s `OramBuilder` calls this
+    /// (with the process environment) for an unset durability knob — the
+    /// crash-recovery CI leg's hook, mirroring
+    /// [`crate::StorageKind::from_env`].
     ///
     /// # Errors
     ///
@@ -159,8 +161,8 @@ impl Durability {
     /// (see [`Durability::parse`]): an operator who typed `stric` or
     /// `batch:abc` asked for durability and must not silently run
     /// without it.
-    pub fn from_env() -> Result<Durability, OramError> {
-        std::env::var("ORAM_DURABILITY").map_or(Ok(Durability::None), |v| Durability::parse(&v))
+    pub fn from_env(var: impl Fn(&str) -> Option<String>) -> Result<Durability, OramError> {
+        var("ORAM_DURABILITY").map_or(Ok(Durability::None), |v| Durability::parse(&v))
     }
 
     /// Whether this discipline keeps a write-ahead log at all.

@@ -10,7 +10,7 @@
 
 use crate::report::{f2, format_table};
 use freecursive::{OramBuilder, SchemePoint};
-use path_oram::OramParams;
+use path_oram::{Durability, OramParams, StorageKind};
 use serde::{Deserialize, Serialize};
 
 /// One curve of Figure 3 (a block-size / on-chip-PosMap combination).
@@ -59,12 +59,15 @@ pub fn posmap_byte_percent(
     onchip_posmap_bytes: usize,
     z: usize,
 ) -> (u32, f64) {
-    // On-chip PosMap entries are (uncompressed) leaves of ~4 bytes.
+    // On-chip PosMap entries are (uncompressed) leaves of ~4 bytes.  Storage
+    // is pinned: the figure is analytic and never reads the environment.
     let config = OramBuilder::for_scheme(SchemePoint::RX8)
         .num_blocks(capacity_bytes / block_bytes as u64)
         .block_bytes(block_bytes)
         .z(z)
         .onchip_entries((onchip_posmap_bytes / 4) as u64)
+        .storage(StorageKind::Mem)
+        .durability(Durability::None)
         .freecursive_config()
         .expect("every Figure 3 point is a valid R_X8 configuration");
     // One tree per level: the Data ORAM first, then the PosMap ORAMs.

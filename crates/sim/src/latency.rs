@@ -95,11 +95,6 @@ impl OramLatencyModel {
             + if pmmac { self.pipeline.sha3 } else { 0 }
     }
 
-    /// Extra cycles charged when a PosMap block is refilled into the PLB.
-    pub fn frontend_cycles(&self) -> u64 {
-        self.pipeline.frontend
-    }
-
     fn calibrate(&self, samples: usize) -> u64 {
         let mut rng = StdRng::seed_from_u64(0x7ab1e2);
         let leaves = self.params.num_leaves();

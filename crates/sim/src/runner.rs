@@ -8,6 +8,7 @@ use cache_sim::{
 };
 use dram_sim::DramConfig;
 use freecursive::{FreecursiveConfig, FreecursiveError, OramBuilder, SchemePoint};
+use path_oram::{Durability, StorageKind};
 use serde::{Deserialize, Serialize};
 use trace_gen::{SpecBenchmark, TraceGenerator};
 
@@ -20,7 +21,9 @@ pub struct SimulationConfig {
     pub block_bytes: usize,
     /// Slots per bucket (Z).
     pub z: usize,
-    /// PLB capacity in bytes.
+    /// PLB capacity in bytes, for the presets that have a PLB.  0 drops it:
+    /// one tree per recursion level, all walked on every request, as
+    /// [`FreecursiveConfig::plb_capacity_bytes`] = 0 does.
     pub plb_capacity_bytes: usize,
     /// PLB associativity.
     pub plb_associativity: usize,
@@ -101,10 +104,12 @@ impl SimulationConfig {
     /// `scheme`'s configuration (the builder's preset) at this simulation's
     /// capacity, block size, Z and PLB; a preset without a PLB keeps none.
     /// On-chip PosMap entries are 8-byte counters under PMMAC, 4-byte
-    /// leaves with a PLB, and bit-packed ~2-byte leaves without one, where
-    /// the `R_X8` baseline also gets at least 256 KB, exactly as the paper's
-    /// evaluation does (§7.1.4: "giving it a 272 KB on-chip PosMap"; Figure
-    /// 7: "up to a 256 KB on-chip PosMap").  Phantom is [`crate::phantom`].
+    /// leaves for a preset with a PLB, and bit-packed ~2-byte leaves for
+    /// one without, where the `R_X8` baseline also gets at least 256 KB,
+    /// exactly as the paper's evaluation does (§7.1.4: "giving it a 272 KB
+    /// on-chip PosMap"; Figure 7: "up to a 256 KB on-chip PosMap").
+    /// Phantom is [`crate::phantom`].  Storage is pinned to `Mem` / `None`:
+    /// the timing model never touches a tree store or the environment.
     ///
     /// # Errors
     ///
@@ -115,16 +120,19 @@ impl SimulationConfig {
             .block_bytes(self.block_bytes)
             .z(self.z)
             .plb_associativity(self.plb_associativity)
+            .storage(StorageKind::Mem)
+            .durability(Durability::None)
             .freecursive_config()?;
-        if config.plb_capacity_bytes > 0 {
+        let preset_has_plb = config.plb_capacity_bytes > 0;
+        if preset_has_plb {
             config.plb_capacity_bytes = self.plb_capacity_bytes;
         }
         let (entry_bytes, onchip_bytes) = if config.pmmac {
             (8, self.onchip_posmap_bytes)
-        } else if config.plb_capacity_bytes == 0 {
-            (2, self.onchip_posmap_bytes.max(256 << 10))
-        } else {
+        } else if preset_has_plb {
             (4, self.onchip_posmap_bytes)
+        } else {
+            (2, self.onchip_posmap_bytes.max(256 << 10))
         };
         config.onchip_entries = (onchip_bytes as u64 / entry_bytes).max(1);
         config.validate()?;
@@ -323,6 +331,24 @@ mod tests {
             pc_pm < base_pm * 0.5,
             "PLB+compression should cut PosMap traffic: {pc_pm} vs {base_pm}"
         );
+    }
+
+    #[test]
+    fn oram_config_ignores_the_storage_environment_and_sizes_by_preset() {
+        // Under ORAM_STORAGE / ORAM_DURABILITY (the CI storage legs) the
+        // simulator still resolves the in-memory, unlogged configuration.
+        let mut cfg = SimulationConfig::quick_test();
+        let config = cfg.oram_config(SchemePoint::PcX32).unwrap();
+        assert_eq!(config.storage, StorageKind::Mem);
+        assert_eq!(config.durability, Durability::None);
+        let baseline = cfg.oram_config(SchemePoint::RX8).unwrap();
+        assert_eq!(baseline.onchip_entries, (256 << 10) / 2);
+        // Dropping PC_X32's PLB keeps its 4-byte on-chip entries; only the
+        // baseline gets 2-byte entries and the 256 KB floor.
+        cfg.plb_capacity_bytes = 0;
+        let config = cfg.oram_config(SchemePoint::PcX32).unwrap();
+        assert_eq!(config.plb_capacity_bytes, 0);
+        assert_eq!(config.onchip_entries, (cfg.onchip_posmap_bytes / 4) as u64);
     }
 
     #[test]

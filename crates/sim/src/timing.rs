@@ -65,16 +65,6 @@ impl TrafficStats {
             )
         }
     }
-
-    /// Fraction of moved bytes that belong to PosMap management.
-    pub fn posmap_fraction(&self) -> f64 {
-        let total = self.posmap_bytes + self.data_bytes;
-        if total == 0 {
-            0.0
-        } else {
-            self.posmap_bytes as f64 / total as f64
-        }
-    }
 }
 
 /// The timing model of one ORAM design point.
@@ -116,11 +106,6 @@ impl TimingOram {
         &self.config
     }
 
-    /// Latency model of the tree holding the data blocks.
-    pub fn data_latency(&self) -> &OramLatencyModel {
-        &self.trees[0]
-    }
-
     /// Accumulated traffic statistics.
     pub fn stats(&self) -> &TrafficStats {
         &self.stats
@@ -130,15 +115,6 @@ impl TimingOram {
     /// system).
     pub fn reset_stats(&mut self) {
         self.stats = TrafficStats::default();
-    }
-
-    /// Index of the tree serving recursion level `level`.
-    fn tree_of(&self, level: u32) -> usize {
-        if self.plb.is_some() {
-            0
-        } else {
-            level as usize
-        }
     }
 
     /// Serves one frontend request for data block `block_addr`: the
@@ -158,7 +134,7 @@ impl TimingOram {
         });
         // Steps 2 and 3: fetch the missing PosMap blocks, then the data.
         for level in (0..=start_level).rev() {
-            let tree = &self.trees[self.tree_of(level)];
+            let tree = &self.trees[self.config.tree_of(level)];
             let bytes = tree.params().access_bytes();
             cost.cycles += tree.backend_access_cycles(self.config.pmmac);
             if level == 0 {
@@ -174,7 +150,7 @@ impl TimingOram {
                         leaf: 0,
                         payload: (),
                     });
-                    cost.cycles += tree.frontend_cycles();
+                    cost.cycles += tree.pipeline.frontend;
                 }
             }
         }
@@ -291,9 +267,7 @@ mod tests {
     fn pmmac_increases_per_access_bytes_via_mac_field() {
         let pc = small(SchemePoint::PcX32);
         let pic = small(SchemePoint::PicX32);
-        assert!(
-            pic.data_latency().params().access_bytes() >= pc.data_latency().params().access_bytes()
-        );
+        assert!(pic.trees[0].params().access_bytes() >= pc.trees[0].params().access_bytes());
     }
 
     #[test]
