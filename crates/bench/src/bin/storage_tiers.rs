@@ -136,7 +136,7 @@ fn main() {
     let mut tiers_json = String::new();
     for (i, (label, kind)) in tiers.into_iter().enumerate() {
         eprintln!("measuring storage tier: {label} ...");
-        let backend = PathOramBackend::new_with_storage(
+        let backend = PathOramBackend::new_backend_with(
             params,
             EncryptionMode::GlobalSeed,
             [2u8; 16],

@@ -233,7 +233,7 @@ pub trait OramBackend: Send {
 ///
 /// Holds the encrypted tree in a [`TreeStorage`] (the in-memory arena by
 /// default, or the file-backed store via
-/// [`PathOramBackend::new_with_storage`]), a bounded slab [`Stash`], a
+/// [`OramBackend::new_backend_with`]), a bounded slab [`Stash`], a
 /// [`BucketCipher`], and the reusable scratch buffers of the hot path.  See
 /// the crate-level example for usage.
 #[derive(Debug)]
@@ -399,29 +399,6 @@ impl PathOramBackend {
         ))
     }
 
-    /// Creates a backend over a freshly created store of the given kind
-    /// (the [`TreeStorage::create`] front door; `label` distinguishes
-    /// trees sharing a storage directory).  `durability` selects the
-    /// write-ahead-log discipline for file-backed stores (see
-    /// [`crate::wal`]); a store without a file tier ignores it.
-    ///
-    /// # Errors
-    ///
-    /// [`OramError::Storage`] if file-backed storage cannot be created.
-    #[allow(clippy::too_many_arguments)]
-    pub fn new_with_storage(
-        params: OramParams,
-        encryption: EncryptionMode,
-        key: [u8; 16],
-        _seed: u64,
-        storage: &StorageKind,
-        durability: Durability,
-        label: u32,
-    ) -> Result<Self, OramError> {
-        let storage = TreeStorage::create(&params, storage, label, durability)?;
-        Ok(Self::from_parts(params, encryption, key, storage))
-    }
-
     fn from_parts(
         params: OramParams,
         encryption: EncryptionMode,
@@ -513,27 +490,7 @@ impl PathOramBackend {
         self.stash.slot_capacity()
     }
 
-    /// Serialises the controller-side state: cipher counter, residency set,
-    /// the stash (exact slot layout included, so a resumed instance evicts
-    /// identically), statistics, and the WAL sequence barrier — the
-    /// writeback sequence number the tree stood at when this state was
-    /// captured.  The tree itself is persisted separately by
-    /// [`PathOramBackend::persist_tree_to`].
-    pub fn save_controller_state(&self, out: &mut Vec<u8>) {
-        snapshot::put_u64(out, self.cipher.global_seed());
-        let mut resident: Vec<BlockId> = self.resident.iter().copied().collect();
-        resident.sort_unstable();
-        snapshot::put_u64(out, resident.len() as u64);
-        for addr in resident {
-            snapshot::put_u64(out, addr);
-        }
-        self.stash.save(out);
-        self.stats.save(out);
-        snapshot::put_u64(out, self.storage.wal_seq());
-    }
-
-    /// Restores the state written by
-    /// [`PathOramBackend::save_controller_state`].
+    /// Restores the state written by [`OramBackend::save_state`].
     ///
     /// The trailing barrier is checked against the (possibly WAL-recovered)
     /// store: controller state — stash, residency, cipher counter — is a
@@ -571,15 +528,6 @@ impl PathOramBackend {
             });
         }
         Ok(())
-    }
-
-    /// Persists the tree into `dir` (see [`TreeStorage::persist_to`]).
-    ///
-    /// # Errors
-    ///
-    /// [`OramError::Storage`] on I/O failure.
-    pub fn persist_tree_to(&self, dir: &Path, label: u32) -> Result<(), OramError> {
-        self.storage.persist_to(dir, label)
     }
 
     /// Queues the keystream span that unseals the bucket image at `level`
@@ -794,25 +742,42 @@ impl OramBackend for PathOramBackend {
         Self::new(params, encryption, key, seed)
     }
 
+    /// Builds the backend over a freshly created [`TreeStorage`] of the
+    /// given kind (see [`TreeStorage::create`]).
     fn new_backend_with(
         params: OramParams,
         encryption: EncryptionMode,
         key: [u8; 16],
-        seed: u64,
+        _seed: u64,
         storage: &StorageKind,
         durability: Durability,
         label: u32,
     ) -> Result<Self, OramError> {
-        Self::new_with_storage(params, encryption, key, seed, storage, durability, label)
+        let storage = TreeStorage::create(&params, storage, label, durability)?;
+        Ok(Self::from_parts(params, encryption, key, storage))
     }
 
+    /// Serialises the controller-side state: cipher counter, residency set,
+    /// the stash (exact slot layout included, so a resumed instance evicts
+    /// identically), statistics, and the WAL sequence barrier — the
+    /// writeback sequence number the tree stood at when this state was
+    /// captured.
     fn save_state(&self, out: &mut Vec<u8>) -> Result<(), OramError> {
-        self.save_controller_state(out);
+        snapshot::put_u64(out, self.cipher.global_seed());
+        let mut resident: Vec<BlockId> = self.resident.iter().copied().collect();
+        resident.sort_unstable();
+        snapshot::put_u64(out, resident.len() as u64);
+        for addr in resident {
+            snapshot::put_u64(out, addr);
+        }
+        self.stash.save(out);
+        self.stats.save(out);
+        snapshot::put_u64(out, self.storage.wal_seq());
         Ok(())
     }
 
     fn persist_tree(&self, dir: &Path, label: u32) -> Result<(), OramError> {
-        self.persist_tree_to(dir, label)
+        self.storage.persist_to(dir, label)
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -1238,7 +1203,7 @@ mod tests {
         // identical bucket ciphertexts.
         let run = |kind: &StorageKind| {
             let params = OramParams::new(512, 16, 4);
-            let mut b = PathOramBackend::new_with_storage(
+            let mut b = PathOramBackend::new_backend_with(
                 params,
                 EncryptionMode::GlobalSeed,
                 [7u8; 16],
@@ -1314,7 +1279,7 @@ mod tests {
             .iter()
             .flat_map(|k| resumed_as.iter().map(move |r| (k, r)))
         {
-            let mut b = PathOramBackend::new_with_storage(
+            let mut b = PathOramBackend::new_backend_with(
                 params,
                 EncryptionMode::GlobalSeed,
                 [9u8; 16],

@@ -14,16 +14,16 @@
 //!   uses.
 //! * [`stash::Stash`] — the bounded on-chip stash, a fixed-capacity slab of
 //!   block-sized slots.
-//! * [`storage::TreeStorage`] — the untrusted memory holding the tree: the
-//!   top K tree levels — the paper's treetop, touched on every access
-//!   (§5.1) — in a RAM arena, and the levels below in a file-backed sparse
-//!   tree ([`storage::FileStore`]) in the subtree layout of \[26\].  The
-//!   storage kinds are this one store at K = levels with no file (memory),
-//!   K = 0 (file) and a budget-derived K (tiered).  It exposes an explicit
-//!   tampering API for the active-adversary model and persists to one
-//!   on-disk snapshot format.  The tier split and its crash-safety argument
-//!   are mapped end to end in `docs/ARCHITECTURE.md` at the workspace root.
-//! * [`wal`] — the write-ahead log behind the file store's crash
+//! * [`storage::TreeStorage`] — the one store for the untrusted memory
+//!   holding the tree: the top K tree levels — the paper's treetop, touched
+//!   on every access (§5.1) — in a RAM arena, and the levels below in a
+//!   sparse tree file in the subtree layout of \[26\].  The storage kinds
+//!   are this one store at K = levels with no file (memory), K = 0 (file)
+//!   and a budget-derived K (tiered).  It exposes an explicit tampering API
+//!   for the active-adversary model and persists to one on-disk snapshot
+//!   format.  The tier split and its crash-safety argument are mapped end
+//!   to end in `docs/ARCHITECTURE.md` at the workspace root.
+//! * [`wal`] — the write-ahead log behind the file tier's crash
 //!   consistency: sealed path writebacks are logged (per the
 //!   [`wal::Durability`] fsync discipline) before the tree file is touched,
 //!   folded into checkpoints, and replayed on resume.
@@ -85,9 +85,7 @@ pub use insecure::InsecureBackend;
 pub use params::OramParams;
 pub use stash::Stash;
 pub use stats::BackendStats;
-pub use storage::{
-    treetop_levels_for_budget, FileStore, StorageKind, TreeStorage, DEFAULT_MEMORY_BUDGET,
-};
+pub use storage::{treetop_levels_for_budget, StorageKind, TreeStorage, DEFAULT_MEMORY_BUDGET};
 pub use types::{AccessOp, BlockData, BlockId, Leaf};
 pub use wal::{Durability, Wal};
 
@@ -101,7 +99,6 @@ const _: () = {
     assert_send::<PathOramBackend>();
     assert_send::<InsecureBackend>();
     assert_send::<TreeStorage>();
-    assert_send::<FileStore>();
     assert_send::<Wal>();
     assert_send::<Stash>();
     assert_send::<BucketCipher>();

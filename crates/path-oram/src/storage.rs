@@ -7,12 +7,14 @@
 //! active-adversary API and snapshot persistence.  It is built on the
 //! paper's treetop observation (§5.1): level ℓ holds `2^ℓ` buckets while
 //! every access touches exactly one bucket per level, so the top `K` levels
-//! live in a RAM arena and levels ≥ `K` spill to a [`FileStore`] — a sparse
-//! file addressed with positional I/O ([`std::os::unix::fs::FileExt`]),
+//! live in a RAM arena and levels ≥ `K` spill to the store's file tier — a
+//! sparse file addressed with positional I/O ([`std::os::unix::fs::FileExt`]),
 //! laid out with the subtree layout of Ren et al. \[26\]
 //! ([`dram_sim::SubtreeLayout`]) so a root-to-leaf path falls into at most
-//! ⌈levels/k⌉ contiguous extents.  Each [`StorageKind`] is this store at one
-//! value of `K`:
+//! ⌈levels/k⌉ contiguous extents.  The store is one type: it owns the arena,
+//! the one initialised bitmap, the WAL sequence number, the open/replay path
+//! and the persist path.  Each [`StorageKind`] is this store at one value of
+//! `K`:
 //!
 //! * `Mem` — `K` = levels and no file: the arena is the whole tree, and the
 //!   backend reads and seals buckets in place through its arena accessors.
@@ -32,23 +34,23 @@
 //! through it — is mapped end to end in `docs/ARCHITECTURE.md` at the
 //! workspace root.
 //!
-//! With a [`Durability`] discipline other than `None`, the file store keeps
-//! a write-ahead log (see [`crate::wal`]): every path writeback is appended
-//! to `tree<label>.wal` before the tree file is touched, the log is folded
-//! into the `tree<label>.meta` checkpoint every `checkpoint_interval`
-//! writebacks, and [`FileStore::open`] replays the checksum-valid log tail
-//! past the last checkpoint — so a kill at any instant recovers to a
-//! consistent prefix of the access history.
+//! With a [`Durability`] discipline other than `None`, the file tier keeps
+//! a write-ahead log (see [`crate::wal`]): the file suffix of every path
+//! writeback is appended to `tree<label>.wal` before the tree file is
+//! touched, the log is folded into the `tree<label>.meta` checkpoint every
+//! `checkpoint_interval` writebacks, and [`TreeStorage::open_snapshot`]
+//! replays the checksum-valid log tail past the last checkpoint — so a kill
+//! at any instant recovers to a consistent prefix of the logged writebacks.
 //!
-//! # What the file store does and does not leak
+//! # What the file tier does and does not leak
 //!
 //! File offsets are a deterministic function of bucket indices, exactly as
 //! arena offsets were: an observer of file I/O sees the same
 //! one-path-read-one-path-write trace per access that a DRAM adversary saw.
-//! The file store reads and writes a path as whole subtree windows, and the
+//! The file tier reads and writes a path as whole subtree windows, and the
 //! window offsets and lengths are a function of the path's index list — of
 //! the public leaf — alone, never of which buckets hold real blocks.
-//! Obliviousness is unchanged.  What the file store adds is *persistence
+//! Obliviousness is unchanged.  What the file tier adds is *persistence
 //! residue*: bucket ciphertexts outlive the process, so the snapshot
 //! machinery (and the operator) must treat tree files as untrusted
 //! ciphertext, which they already are in the threat model.
@@ -73,8 +75,8 @@ pub const FILE_SUBTREE_LEVELS: u32 = 4;
 /// State-file kind byte of a tree metadata file (see [`crate::snapshot`]).
 const TREE_META_KIND: u8 = 0x10;
 
-/// Writebacks between automatic WAL checkpoints (see
-/// [`FileStore::checkpoint`]).  At the paper's ~320-byte buckets and
+/// Logged writebacks between automatic WAL folds (see
+/// [`TreeStorage::write_path`]).  At the paper's ~320-byte buckets and
 /// ~20-level paths this folds the log roughly every 6 MB, keeping replay
 /// time and log residue bounded without making checkpoint fsyncs a
 /// per-access cost.
@@ -355,7 +357,7 @@ fn windows(
     })
 }
 
-/// The file store's window staging: the bytes of the windows the last path
+/// The file tier's window staging: the bytes of the windows the last path
 /// read covered, kept so that the path's writeback can rewrite whole
 /// windows without reading them again.
 ///
@@ -532,13 +534,10 @@ fn popcount_bytes(bitmap: &[u64], bucket_bytes: usize) -> u64 {
     buckets * bucket_bytes as u64
 }
 
-/// A tree file a store has open, with the initialised bitmap and the WAL
-/// sequence number its contents stand at.
+/// A persisted tree file opened for resuming.
 struct OpenTree {
     file: File,
     path: PathBuf,
-    initialized: Vec<u64>,
-    wal_seq: u64,
 }
 
 impl OpenTree {
@@ -546,14 +545,15 @@ impl OpenTree {
     /// `writable`: validates its metadata against `params` and checks that
     /// the tree file spans the whole `layout`.  Every store kind resumes
     /// through here, so a short tree file is an [`OramError::Snapshot`]
-    /// whatever the kind.
+    /// whatever the kind.  Returns the tree with the initialised bitmap and
+    /// the WAL sequence number its metadata records.
     fn open(
         params: &OramParams,
         layout: &SubtreeLayout,
         dir: &Path,
         label: u32,
         writable: bool,
-    ) -> Result<Self, OramError> {
+    ) -> Result<(Self, Vec<u64>, u64), OramError> {
         let (initialized, wal_seq) = read_tree_meta(
             &tree_meta_path(dir, label),
             params.num_buckets() as usize,
@@ -579,673 +579,14 @@ impl OpenTree {
                 ),
             });
         }
-        Ok(Self {
-            file,
-            path,
-            initialized,
-            wal_seq,
-        })
-    }
-
-    /// Replays the checksum-valid tail of the log beside the tree, if there
-    /// is one, through `apply(tree file, index, image)`: each replayed
-    /// bucket is marked initialised and `wal_seq` advances to the last
-    /// record.  Replay stops cleanly at the first torn or invalid record —
-    /// the expected shape of a crash — and is idempotent (records are full
-    /// bucket post-images), so it does not matter how much of the log the
-    /// tree had absorbed before the kill.  Returns whether there was a log.
-    fn replay_wal(
-        &mut self,
-        params: &OramParams,
-        dir: &Path,
-        label: u32,
-        mut apply: impl FnMut(&File, u64, &[u8]) -> std::io::Result<()>,
-    ) -> Result<bool, OramError> {
-        let (num_buckets, bucket_bytes) = (params.num_buckets(), params.bucket_bytes());
-        let wal_path = wal::wal_file_path(dir, label);
-        let summary = wal::replay(&wal_path, bucket_bytes, |seq, indices, images| {
-            for (&index, image) in indices.iter().zip(images.chunks_exact(bucket_bytes)) {
-                if index >= num_buckets {
-                    return Err(OramError::Storage {
-                        detail: format!(
-                            "WAL record {seq} names bucket {index} outside the \
-                             {num_buckets}-bucket tree @ {}",
-                            wal_path.display()
-                        ),
-                    });
-                }
-                apply(&self.file, index, image)
-                    .map_err(|e| io_err_bucket("replay bucket", index, &self.path, e))?;
-                bit_set(&mut self.initialized, index);
-            }
-            Ok(())
-        })?;
-        if let Some(s) = &summary {
-            if s.header_valid {
-                self.wal_seq = self.wal_seq.max(s.last_seq);
-            }
-        }
-        Ok(summary.is_some())
+        Ok((Self { file, path }, initialized, wal_seq))
     }
 }
-
-/// Writes a standalone copy of a tree into `dir` as a fresh sparse
-/// `tree<label>.oram`: each bucket below `num_buckets` that `initialized`
-/// marks, its image filled in by `image`, at its `layout` offset, then
-/// synced.  The copy is complete as of the caller's sequence number, so a
-/// stale log beside it — which would replay foreign buckets over it on
-/// resume — is removed.  The caller writes the metadata file.
-fn copy_tree(
-    dir: &Path,
-    label: u32,
-    layout: &SubtreeLayout,
-    bucket_bytes: usize,
-    num_buckets: usize,
-    initialized: &[u64],
-    mut image: impl FnMut(u64, &mut [u8]) -> Result<(), OramError>,
-) -> Result<(), OramError> {
-    std::fs::create_dir_all(dir).map_err(|e| io_err("creating", dir, e))?;
-    let target = tree_file_path(dir, label);
-    let out = OpenOptions::new()
-        .write(true)
-        .create(true)
-        .truncate(true)
-        .open(&target)
-        .map_err(|e| io_err("creating", &target, e))?;
-    out.set_len(layout.total_bytes())
-        .map_err(|e| io_err("sizing", &target, e))?;
-    let mut buf = vec![0u8; bucket_bytes];
-    for index in (0..num_buckets as u64).filter(|&i| bit_get(initialized, i)) {
-        image(index, &mut buf)?;
-        out.write_all_at(&buf, layout.linear_bucket_address(index))
-            .map_err(|e| io_err_bucket("persist bucket", index, &target, e))?;
-    }
-    out.sync_all().map_err(|e| io_err("syncing", &target, e))?;
-    let _ = std::fs::remove_file(wal::wal_file_path(dir, label));
-    Ok(())
-}
-
-/// Fills the arena `top` (the first `top.len() / bucket_bytes` buckets)
-/// with the image of each bucket `initialized` marks, read by `read`.
-fn fill_arena(
-    top: &mut [u8],
-    bucket_bytes: usize,
-    initialized: &[u64],
-    mut read: impl FnMut(u64, &mut [u8]) -> Result<(), OramError>,
-) -> Result<(), OramError> {
-    for (index, slot) in (0u64..).zip(top.chunks_exact_mut(bucket_bytes)) {
-        if bit_get(initialized, index) {
-            read(index, slot)?;
-        }
-    }
-    Ok(())
-}
-
-// =====================================================================
-// FileStore
-// =====================================================================
-
-/// The file-backed tree store: bucket images in one sparse file at their
-/// [`dram_sim::SubtreeLayout`] offsets, accessed with positional I/O.  This
-/// is the spill tier under a [`TreeStorage`]'s arena (the whole tree at
-/// `K` = 0), and the store the kill-point suite drives directly.
-///
-/// The initialised bitmap lives in memory while the store is live and is
-/// written to the sidecar `tree<label>.meta` file by
-/// [`FileStore::persist_to`] and by WAL checkpoints.  Crash consistency
-/// depends on the [`Durability`] discipline the store was built with:
-/// under [`Durability::None`] the tree is consistent only at successful
-/// `persist` boundaries (the pre-WAL behaviour); under `Batch`/`Strict`
-/// every writeback is logged to `tree<label>.wal` before it is applied and
-/// [`FileStore::open`] replays the checksum-valid log tail, so a kill at
-/// any instant recovers to a consistent prefix of the access history.
-#[derive(Debug)]
-pub struct FileStore {
-    file: File,
-    tree_path: PathBuf,
-    dir: PathBuf,
-    label: u32,
-    layout: SubtreeLayout,
-    initialized: Vec<u64>,
-    bucket_bytes: usize,
-    num_buckets: usize,
-    /// Window staging for path reads and writebacks; allocated once so the
-    /// steady-state access path stays allocation-free.
-    stage: Stage,
-    /// Set for [`StorageKind::TempFile`] stores: the directory is removed
-    /// on drop.
-    remove_on_drop: bool,
-    /// The write-ahead log; `None` under [`Durability::None`], in which
-    /// case the whole logging/checkpointing machinery is inert.
-    wal: Option<Wal>,
-    /// Sequence number of the last writeback applied to the tree (== the
-    /// last WAL append when logging, frozen at its recovered value when
-    /// not).
-    wal_seq: u64,
-    /// Writebacks since the last checkpoint fold.
-    records_since_checkpoint: u64,
-    /// Auto-checkpoint cadence in writebacks.
-    checkpoint_interval: u64,
-    /// Fault injection (kill-point suite): remaining bucket writes the
-    /// tree file will accept before a simulated kill.
-    fail_tree_writes_after: Option<u64>,
-}
-
-impl FileStore {
-    /// Creates a **fresh** file-backed tree under `dir` (truncating any
-    /// existing `tree<label>` files there).  Under a logged [`Durability`]
-    /// the store also writes an initial (empty) checkpoint and opens a
-    /// fresh WAL, so a kill before the first explicit `persist` already
-    /// recovers instead of leaving an unreadable directory.
-    ///
-    /// # Errors
-    ///
-    /// [`OramError::Storage`] on I/O failure.
-    pub fn create(
-        params: &OramParams,
-        dir: &Path,
-        label: u32,
-        durability: Durability,
-    ) -> Result<Self, OramError> {
-        std::fs::create_dir_all(dir).map_err(|e| io_err("creating", dir, e))?;
-        let path = tree_file_path(dir, label);
-        let file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(&path)
-            .map_err(|e| io_err("creating", &path, e))?;
-        let layout = file_layout(params);
-        // A sparse file: the full tree geometry is reserved in the address
-        // space, but unwritten regions occupy no disk blocks (the file
-        // analogue of the arena's copy-on-write zero pages).
-        file.set_len(layout.total_bytes())
-            .map_err(|e| io_err("sizing", &path, e))?;
-        // A fresh tree owes nothing to any previous occupant of the
-        // directory: a leftover log would replay a stranger's buckets.
-        let _ = std::fs::remove_file(wal::wal_file_path(dir, label));
-        let tree = OpenTree {
-            file,
-            path,
-            initialized: vec![0u64; (params.num_buckets() as usize).div_ceil(64)],
-            wal_seq: 0,
-        };
-        let mut store = Self::from_tree(params, dir, label, layout, tree);
-        if durability.is_logged() {
-            store.checkpoint()?;
-        }
-        store.start_log(durability)?;
-        Ok(store)
-    }
-
-    /// Creates a fresh file-backed tree in a unique temporary directory
-    /// that is removed when the store is dropped.
-    ///
-    /// # Errors
-    ///
-    /// [`OramError::Storage`] on I/O failure.
-    pub fn create_temp(
-        params: &OramParams,
-        label: u32,
-        durability: Durability,
-    ) -> Result<Self, OramError> {
-        let unique = format!(
-            "oram-tree-{}-{}",
-            std::process::id(),
-            TEMP_STORE_COUNTER.fetch_add(1, Ordering::Relaxed)
-        );
-        let dir = std::env::temp_dir().join(unique);
-        let mut store = Self::create(params, &dir, label, durability)?;
-        store.remove_on_drop = true;
-        Ok(store)
-    }
-
-    /// Reopens a persisted file-backed tree in place: the snapshot
-    /// directory becomes (or stays) the live storage directory.
-    ///
-    /// Recovery happens here: if a `tree<label>.wal` is present its
-    /// checksum-valid tail is replayed into the tree file, the recovered
-    /// state is folded into a fresh checkpoint, and — under a logged
-    /// [`Durability`] — a new log generation is opened.
-    ///
-    /// # Errors
-    ///
-    /// [`OramError::Storage`] on I/O failure, [`OramError::Snapshot`] /
-    /// [`OramError::IntegrityViolation`] for missing, short or corrupt tree
-    /// files.
-    pub fn open(
-        params: &OramParams,
-        dir: &Path,
-        label: u32,
-        durability: Durability,
-    ) -> Result<Self, OramError> {
-        let layout = file_layout(params);
-        let mut tree = OpenTree::open(params, &layout, dir, label, true)?;
-        let logged = tree.replay_wal(params, dir, label, |file, index, image| {
-            file.write_all_at(image, layout.linear_bucket_address(index))
-        })?;
-        let mut store = Self::from_tree(params, dir, label, layout, tree);
-        if logged {
-            // Fold whatever the log contributed into a fresh checkpoint so
-            // the recovered state stands on its own...
-            store.checkpoint()?;
-            if !durability.is_logged() {
-                // ...and drop the log when the new discipline won't keep one.
-                let _ = std::fs::remove_file(wal::wal_file_path(dir, label));
-            }
-        }
-        store.start_log(durability)?;
-        Ok(store)
-    }
-
-    fn from_tree(
-        params: &OramParams,
-        dir: &Path,
-        label: u32,
-        layout: SubtreeLayout,
-        tree: OpenTree,
-    ) -> Self {
-        Self {
-            file: tree.file,
-            tree_path: tree.path,
-            dir: dir.to_path_buf(),
-            label,
-            stage: Stage::new(&layout, params.bucket_bytes()),
-            layout,
-            initialized: tree.initialized,
-            bucket_bytes: params.bucket_bytes(),
-            num_buckets: params.num_buckets() as usize,
-            remove_on_drop: false,
-            wal: None,
-            wal_seq: tree.wal_seq,
-            records_since_checkpoint: 0,
-            checkpoint_interval: DEFAULT_CHECKPOINT_INTERVAL,
-            fail_tree_writes_after: None,
-        }
-    }
-
-    /// Opens a fresh log generation after `wal_seq` under a logged
-    /// `durability`.
-    fn start_log(&mut self, durability: Durability) -> Result<(), OramError> {
-        if durability.is_logged() {
-            self.wal = Some(Wal::create(
-                &self.dir,
-                self.label,
-                self.bucket_bytes,
-                self.wal_seq,
-                durability,
-            )?);
-        }
-        Ok(())
-    }
-
-    /// The directory holding this store's tree files.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// Sequence number of the last writeback applied to this tree.
-    pub fn wal_seq(&self) -> u64 {
-        self.wal_seq
-    }
-
-    /// Whether this store keeps a write-ahead log.
-    pub fn has_wal(&self) -> bool {
-        self.wal.is_some()
-    }
-
-    /// Folds the applied log into the on-disk checkpoint: flush the tree
-    /// file, rewrite `tree<label>.meta` (atomically, see
-    /// [`crate::snapshot::write_state_file`]) to cover sequence number
-    /// `wal_seq`, then restart the log in place ([`Wal::restart`]: a new
-    /// header, synced; the next records overwrite the old ones).  A crash
-    /// between any two of these steps is safe: before the meta write the
-    /// old checkpoint + full log still recover everything; after it the new
-    /// checkpoint covers every record of the old generation, so an old, a
-    /// torn or a new header all recover the same tree.
-    ///
-    /// Runs automatically every `checkpoint_interval` writebacks; callable
-    /// directly for an explicit fold.
-    ///
-    /// # Errors
-    ///
-    /// [`OramError::Storage`] on I/O failure.
-    // lint: no-panic
-    pub fn checkpoint(&mut self) -> Result<(), OramError> {
-        self.file
-            .sync_all()
-            .map_err(|e| io_err("syncing", &self.tree_path, e))?;
-        write_tree_meta(
-            &tree_meta_path(&self.dir, self.label),
-            self.num_buckets,
-            self.bucket_bytes,
-            self.layout.subtree_levels(),
-            &self.initialized,
-            self.wal_seq,
-        )?;
-        if let Some(wal) = self.wal.as_mut() {
-            wal.restart(self.wal_seq)?;
-        }
-        self.records_since_checkpoint = 0;
-        Ok(())
-    }
-    // lint: end
-
-    /// Overrides the auto-checkpoint cadence (clamped to ≥ 1).  Test
-    /// harness hook; the default is [`DEFAULT_CHECKPOINT_INTERVAL`].
-    #[doc(hidden)]
-    pub fn set_checkpoint_interval(&mut self, records: u64) {
-        self.checkpoint_interval = records.max(1);
-    }
-
-    /// Fault-injection hook (kill-point suite): permit at most `bytes`
-    /// further WAL bytes, then fail appends leaving a torn record.  No-op
-    /// without a WAL.
-    #[doc(hidden)]
-    pub fn set_fail_after_wal_bytes(&mut self, bytes: u64) {
-        if let Some(wal) = self.wal.as_mut() {
-            wal.set_crash_after_bytes(bytes);
-        }
-    }
-
-    /// Fault-injection hook (kill-point suite): permit at most `writes`
-    /// further bucket writes to the tree file, then fail.  Budgets are
-    /// charged per bucket; a path window that would cross the budget fails
-    /// before any of its bytes reach the file.
-    #[doc(hidden)]
-    pub fn set_fail_after_tree_writes(&mut self, writes: u64) {
-        self.fail_tree_writes_after = Some(writes);
-    }
-
-    /// Charges `buckets` bucket writes against the fault-injection budget,
-    /// failing (and exhausting it) when they do not all fit.
-    fn charge_tree_writes(&mut self, buckets: u64, first_index: u64) -> Result<(), OramError> {
-        let Some(budget) = self.fail_tree_writes_after else {
-            return Ok(());
-        };
-        if budget < buckets {
-            self.fail_tree_writes_after = Some(0);
-            return Err(OramError::Storage {
-                detail: format!(
-                    "injected crash before tree write of bucket {first_index} @ {}",
-                    self.tree_path.display()
-                ),
-            });
-        }
-        self.fail_tree_writes_after = Some(budget - buckets);
-        Ok(())
-    }
-
-    #[inline]
-    fn offset(&self, index: u64) -> u64 {
-        self.layout.linear_bucket_address(index)
-    }
-
-    /// Sorts the buckets of `indices` by file offset into `runs` as
-    /// `(offset, position in indices)` pairs; returns how many there are.
-    // lint: ct-scope, no-alloc
-    fn runs_by_offset(&self, indices: &[u64], runs: &mut [(u64, usize)]) -> usize {
-        assert!(
-            indices.len() <= runs.len(),
-            "index list longer than the WAL record bound"
-        );
-        for (run, (level, &index)) in runs.iter_mut().zip(indices.iter().enumerate()) {
-            *run = (self.offset(index), level);
-        }
-        runs[..indices.len()].sort_unstable();
-        indices.len()
-    }
-
-    /// Writes `buf` (one image per index, at stride `bucket_bytes`) with one
-    /// positional write per window (see [`windows`]).  The bytes between
-    /// the buckets are the file's own current bytes — taken from the window
-    /// the preceding path read staged, or read back first when no staged
-    /// window contains this one — so the file ends up byte-identical to
-    /// writing each bucket alone, and a torn window write rewrites the
-    /// neighbours with what they already held.
-    fn write_windows(&mut self, indices: &[u64], buf: &[u8]) -> Result<(), OramError> {
-        let bb = self.bucket_bytes;
-        let mut runs = [(0u64, 0usize); MAX_RECORD_BUCKETS];
-        let n = self.runs_by_offset(indices, &mut runs);
-        // Nothing counts as staged while the file is being written, so an
-        // error part-way leaves the staging dropped.
-        let staged = self.stage.valid.take();
-        let mut coherent = true;
-        for group in windows(&runs[..n], bb as u64, self.stage.window as u64) {
-            let start = runs[group.start].0;
-            let len = (runs[group.end - 1].0 - start) as usize + bb;
-            let first_index = indices[runs[group.start].1];
-            self.charge_tree_writes(group.len() as u64, first_index)?;
-            let (slot, at) = match self.stage.containing(staged, start, len) {
-                Some(slot) => (slot, (start - self.stage.spans[slot].0) as usize),
-                None => {
-                    // Not staged (a write with no path read before it):
-                    // read the window's bytes first.
-                    // It may overlap staged windows, which it makes stale.
-                    coherent = false;
-                    let spare = self.stage.spans.len();
-                    self.file
-                        .read_exact_at(&mut self.stage.slot_mut(spare)[..len], start)
-                        .map_err(|e| {
-                            io_err_bucket("write_path window read", first_index, &self.tree_path, e)
-                        })?;
-                    (spare, 0)
-                }
-            };
-            let image = &mut self.stage.slot_mut(slot)[at..at + len];
-            for &(offset, level) in &runs[group.start..group.end] {
-                let rel = (offset - start) as usize;
-                image[rel..rel + bb].copy_from_slice(&buf[level * bb..(level + 1) * bb]);
-            }
-            self.file
-                .write_all_at(image, start)
-                .map_err(|e| io_err_bucket("write_path window", first_index, &self.tree_path, e))?;
-            for &(_, level) in &runs[group] {
-                bit_set(&mut self.initialized, indices[level]);
-            }
-        }
-        if coherent {
-            self.stage.valid.set(staged);
-        }
-        Ok(())
-    }
-    // lint: end
-}
-
-impl Drop for FileStore {
-    fn drop(&mut self) {
-        if self.remove_on_drop {
-            // Best-effort cleanup of a throwaway temp store.
-            let _ = std::fs::remove_file(&self.tree_path);
-            let _ = std::fs::remove_file(tree_meta_path(&self.dir, self.label));
-            let _ = std::fs::remove_file(wal::wal_file_path(&self.dir, self.label));
-            let _ = std::fs::remove_dir(&self.dir);
-        }
-    }
-}
-
-/// The bucket API: indexed by the *linear* (heap-order) bucket index of
-/// [`crate::tree::bucket_linear_index`]; a bucket that has never been
-/// written reads as all zero bytes.
-impl FileStore {
-    /// Whether a bucket has ever been written.
-    #[inline]
-    pub fn is_initialized(&self, index: u64) -> bool {
-        bit_get(&self.initialized, index)
-    }
-
-    /// Copies the raw (encrypted) image of a bucket into `out`, which must
-    /// be exactly `bucket_bytes` long.
-    ///
-    /// # Errors
-    ///
-    /// [`OramError::Storage`] on I/O failure.
-    pub fn read_bucket_into(&self, index: u64, out: &mut [u8]) -> Result<(), OramError> {
-        debug_assert_eq!(out.len(), self.bucket_bytes);
-        self.file
-            .read_exact_at(out, self.offset(index))
-            .map_err(|e| io_err_bucket("read_bucket", index, &self.tree_path, e))
-    }
-
-    /// Writes the raw image of a bucket, marking it initialised.  `image`
-    /// must be exactly `bucket_bytes` long.  Not logged: only
-    /// [`FileStore::write_path`] writebacks reach the WAL.
-    ///
-    /// # Errors
-    ///
-    /// [`OramError::Storage`] on I/O failure.
-    pub fn write_bucket(&mut self, index: u64, image: &[u8]) -> Result<(), OramError> {
-        assert_eq!(
-            image.len(),
-            self.bucket_bytes,
-            "bucket image must be exactly bucket_bytes long"
-        );
-        self.charge_tree_writes(1, index)?;
-        self.stage.drop_all();
-        self.file
-            .write_all_at(image, self.offset(index))
-            .map_err(|e| io_err_bucket("write_bucket", index, &self.tree_path, e))?;
-        bit_set(&mut self.initialized, index);
-        Ok(())
-    }
-
-    /// Batched span write: writes every bucket of `indices` from `buf` at
-    /// stride `level * bucket_bytes`, marking all of them initialised, with
-    /// one positional write per subtree window (see `write_windows`) after
-    /// appending the whole image to the WAL.
-    ///
-    /// # Errors
-    ///
-    /// [`OramError::Storage`] on I/O failure.
-    // lint: ct-scope, no-alloc
-    pub fn write_path(&mut self, indices: &[u64], buf: &[u8]) -> Result<(), OramError> {
-        // WAL-before-tree: the sealed path image is appended (and, per the
-        // fsync discipline, made durable) before the first in-place tree
-        // write starts.  A kill anywhere in here leaves either a torn log
-        // record (the writeback never happened) or a complete one (replay
-        // finishes the tree writes on open).
-        if let Some(wal) = self.wal.as_mut() {
-            // lint: allow(no-alloc, `Wal::append` frames the record in its preallocated buffer; not `Vec::append`)
-            self.wal_seq = wal.append(indices, buf)?;
-        }
-        self.write_windows(indices, buf)?;
-        if self.wal.is_some() {
-            self.records_since_checkpoint += 1;
-            if self.records_since_checkpoint >= self.checkpoint_interval {
-                self.checkpoint()?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Batched span read: copies every *initialised* bucket of `indices`
-    /// into `buf` at stride `level * bucket_bytes`; slots of uninitialised
-    /// buckets are left untouched.  Takes `&mut self` to stage the windows
-    /// it reads for the writeback.
-    ///
-    /// # Errors
-    ///
-    /// [`OramError::Storage`] on I/O failure.
-    pub fn read_path_into(&mut self, indices: &[u64], buf: &mut [u8]) -> Result<(), OramError> {
-        // Coalesced path read: sort the buckets by file offset and read each
-        // window (see `windows`) with a single positional read — at most
-        // ⌈levels/k⌉ reads for a root-to-leaf path.  Windows cover every
-        // bucket of the list, initialised or not, so which bytes are read
-        // depends on the index list (the leaf) alone.  A window may cover
-        // buckets of *other* paths; their bytes are never copied out, but
-        // each window stays staged so the writeback can rewrite it whole.
-        let bb = self.bucket_bytes;
-        let mut runs = [(0u64, 0usize); MAX_RECORD_BUCKETS];
-        let n = self.runs_by_offset(indices, &mut runs);
-        self.stage.drop_all();
-        let slots = self.stage.spans.len();
-        let mut staged = 0;
-        for group in windows(&runs[..n], bb as u64, self.stage.window as u64) {
-            let start = runs[group.start].0;
-            let len = (runs[group.end - 1].0 - start) as usize + bb;
-            // A list with more windows than a path has reads the surplus
-            // through the spare slot, unstaged.
-            let slot = staged.min(slots);
-            let chunk = &mut self.stage.slot_mut(slot)[..len];
-            self.file
-                .read_exact_at(chunk, start)
-                .map_err(|e| io_err("reading path extent from", &self.tree_path, e))?;
-            for &(offset, level) in &runs[group] {
-                if bit_get(&self.initialized, indices[level]) {
-                    let rel = (offset - start) as usize;
-                    buf[level * bb..(level + 1) * bb].copy_from_slice(&chunk[rel..rel + bb]);
-                }
-            }
-            if slot < slots {
-                self.stage.spans[slot] = (start, len);
-                staged += 1;
-            }
-        }
-        self.stage.valid.set(staged);
-        Ok(())
-    }
-    // lint: end
-
-    /// Persists the tree into `dir` as `tree<label>.oram` (bucket images at
-    /// their subtree-layout offsets; one format for every store kind, so any
-    /// snapshot resumes as any kind) plus `tree<label>.meta` (geometry +
-    /// initialised bitmap, digest-sealed).  Persisting into the live
-    /// directory just flushes.
-    ///
-    /// # Errors
-    ///
-    /// [`OramError::Storage`] on I/O failure.
-    pub fn persist_to(&self, dir: &Path, label: u32) -> Result<(), OramError> {
-        let target = tree_file_path(dir, label);
-        let in_place = match (
-            std::fs::canonicalize(&target),
-            std::fs::canonicalize(&self.tree_path),
-        ) {
-            (Ok(a), Ok(b)) => a == b,
-            _ => false,
-        };
-        if in_place {
-            self.file
-                .sync_all()
-                .map_err(|e| io_err("syncing", &self.tree_path, e))?;
-            // The live log, without the stale tail earlier generations left
-            // behind: a persisted directory holds exactly what it needs.
-            if let Some(wal) = &self.wal {
-                wal.trim()?;
-            }
-        } else {
-            copy_tree(
-                dir,
-                label,
-                &self.layout,
-                self.bucket_bytes,
-                self.num_buckets,
-                &self.initialized,
-                |index, out| self.read_bucket_into(index, out),
-            )?;
-        }
-        // In place, the live records stay: replay is idempotent, and the
-        // meta written below covers everything applied so far anyway.
-        write_tree_meta(
-            &tree_meta_path(dir, label),
-            self.num_buckets,
-            self.bucket_bytes,
-            self.layout.subtree_levels(),
-            &self.initialized,
-            self.wal_seq,
-        )
-    }
-}
-
-// =====================================================================
-// TreeStorage
-// =====================================================================
 
 /// Number of tree levels a treetop byte budget pins in RAM: the largest
 /// `K ≤ levels` with `(2^K - 1) * bucket_bytes ≤ memory_budget` (the top
 /// `K` levels occupy linear bucket indices `0 .. 2^K - 1`).  `K = 0` is a
-/// pure file store, `K = levels` a RAM-resident tree that only touches disk
+/// pure file tier, `K = levels` a RAM-resident tree that only touches disk
 /// at checkpoints.
 pub fn treetop_levels_for_budget(params: &OramParams, memory_budget: u64) -> u32 {
     let bucket_bytes = params.bucket_bytes() as u64;
@@ -1260,9 +601,71 @@ pub fn treetop_levels_for_budget(params: &OramParams, memory_budget: u64) -> u32
     k
 }
 
-/// The tree store the backend holds: a RAM arena over the top `K` levels
-/// and, for the file-backed kinds, a [`FileStore`] spanning the *whole*
-/// tree file below it.
+/// The file tier of a [`TreeStorage`]: the open tree file and what writing
+/// it takes.  A plain bundle of fields; the store does all the work.
+#[derive(Debug)]
+struct FileTier {
+    file: File,
+    /// The tree file's path, `tree<label>.oram` under `dir`.
+    path: PathBuf,
+    /// The directory holding the tree, metadata and log files.
+    dir: PathBuf,
+    label: u32,
+    /// Window staging for path reads and writebacks; allocated once so the
+    /// steady-state access path stays allocation-free.
+    stage: Stage,
+    /// Set for the temporary kinds: the files and the directory are
+    /// removed on drop.
+    remove_on_drop: bool,
+    /// The write-ahead log; `None` under [`Durability::None`], in which
+    /// case the whole logging/checkpointing machinery is inert.
+    wal: Option<Wal>,
+    /// Logged writebacks since the last log fold.
+    records_since_checkpoint: u64,
+    /// Auto-checkpoint cadence in writebacks.
+    checkpoint_interval: u64,
+    /// Fault injection (kill-point suite): remaining bucket writes the
+    /// tree file will accept before a simulated kill.
+    fail_tree_writes_after: Option<u64>,
+}
+
+impl Drop for FileTier {
+    fn drop(&mut self) {
+        if self.remove_on_drop {
+            // Best-effort cleanup of a throwaway temp store.
+            let _ = std::fs::remove_file(&self.path);
+            let _ = std::fs::remove_file(tree_meta_path(&self.dir, self.label));
+            let _ = std::fs::remove_file(wal::wal_file_path(&self.dir, self.label));
+            let _ = std::fs::remove_dir(&self.dir);
+        }
+    }
+}
+
+/// Charges `buckets` bucket writes against the tier's fault-injection
+/// budget, failing (and exhausting it) when they do not all fit.
+fn charge_tree_writes(
+    tier: &mut FileTier,
+    buckets: u64,
+    first_index: u64,
+) -> Result<(), OramError> {
+    let Some(budget) = tier.fail_tree_writes_after else {
+        return Ok(());
+    };
+    if budget < buckets {
+        tier.fail_tree_writes_after = Some(0);
+        return Err(OramError::Storage {
+            detail: format!(
+                "injected crash before tree write of bucket {first_index} @ {}",
+                tier.path.display()
+            ),
+        });
+    }
+    tier.fail_tree_writes_after = Some(budget - buckets);
+    Ok(())
+}
+
+/// The one tree store: a RAM arena over the top `K` levels and, for the
+/// file-backed kinds, a sparse tree file spanning the *whole* tree below it.
 ///
 /// The paper's treetop observation (§5.1) is that the top of the tree is
 /// touched on **every** access — level `ℓ` has only `2^ℓ` buckets, so a
@@ -1289,6 +692,22 @@ pub fn treetop_levels_for_budget(params: &OramParams, memory_budget: u64) -> u32
 /// indexed by the *linear* (heap-order) index of
 /// [`crate::tree::bucket_linear_index`].
 ///
+/// # The file tier
+///
+/// Bucket images sit in one sparse file at their
+/// [`dram_sim::SubtreeLayout`] offsets, accessed with positional I/O; a
+/// path is read and written as whole subtree windows.  The initialised
+/// bitmap lives in memory and is written to the sidecar `tree<label>.meta`
+/// by [`TreeStorage::persist_to`] and by checkpoints.  Crash consistency
+/// depends on the [`Durability`] the store was built with: under
+/// [`Durability::None`] the tree is consistent only at successful persist
+/// boundaries; under `Batch`/`Strict` every file-tier writeback is logged
+/// to `tree<label>.wal` before it is applied, the log is folded into the
+/// metadata every `checkpoint_interval` writebacks, and
+/// [`TreeStorage::open_snapshot`] replays the checksum-valid log tail, so a
+/// kill at any instant recovers to a consistent prefix of the logged
+/// writebacks.
+///
 /// # Tier invariants
 ///
 /// * The file tier is laid out for the **full** tree (same sparse file,
@@ -1299,17 +718,17 @@ pub fn treetop_levels_for_budget(params: &OramParams, memory_budget: u64) -> u32
 ///   the dirty bitmap records which arena images the file does not have
 ///   yet.  [`TreeStorage::checkpoint`] and [`TreeStorage::persist_to`]
 ///   flush them first.
-/// * With a file tier the initialised bitmap is the file store's (one
-///   bitmap for the whole tree), so metadata checkpoints cover both tiers.
+/// * One initialised bitmap covers both tiers, so metadata checkpoints
+///   cover both.
 ///
 /// # Why WAL exemption of the treetop is crash-safe
 ///
-/// Deep writebacks go through [`FileStore::write_path`] and are logged
-/// under a logged [`Durability`]; treetop writes land only in RAM and are
-/// **not** logged — logging them would reintroduce the per-access I/O the
-/// arena exists to remove.  Crash safety is preserved because recovery can
-/// never *silently* serve a stale treetop: the controller snapshot records
-/// the WAL sequence barrier at persist time, persist/checkpoint flush the
+/// Only the file suffix of a writeback is logged under a logged
+/// [`Durability`]; treetop writes land only in RAM and are **not** logged
+/// — logging them would reintroduce the per-access I/O the arena exists to
+/// remove.  Crash safety is preserved because recovery can never
+/// *silently* serve a stale treetop: the controller snapshot records the
+/// WAL sequence barrier at persist time, persist/checkpoint flush the
 /// treetop before advertising that barrier, and
 /// `PathOramBackend::load_controller_state` refuses any store whose
 /// recovered sequence number differs from the barrier.  A kill between
@@ -1328,22 +747,21 @@ pub struct TreeStorage {
     treetop_levels: u32,
     bucket_bytes: usize,
     num_buckets: usize,
-    /// The layout of the tree file a persist writes.
+    /// The layout of the tree file the file tier keeps and a persist writes.
     layout: SubtreeLayout,
-    /// The spill tier, spanning the whole tree file; `None` when the arena
-    /// is the whole tree.  Owns the initialised bitmap, the WAL and the
-    /// checkpoint machinery.
-    file: Option<FileStore>,
+    /// One bit per bucket of either tier: has it ever been written?
+    initialized: Vec<u64>,
+    /// Sequence number of the last *logged* writeback the contents cover:
+    /// the last WAL append while the file tier logs, otherwise the number
+    /// the tree was created (0) or recovered at.  Carrying it without a log
+    /// lets a logged snapshot resume in memory with the controller barrier
+    /// check still lined up.
+    wal_seq: u64,
     /// One bit per treetop bucket: the arena image is newer than the tree
     /// file.  Empty without a file tier.
     top_dirty: Vec<u64>,
-    /// One bit per bucket, without a file tier: has it ever been written?
-    initialized: Vec<u64>,
-    /// Without a file tier, the WAL sequence number the contents cover: 0
-    /// for a fresh arena, the recovered number after a resume.  Nothing
-    /// here logs, but carrying it lets a WAL'd snapshot resume in memory
-    /// with the controller barrier check still lined up.
-    wal_seq: u64,
+    /// The file tier; `None` when the arena is the whole tree.
+    file: Option<FileTier>,
 }
 
 impl TreeStorage {
@@ -1351,19 +769,14 @@ impl TreeStorage {
     /// by `params` (the `Mem` kind).  All buckets start uninitialised (and
     /// all-zero).
     pub fn new(params: &OramParams) -> Self {
-        Self::with_tiers(params, params.levels(), None)
+        Self::with_treetop(params, params.levels())
     }
 
-    /// A zeroed arena over the top `treetop_levels` levels, above `file`
-    /// (`None`: the arena is the whole tree).  Resuming over a file loads
-    /// the arena afterwards (see [`TreeStorage::open_snapshot`]).
-    fn with_tiers(params: &OramParams, treetop_levels: u32, file: Option<FileStore>) -> Self {
+    /// A zeroed arena over the top `treetop_levels` levels and no file tier
+    /// yet ([`TreeStorage::attach_file`] adds one).
+    fn with_treetop(params: &OramParams, treetop_levels: u32) -> Self {
         let num_buckets = params.num_buckets() as usize;
         let treetop_buckets = (1usize << treetop_levels) - 1;
-        let (initialized, top_dirty) = match file {
-            Some(_) => (Vec::new(), vec![0u64; treetop_buckets.div_ceil(64)]),
-            None => (vec![0u64; num_buckets.div_ceil(64)], Vec::new()),
-        };
         Self {
             top: vec![0u8; treetop_buckets * params.bucket_bytes()],
             treetop_buckets: treetop_buckets as u64,
@@ -1371,17 +784,55 @@ impl TreeStorage {
             bucket_bytes: params.bucket_bytes(),
             num_buckets,
             layout: file_layout(params),
-            file,
-            top_dirty,
-            initialized,
+            initialized: vec![0u64; num_buckets.div_ceil(64)],
             wal_seq: 0,
+            top_dirty: Vec::new(),
+            file: None,
         }
+    }
+
+    /// Puts the tree file `file` at `path`, `tree<label>.oram` under `dir`,
+    /// below the arena, with no log yet.
+    fn attach_file(&mut self, file: File, path: PathBuf, dir: &Path, label: u32, temp: bool) {
+        self.top_dirty = vec![0u64; (self.treetop_buckets as usize).div_ceil(64)];
+        self.file = Some(FileTier {
+            file,
+            path,
+            dir: dir.to_path_buf(),
+            label,
+            stage: Stage::new(&self.layout, self.bucket_bytes),
+            remove_on_drop: temp,
+            wal: None,
+            records_since_checkpoint: 0,
+            checkpoint_interval: DEFAULT_CHECKPOINT_INTERVAL,
+            fail_tree_writes_after: None,
+        });
+    }
+
+    /// Opens a fresh log generation after `wal_seq` when there is a file
+    /// tier and `durability` logs.
+    fn start_log(&mut self, durability: Durability) -> Result<(), OramError> {
+        if let Some(tier) = self.file.as_mut().filter(|_| durability.is_logged()) {
+            tier.wal = Some(Wal::create(
+                &tier.dir,
+                tier.label,
+                self.bucket_bytes,
+                self.wal_seq,
+                durability,
+            )?);
+        }
+        Ok(())
     }
 
     /// Creates a fresh store of the given kind.  `label` distinguishes
     /// several trees sharing one directory (the per-level ORAMs of a
-    /// frontend without a PLB).  `durability` selects the WAL discipline of
-    /// the file tier; without one there is nothing to log and it is ignored.
+    /// frontend without a PLB).  A file-backed kind truncates any
+    /// `tree<label>` files already in its directory (the temporary kinds
+    /// use a unique directory, removed on drop).  `durability` selects the
+    /// WAL discipline of the file tier; under a logged one the store also
+    /// writes an initial (empty) checkpoint and opens a fresh log, so a
+    /// kill before the first persist already recovers.  Without a file tier
+    /// there is nothing to log and it is ignored.
     ///
     /// # Errors
     ///
@@ -1392,25 +843,53 @@ impl TreeStorage {
         label: u32,
         durability: Durability,
     ) -> Result<Self, OramError> {
-        let file = match kind {
-            StorageKind::Mem => None,
-            StorageKind::File { dir } | StorageKind::Tiered { dir, .. } => {
-                Some(FileStore::create(params, dir, label, durability)?)
-            }
+        let mut store = Self::with_treetop(params, kind.treetop_levels(params));
+        let (dir, temp) = match kind {
+            StorageKind::Mem => return Ok(store),
+            StorageKind::File { dir } | StorageKind::Tiered { dir, .. } => (dir.clone(), false),
             StorageKind::TempFile | StorageKind::TempTiered { .. } => {
-                Some(FileStore::create_temp(params, label, durability)?)
+                let unique = format!(
+                    "oram-tree-{}-{}",
+                    std::process::id(),
+                    TEMP_STORE_COUNTER.fetch_add(1, Ordering::Relaxed)
+                );
+                (std::env::temp_dir().join(unique), true)
             }
         };
-        Ok(Self::with_tiers(params, kind.treetop_levels(params), file))
+        std::fs::create_dir_all(&dir).map_err(|e| io_err("creating", &dir, e))?;
+        let path = tree_file_path(&dir, label);
+        let file = OpenOptions::new()
+            .read(true)
+            .write(true)
+            .create(true)
+            .truncate(true)
+            .open(&path)
+            .map_err(|e| io_err("creating", &path, e))?;
+        // A sparse file: the full tree geometry is reserved in the address
+        // space, but unwritten regions occupy no disk blocks (the file
+        // analogue of the arena's copy-on-write zero pages).
+        file.set_len(store.layout.total_bytes())
+            .map_err(|e| io_err("sizing", &path, e))?;
+        // A fresh tree owes nothing to any previous occupant of the
+        // directory: a leftover log would replay a stranger's buckets.
+        let _ = std::fs::remove_file(wal::wal_file_path(&dir, label));
+        store.attach_file(file, path, &dir, label, temp);
+        if durability.is_logged() {
+            store.checkpoint()?;
+        }
+        store.start_log(durability)?;
+        Ok(store)
     }
 
-    /// Opens a store over tree files persisted under `dir`.  Without a file
-    /// tier the buckets are loaded into a fresh arena and the snapshot
-    /// directory is left untouched; with one, the files are reopened in
-    /// place (the snapshot directory becomes the live directory, see
-    /// [`FileStore::open`]) and the arena is loaded from them.  Either way
-    /// the tree file must span the whole layout, and a checksum-valid WAL
-    /// tail left behind by a crash is replayed first.
+    /// Opens a store of the given kind over the tree persisted under `dir`;
+    /// the kind supplies only `K`.  The metadata and tree file are
+    /// validated (the file must span the whole layout), the arena is filled
+    /// from the file, and a checksum-valid WAL tail left behind by a crash
+    /// is replayed into whichever tier holds each bucket.  Without a file
+    /// tier the directory is only read.  With one, `dir` becomes the live
+    /// directory: whatever the log contributed is folded into a fresh
+    /// checkpoint, the log is dropped if `durability` does not log, and a
+    /// new log generation is opened if it does.
     ///
     /// # Errors
     ///
@@ -1424,55 +903,72 @@ impl TreeStorage {
         label: u32,
         durability: Durability,
     ) -> Result<Self, OramError> {
-        let file = match kind {
-            StorageKind::Mem => return Self::load(params, dir, label),
-            StorageKind::File { dir } | StorageKind::Tiered { dir, .. } => {
-                FileStore::open(params, dir, label, durability)?
-            }
-            StorageKind::TempFile | StorageKind::TempTiered { .. } => {
-                return Err(OramError::Snapshot {
-                    detail: "cannot resume a snapshot into a temporary store; \
-                             use StorageKind::File, StorageKind::Tiered or \
-                             StorageKind::Mem"
-                        .into(),
-                })
-            }
-        };
-        let mut store = Self::with_tiers(params, kind.treetop_levels(params), Some(file));
-        if let Some(file) = &store.file {
-            fill_arena(
-                &mut store.top,
-                store.bucket_bytes,
-                &file.initialized,
-                |index, slot| file.read_bucket_into(index, slot),
-            )?;
+        if matches!(kind, StorageKind::TempFile | StorageKind::TempTiered { .. }) {
+            return Err(OramError::Snapshot {
+                detail: "cannot resume a snapshot into a temporary store; \
+                         use StorageKind::File, StorageKind::Tiered or \
+                         StorageKind::Mem"
+                    .into(),
+            });
         }
+        let mut store = Self::with_treetop(params, kind.treetop_levels(params));
+        let (tree, initialized, wal_seq) =
+            OpenTree::open(params, &store.layout, dir, label, kind.is_file_backed())?;
+        store.initialized = initialized;
+        store.wal_seq = wal_seq;
+        for index in (0..store.treetop_buckets).filter(|&i| bit_get(&store.initialized, i)) {
+            let offset = store.layout.linear_bucket_address(index);
+            let range = store.top_range(index);
+            tree.file
+                .read_exact_at(&mut store.top[range], offset)
+                .map_err(|e| io_err_bucket("load bucket", index, &tree.path, e))?;
+        }
+        if kind.is_file_backed() {
+            store.attach_file(tree.file, tree.path, dir, label, false);
+        }
+        if store.replay_wal(dir, label)? && store.file.is_some() {
+            // Fold whatever the log contributed into a fresh checkpoint so
+            // the recovered state stands on its own...
+            store.checkpoint()?;
+            if !durability.is_logged() {
+                // ...and drop the log when the new discipline won't keep one.
+                let _ = std::fs::remove_file(wal::wal_file_path(dir, label));
+            }
+        }
+        store.start_log(durability)?;
         Ok(store)
     }
 
-    /// The no-file open: the whole tree, WAL tail included, read into a
-    /// fresh arena.
-    fn load(params: &OramParams, dir: &Path, label: u32) -> Result<Self, OramError> {
-        let mut store = Self::new(params);
-        let mut tree = OpenTree::open(params, &store.layout, dir, label, false)?;
-        fill_arena(
-            &mut store.top,
-            store.bucket_bytes,
-            &tree.initialized,
-            |index, slot| {
-                tree.file
-                    .read_exact_at(slot, store.layout.linear_bucket_address(index))
-                    .map_err(|e| io_err_bucket("load bucket", index, &tree.path, e))
-            },
-        )?;
-        let (top, bb) = (&mut store.top, store.bucket_bytes);
-        tree.replay_wal(params, dir, label, |_, index, image| {
-            top[index as usize * bb..][..bb].copy_from_slice(image);
+    /// Replays the checksum-valid tail of the log under `dir`, if there is
+    /// one, through [`TreeStorage::write_bucket`] — into the arena or the
+    /// file, whichever holds each bucket — and advances `wal_seq` to the
+    /// last record.  Replay stops cleanly at the first torn or invalid
+    /// record — the expected shape of a crash — and is idempotent (records
+    /// are full bucket post-images), so it does not matter how much of the
+    /// log the tree had absorbed before the kill.  Returns whether there was
+    /// a log.
+    fn replay_wal(&mut self, dir: &Path, label: u32) -> Result<bool, OramError> {
+        let (num_buckets, bucket_bytes) = (self.num_buckets as u64, self.bucket_bytes);
+        let wal_path = wal::wal_file_path(dir, label);
+        let summary = wal::replay(&wal_path, bucket_bytes, |seq, indices, images| {
+            for (&index, image) in indices.iter().zip(images.chunks_exact(bucket_bytes)) {
+                if index >= num_buckets {
+                    return Err(OramError::Storage {
+                        detail: format!(
+                            "WAL record {seq} names bucket {index} outside the \
+                             {num_buckets}-bucket tree @ {}",
+                            wal_path.display()
+                        ),
+                    });
+                }
+                self.write_bucket(index, image)?;
+            }
             Ok(())
         })?;
-        store.initialized = tree.initialized;
-        store.wal_seq = tree.wal_seq;
-        Ok(store)
+        if let Some(s) = summary.as_ref().filter(|s| s.header_valid) {
+            self.wal_seq = self.wal_seq.max(s.last_seq);
+        }
+        Ok(summary.is_some())
     }
 
     /// Whether part of the tree lives in a file (every kind but `Mem`).
@@ -1503,39 +999,44 @@ impl TreeStorage {
     /// The controller barrier recorded in snapshots compares against this
     /// on resume.
     pub fn wal_seq(&self) -> u64 {
-        self.file.as_ref().map_or(self.wal_seq, FileStore::wal_seq)
-    }
-
-    #[inline]
-    fn bitmap(&self) -> &[u64] {
-        match &self.file {
-            Some(file) => &file.initialized,
-            None => &self.initialized,
-        }
-    }
-
-    fn bitmap_mut(&mut self) -> &mut [u64] {
-        match &mut self.file {
-            Some(file) => &mut file.initialized,
-            None => &mut self.initialized,
-        }
+        self.wal_seq
     }
 
     /// Whether a bucket has ever been written.
     #[inline]
     pub fn is_initialized(&self, index: u64) -> bool {
-        bit_get(self.bitmap(), index)
+        bit_get(&self.initialized, index)
     }
 
-    /// The file tier, if bucket `index` lives there.
-    fn spill(&self, index: u64) -> Option<&FileStore> {
-        self.file.as_ref().filter(|_| index >= self.treetop_buckets)
+    /// Overrides the auto-checkpoint cadence of the file tier (clamped to
+    /// ≥ 1).  Test harness hook; the default is
+    /// [`DEFAULT_CHECKPOINT_INTERVAL`].
+    #[doc(hidden)]
+    pub fn set_checkpoint_interval(&mut self, records: u64) {
+        if let Some(tier) = self.file.as_mut() {
+            tier.checkpoint_interval = records.max(1);
+        }
     }
 
-    /// Mutable variant of [`TreeStorage::spill`].
-    fn spill_mut(&mut self, index: u64) -> Option<&mut FileStore> {
-        let treetop_buckets = self.treetop_buckets;
-        self.file.as_mut().filter(|_| index >= treetop_buckets)
+    /// Fault-injection hook (kill-point suite): permit at most `bytes`
+    /// further WAL bytes, then fail appends leaving a torn record.  No-op
+    /// without a WAL.
+    #[doc(hidden)]
+    pub fn set_fail_after_wal_bytes(&mut self, bytes: u64) {
+        if let Some(wal) = self.file.as_mut().and_then(|tier| tier.wal.as_mut()) {
+            wal.set_crash_after_bytes(bytes);
+        }
+    }
+
+    /// Fault-injection hook (kill-point suite): permit at most `writes`
+    /// further bucket writes to the tree file, then fail.  Budgets are
+    /// charged per bucket; a path window that would cross the budget fails
+    /// before any of its bytes reach the file.  No-op without a file tier.
+    #[doc(hidden)]
+    pub fn set_fail_after_tree_writes(&mut self, writes: u64) {
+        if let Some(tier) = self.file.as_mut() {
+            tier.fail_tree_writes_after = Some(writes);
+        }
     }
 
     // lint: ct-scope, no-alloc
@@ -1549,12 +1050,9 @@ impl TreeStorage {
     /// and, over a file tier, newer than the file.
     #[inline]
     fn mark_top(&mut self, index: u64) {
-        match &mut self.file {
-            Some(file) => {
-                bit_set(&mut file.initialized, index);
-                bit_set(&mut self.top_dirty, index);
-            }
-            None => bit_set(&mut self.initialized, index),
+        bit_set(&mut self.initialized, index);
+        if self.file.is_some() {
+            bit_set(&mut self.top_dirty, index);
         }
     }
 
@@ -1613,8 +1111,9 @@ impl TreeStorage {
     /// buckets are left untouched.  This is the read half of the one-pass
     /// path pipeline: the caller decrypts the whole buffer in one batched
     /// cipher pass afterwards.  The arena prefix is served with memcpys,
-    /// the file suffix with one call to the file store's window read
-    /// ([`FileStore::read_path_into`]).
+    /// the file suffix with one positional read per subtree window (see
+    /// `read_windows`).  Takes `&mut self` to stage those windows for the
+    /// writeback.
     ///
     /// # Errors
     ///
@@ -1630,19 +1129,20 @@ impl TreeStorage {
         if split == indices.len() {
             return Ok(());
         }
-        self.file
-            .as_mut()
-            .expect("bucket index past the end of the tree")
-            .read_path_into(&indices[split..], &mut buf[split * bb..])
+        self.read_windows(&indices[split..], &mut buf[split * bb..])
     }
 
     /// Batched span write: writes every bucket of `indices` (ascending)
     /// from `buf` at stride `level * bucket_bytes`, marking all of them
     /// initialised — the write half of the pipeline, called once per
     /// eviction after the batched sealing pass.  The arena prefix is
-    /// copied in; the file suffix is one [`FileStore::write_path`], which
-    /// is where the WAL record is cut, so the log carries only the file
-    /// tier's buckets (the treetop's WAL exemption, see the type docs).
+    /// copied in.  The file suffix alone is appended to the WAL as one
+    /// record (the treetop's WAL exemption, see the type docs), then
+    /// written with one positional write per subtree window (see
+    /// `write_windows`); every `checkpoint_interval` logged writebacks the
+    /// log is folded into the metadata.  That automatic fold covers only
+    /// the file tier: the treetop reaches the file at
+    /// [`TreeStorage::checkpoint`] and [`TreeStorage::persist_to`].
     ///
     /// # Errors
     ///
@@ -1657,10 +1157,146 @@ impl TreeStorage {
         if split == indices.len() {
             return Ok(());
         }
-        self.file
+        let (indices, buf) = (&indices[split..], &buf[split * bb..]);
+        // WAL-before-tree: the sealed image is appended (and, per the fsync
+        // discipline, made durable) before the first in-place tree write
+        // starts.  A kill anywhere in here leaves either a torn log record
+        // (the writeback never happened) or a complete one (replay finishes
+        // the tree writes on open).
+        let tier = self
+            .file
             .as_mut()
-            .expect("bucket index past the end of the tree")
-            .write_path(&indices[split..], &buf[split * bb..])
+            .expect("bucket index past the end of the tree");
+        if let Some(wal) = tier.wal.as_mut() {
+            // lint: allow(no-alloc, `Wal::append` frames the record in its preallocated buffer; not `Vec::append`)
+            self.wal_seq = wal.append(indices, buf)?;
+        }
+        self.write_windows(indices, buf)?;
+        if let Some(tier) = self.file.as_mut().filter(|tier| tier.wal.is_some()) {
+            tier.records_since_checkpoint += 1;
+            if tier.records_since_checkpoint >= tier.checkpoint_interval {
+                self.fold_log()?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Reads the file-tier buckets `indices` into `buf` like
+    /// [`TreeStorage::read_path_into`]: sorted by file offset, each window
+    /// (see [`windows`]) with a single positional read — at most
+    /// ⌈levels/k⌉ reads for a root-to-leaf path.  Windows cover every
+    /// bucket of the list, initialised or not, so which bytes are read
+    /// depends on the index list (the leaf) alone.  A window may cover
+    /// buckets of *other* paths; their bytes are never copied out, but each
+    /// window stays staged so the writeback can rewrite it whole.
+    fn read_windows(&mut self, indices: &[u64], buf: &mut [u8]) -> Result<(), OramError> {
+        let bb = self.bucket_bytes;
+        let mut runs = [(0u64, 0usize); MAX_RECORD_BUCKETS];
+        let n = self.runs_by_offset(indices, &mut runs);
+        let tier = self
+            .file
+            .as_mut()
+            .expect("bucket index past the end of the tree");
+        let stage = &mut tier.stage;
+        stage.drop_all();
+        let slots = stage.spans.len();
+        let mut staged = 0;
+        for group in windows(&runs[..n], bb as u64, stage.window as u64) {
+            let start = runs[group.start].0;
+            let len = (runs[group.end - 1].0 - start) as usize + bb;
+            // A list with more windows than a path has reads the surplus
+            // through the spare slot, unstaged.
+            let slot = staged.min(slots);
+            let chunk = &mut stage.slot_mut(slot)[..len];
+            tier.file
+                .read_exact_at(chunk, start)
+                .map_err(|e| io_err("reading path extent from", &tier.path, e))?;
+            for &(offset, level) in &runs[group] {
+                if bit_get(&self.initialized, indices[level]) {
+                    let rel = (offset - start) as usize;
+                    buf[level * bb..(level + 1) * bb].copy_from_slice(&chunk[rel..rel + bb]);
+                }
+            }
+            if slot < slots {
+                stage.spans[slot] = (start, len);
+                staged += 1;
+            }
+        }
+        stage.valid.set(staged);
+        Ok(())
+    }
+
+    /// Sorts the buckets of `indices` by file offset into `runs` as
+    /// `(offset, position in indices)` pairs; returns how many there are.
+    fn runs_by_offset(&self, indices: &[u64], runs: &mut [(u64, usize)]) -> usize {
+        assert!(
+            indices.len() <= runs.len(),
+            "index list longer than the WAL record bound"
+        );
+        for (run, (level, &index)) in runs.iter_mut().zip(indices.iter().enumerate()) {
+            *run = (self.layout.linear_bucket_address(index), level);
+        }
+        runs[..indices.len()].sort_unstable();
+        indices.len()
+    }
+
+    /// Writes the file-tier buckets `indices` from `buf` (one image per
+    /// index, at stride `bucket_bytes`) with one positional write per window
+    /// (see [`windows`]).  The bytes between the buckets are the file's own
+    /// current bytes — taken from the window the preceding path read
+    /// staged, or read back first when no staged window contains this one —
+    /// so the file ends up byte-identical to writing each bucket alone, and
+    /// a torn window write rewrites the neighbours with what they already
+    /// held.
+    fn write_windows(&mut self, indices: &[u64], buf: &[u8]) -> Result<(), OramError> {
+        let bb = self.bucket_bytes;
+        let mut runs = [(0u64, 0usize); MAX_RECORD_BUCKETS];
+        let n = self.runs_by_offset(indices, &mut runs);
+        let tier = self
+            .file
+            .as_mut()
+            .expect("bucket index past the end of the tree");
+        // Nothing counts as staged while the file is being written, so an
+        // error part-way leaves the staging dropped.
+        let staged = tier.stage.valid.take();
+        let mut coherent = true;
+        for group in windows(&runs[..n], bb as u64, tier.stage.window as u64) {
+            let start = runs[group.start].0;
+            let len = (runs[group.end - 1].0 - start) as usize + bb;
+            let first_index = indices[runs[group.start].1];
+            charge_tree_writes(tier, group.len() as u64, first_index)?;
+            let (slot, at) = match tier.stage.containing(staged, start, len) {
+                Some(slot) => (slot, (start - tier.stage.spans[slot].0) as usize),
+                None => {
+                    // Not staged (a write with no path read before it):
+                    // read the window's bytes first.
+                    // It may overlap staged windows, which it makes stale.
+                    coherent = false;
+                    let spare = tier.stage.spans.len();
+                    tier.file
+                        .read_exact_at(&mut tier.stage.slot_mut(spare)[..len], start)
+                        .map_err(|e| {
+                            io_err_bucket("write_path window read", first_index, &tier.path, e)
+                        })?;
+                    (spare, 0)
+                }
+            };
+            let image = &mut tier.stage.slot_mut(slot)[at..at + len];
+            for &(offset, level) in &runs[group.start..group.end] {
+                let rel = (offset - start) as usize;
+                image[rel..rel + bb].copy_from_slice(&buf[level * bb..(level + 1) * bb]);
+            }
+            tier.file
+                .write_all_at(image, start)
+                .map_err(|e| io_err_bucket("write_path window", first_index, &tier.path, e))?;
+            for &(_, level) in &runs[group] {
+                bit_set(&mut self.initialized, indices[level]);
+            }
+        }
+        if coherent {
+            tier.stage.valid.set(staged);
+        }
+        Ok(())
     }
     // lint: end
 
@@ -1672,8 +1308,11 @@ impl TreeStorage {
     ///
     /// [`OramError::Storage`] on I/O failure.
     pub fn read_bucket_into(&self, index: u64, out: &mut [u8]) -> Result<(), OramError> {
-        match self.spill(index) {
-            Some(file) => file.read_bucket_into(index, out),
+        match self.file.as_ref().filter(|_| index >= self.treetop_buckets) {
+            Some(tier) => tier
+                .file
+                .read_exact_at(out, self.layout.linear_bucket_address(index))
+                .map_err(|e| io_err_bucket("read_bucket", index, &tier.path, e)),
             None => {
                 out.copy_from_slice(self.arena_bucket(index));
                 Ok(())
@@ -1682,28 +1321,37 @@ impl TreeStorage {
     }
 
     /// Writes the raw image of a bucket, marking it initialised.  `image`
-    /// must be exactly `bucket_bytes` long.
+    /// must be exactly `bucket_bytes` long.  Not logged: only
+    /// [`TreeStorage::write_path`] writebacks reach the WAL.
     ///
     /// # Errors
     ///
     /// [`OramError::Storage`] on I/O failure.
     pub fn write_bucket(&mut self, index: u64, image: &[u8]) -> Result<(), OramError> {
-        if let Some(file) = self.spill_mut(index) {
-            return file.write_bucket(index, image);
-        }
         assert_eq!(
             image.len(),
             self.bucket_bytes,
             "bucket image must be exactly bucket_bytes long"
         );
-        self.arena_slot_mut(index).copy_from_slice(image);
+        let offset = self.layout.linear_bucket_address(index);
+        match self.file.as_mut().filter(|_| index >= self.treetop_buckets) {
+            Some(tier) => {
+                charge_tree_writes(tier, 1, index)?;
+                tier.stage.drop_all();
+                tier.file
+                    .write_all_at(image, offset)
+                    .map_err(|e| io_err_bucket("write_bucket", index, &tier.path, e))?;
+                bit_set(&mut self.initialized, index);
+            }
+            None => self.arena_slot_mut(index).copy_from_slice(image),
+        }
         Ok(())
     }
 
     /// Total bytes currently resident (diagnostics): initialised buckets
     /// times the bucket size.
     pub fn resident_bytes(&self) -> u64 {
-        popcount_bytes(self.bitmap(), self.bucket_bytes)
+        popcount_bytes(&self.initialized, self.bucket_bytes)
     }
 
     // ------------------------------------------------------------------
@@ -1760,7 +1408,7 @@ impl TreeStorage {
         if snapshot.is_empty() {
             self.write_bucket(index, &vec![0u8; self.bucket_bytes])
                 .expect("zeroing a bucket on replay");
-            bit_clear(self.bitmap_mut(), index);
+            bit_clear(&mut self.initialized, index);
         } else {
             self.write_bucket(index, snapshot)
                 .expect("replaying a bucket image");
@@ -1786,46 +1434,56 @@ impl TreeStorage {
     /// which is harmless — re-flushing an image already in the file is
     /// idempotent.
     fn flush_treetop(&self) -> Result<(), OramError> {
-        let Some(file) = &self.file else {
+        let Some(tier) = &self.file else {
             return Ok(());
         };
-        // These writes bypass the file store's window staging.
-        file.stage.drop_all();
+        // These writes bypass the window staging.
+        tier.stage.drop_all();
         for index in (0..self.treetop_buckets).filter(|&i| bit_get(&self.top_dirty, i)) {
-            file.file
-                .write_all_at(self.arena_bucket(index), file.offset(index))
-                .map_err(|e| io_err_bucket("flush treetop bucket", index, &file.tree_path, e))?;
+            tier.file
+                .write_all_at(
+                    self.arena_bucket(index),
+                    self.layout.linear_bucket_address(index),
+                )
+                .map_err(|e| io_err_bucket("flush treetop bucket", index, &tier.path, e))?;
         }
         Ok(())
     }
 
-    /// Persists the tree into `dir` as `tree<label>.oram` plus
-    /// `tree<label>.meta`, in the one format every kind resumes from (see
-    /// [`FileStore::persist_to`]).  Over a file tier the treetop is flushed
-    /// into the live tree file first, and the file store then persists the
-    /// complete tree; a file store persisting into its own live directory
-    /// just flushes.
+    /// Persists the tree into `dir` as `tree<label>.oram` (bucket images at
+    /// their subtree-layout offsets; one format for every kind, so any
+    /// snapshot resumes as any kind) plus `tree<label>.meta` (geometry,
+    /// initialised bitmap and `wal_seq`, digest-sealed).  Over a file tier
+    /// the treetop is flushed into the live tree file first, and persisting
+    /// into the live directory then just syncs.
     ///
     /// # Errors
     ///
     /// [`OramError::Storage`] on I/O failure.
     pub fn persist_to(&self, dir: &Path, label: u32) -> Result<(), OramError> {
-        if let Some(file) = &self.file {
-            self.flush_treetop()?;
-            return file.persist_to(dir, label);
+        self.flush_treetop()?;
+        let target = tree_file_path(dir, label);
+        let live = self.file.as_ref().filter(|tier| {
+            matches!(
+                (std::fs::canonicalize(&target), std::fs::canonicalize(&tier.path)),
+                (Ok(a), Ok(b)) if a == b
+            )
+        });
+        match live {
+            Some(tier) => {
+                tier.file
+                    .sync_all()
+                    .map_err(|e| io_err("syncing", &tier.path, e))?;
+                // The live log, without the stale tail earlier generations
+                // left behind: a persisted directory holds exactly what it
+                // needs.  Its live records stay: replay is idempotent, and
+                // the meta written below covers everything applied so far.
+                if let Some(wal) = &tier.wal {
+                    wal.trim()?;
+                }
+            }
+            None => self.copy_tree(dir, &target, label)?,
         }
-        copy_tree(
-            dir,
-            label,
-            &self.layout,
-            self.bucket_bytes,
-            self.num_buckets,
-            &self.initialized,
-            |index, out| {
-                out.copy_from_slice(self.arena_bucket(index));
-                Ok(())
-            },
-        )?;
         write_tree_meta(
             &tree_meta_path(dir, label),
             self.num_buckets,
@@ -1836,20 +1494,79 @@ impl TreeStorage {
         )
     }
 
-    /// Folds the treetop into the file tier and checkpoints: flush every
-    /// dirty arena image into the tree file, then run the file store's
-    /// checkpoint (sync, metadata rewrite, log restart — see
-    /// [`FileStore::checkpoint`]).  After this returns, the on-disk state
-    /// alone reconstructs both tiers.  A no-op without a file tier.
+    /// Writes a standalone copy of the tree to `target`, a fresh sparse
+    /// `tree<label>.oram` under `dir`: each initialised bucket at its layout
+    /// offset, then synced.  The copy is complete as of `wal_seq`, so a
+    /// stale log beside it — which would replay foreign buckets over it on
+    /// resume — is removed.  The caller writes the metadata file.
+    fn copy_tree(&self, dir: &Path, target: &Path, label: u32) -> Result<(), OramError> {
+        std::fs::create_dir_all(dir).map_err(|e| io_err("creating", dir, e))?;
+        let out = OpenOptions::new()
+            .write(true)
+            .create(true)
+            .truncate(true)
+            .open(target)
+            .map_err(|e| io_err("creating", target, e))?;
+        out.set_len(self.layout.total_bytes())
+            .map_err(|e| io_err("sizing", target, e))?;
+        let mut buf = vec![0u8; self.bucket_bytes];
+        for index in (0..self.num_buckets as u64).filter(|&i| self.is_initialized(i)) {
+            self.read_bucket_into(index, &mut buf)?;
+            out.write_all_at(&buf, self.layout.linear_bucket_address(index))
+                .map_err(|e| io_err_bucket("persist bucket", index, target, e))?;
+        }
+        out.sync_all().map_err(|e| io_err("syncing", target, e))?;
+        let _ = std::fs::remove_file(wal::wal_file_path(dir, label));
+        Ok(())
+    }
+
+    /// Checkpoints both tiers: flushes every dirty arena image into the
+    /// tree file, then folds the log (see `fold_log`).  After this returns,
+    /// the on-disk state alone reconstructs both tiers.  A no-op without a
+    /// file tier.
     ///
     /// # Errors
     ///
     /// [`OramError::Storage`] on I/O failure.
+    // lint: no-panic
     pub fn checkpoint(&mut self) -> Result<(), OramError> {
         self.flush_treetop()?;
         self.top_dirty.fill(0);
-        self.file.as_mut().map_or(Ok(()), FileStore::checkpoint)
+        self.fold_log()
     }
+
+    /// Folds the applied log into the on-disk checkpoint: sync the tree
+    /// file, rewrite `tree<label>.meta` (atomically, see
+    /// [`crate::snapshot::write_state_file`]) to cover sequence number
+    /// `wal_seq`, then restart the log in place ([`Wal::restart`]: a new
+    /// header, synced; the next records overwrite the old ones).  A crash
+    /// between any two of these steps is safe: before the meta write the
+    /// old checkpoint + full log still recover everything; after it the new
+    /// checkpoint covers every record of the old generation, so an old, a
+    /// torn or a new header all recover the same tree.  The logged
+    /// `write_path` runs this alone every `checkpoint_interval` writebacks.
+    fn fold_log(&mut self) -> Result<(), OramError> {
+        let Some(tier) = self.file.as_mut() else {
+            return Ok(());
+        };
+        tier.file
+            .sync_all()
+            .map_err(|e| io_err("syncing", &tier.path, e))?;
+        write_tree_meta(
+            &tree_meta_path(&tier.dir, tier.label),
+            self.num_buckets,
+            self.bucket_bytes,
+            self.layout.subtree_levels(),
+            &self.initialized,
+            self.wal_seq,
+        )?;
+        if let Some(wal) = tier.wal.as_mut() {
+            wal.restart(self.wal_seq)?;
+        }
+        tier.records_since_checkpoint = 0;
+        Ok(())
+    }
+    // lint: end
 }
 
 #[cfg(test)]
@@ -1893,6 +1610,18 @@ mod tests {
             },
         };
         store(p, &kind, durability)
+    }
+
+    /// Resumes the tree under `dir` as a `File` store there.
+    fn open_file(
+        p: &OramParams,
+        dir: &Path,
+        durability: Durability,
+    ) -> Result<TreeStorage, OramError> {
+        let kind = StorageKind::File {
+            dir: dir.to_path_buf(),
+        };
+        TreeStorage::open_snapshot(p, &kind, dir, 0, durability)
     }
 
     /// Runs the shared store-contract checks against any store.
@@ -2039,7 +1768,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "bucket_bytes")]
     fn file_store_rejects_wrong_size_image() {
-        let mut s = FileStore::create_temp(&params(), 0, Durability::None).unwrap();
+        let mut s = store(&params(), &StorageKind::TempFile, Durability::None);
         let _ = s.write_bucket(0, &[0u8; 3]);
     }
 
@@ -2058,7 +1787,7 @@ mod tests {
         mem.persist_to(&dir_a, 0).unwrap();
 
         // Resume it file-backed, verify contents, mutate, persist elsewhere.
-        let mut file = FileStore::open(&p, &dir_a, 0, Durability::None).unwrap();
+        let mut file = open_file(&p, &dir_a, Durability::None).unwrap();
         let mut out = vec![0u8; p.bucket_bytes()];
         file.read_bucket_into(1, &mut out).unwrap();
         assert_eq!(out, image_a);
@@ -2085,11 +1814,11 @@ mod tests {
     fn file_store_persists_in_place_with_a_flush() {
         let p = params();
         let dir = temp_dir("inplace");
-        let mut s = FileStore::create(&p, &dir, 0, Durability::None).unwrap();
+        let mut s = store_in(&p, &dir, Some(0), Durability::None);
         s.write_bucket(4, &vec![0x44; p.bucket_bytes()]).unwrap();
         s.persist_to(&dir, 0).unwrap();
         drop(s);
-        let s2 = FileStore::open(&p, &dir, 0, Durability::None).unwrap();
+        let s2 = open_file(&p, &dir, Durability::None).unwrap();
         let mut out = vec![0u8; p.bucket_bytes()];
         s2.read_bucket_into(4, &mut out).unwrap();
         assert_eq!(out, vec![0x44; p.bucket_bytes()]);
@@ -2101,7 +1830,7 @@ mod tests {
         let p = params();
         let dir = temp_dir("nometa");
         assert!(matches!(
-            FileStore::open(&p, &dir, 0, Durability::None),
+            open_file(&p, &dir, Durability::None),
             Err(OramError::Storage { .. })
         ));
         std::fs::remove_dir_all(&dir).unwrap();
@@ -2111,7 +1840,7 @@ mod tests {
     fn corrupt_metadata_is_an_integrity_violation() {
         let p = params();
         let dir = temp_dir("badmeta");
-        let mut s = FileStore::create(&p, &dir, 0, Durability::None).unwrap();
+        let mut s = store_in(&p, &dir, Some(0), Durability::None);
         s.write_bucket(0, &vec![7u8; p.bucket_bytes()]).unwrap();
         s.persist_to(&dir, 0).unwrap();
         drop(s);
@@ -2121,7 +1850,7 @@ mod tests {
         bytes[mid] ^= 0x40;
         std::fs::write(&meta, &bytes).unwrap();
         assert!(matches!(
-            FileStore::open(&p, &dir, 0, Durability::None),
+            open_file(&p, &dir, Durability::None),
             Err(OramError::IntegrityViolation { .. })
         ));
         std::fs::remove_dir_all(&dir).unwrap();
@@ -2130,13 +1859,13 @@ mod tests {
     #[test]
     fn geometry_mismatch_is_a_snapshot_error() {
         let dir = temp_dir("geom");
-        let s = FileStore::create(&params(), &dir, 0, Durability::None).unwrap();
+        let s = store_in(&params(), &dir, Some(0), Durability::None);
         s.persist_to(&dir, 0).unwrap();
         drop(s);
         // Different geometry: more blocks, different bucket size.
         let other = OramParams::new(1 << 10, 64, 4);
         assert!(matches!(
-            FileStore::open(&other, &dir, 0, Durability::None),
+            open_file(&other, &dir, Durability::None),
             Err(OramError::Snapshot { .. })
         ));
         std::fs::remove_dir_all(&dir).unwrap();
@@ -2186,11 +1915,16 @@ mod tests {
     #[test]
     fn temp_stores_clean_up_after_themselves() {
         let p = params();
-        let s = FileStore::create_temp(&p, 0, Durability::None).unwrap();
-        let dir = s.dir().to_path_buf();
-        assert!(dir.exists());
-        drop(s);
-        assert!(!dir.exists(), "temp store directory should be removed");
+        let tiered = StorageKind::TempTiered {
+            memory_budget: budget_for_levels(&p, 2),
+        };
+        for kind in [StorageKind::TempFile, tiered] {
+            let s = store(&p, &kind, Durability::Strict);
+            let dir = s.file.as_ref().unwrap().dir.clone();
+            assert!(dir.join("tree0.wal").exists());
+            drop(s);
+            assert!(!dir.exists(), "{kind:?} directory should be removed");
+        }
     }
 
     #[test]
@@ -2242,7 +1976,7 @@ mod tests {
     fn wal_store_recovers_writebacks_never_persisted() {
         let p = params();
         let dir = temp_dir("walrec");
-        let mut s = FileStore::create(&p, &dir, 0, Durability::Strict).unwrap();
+        let mut s = store_in(&p, &dir, Some(0), Durability::Strict);
         let bb = p.bucket_bytes();
         let indices = [0u64, 1, 3];
         let image: Vec<u8> = (0..3 * bb).map(|i| (i % 249) as u8 + 1).collect();
@@ -2250,7 +1984,7 @@ mod tests {
         // No persist_to: only create()'s empty checkpoint and the WAL
         // survive the drop.
         drop(s);
-        let s2 = FileStore::open(&p, &dir, 0, Durability::Strict).unwrap();
+        let s2 = open_file(&p, &dir, Durability::Strict).unwrap();
         assert_eq!(s2.wal_seq(), 1);
         let mut out = vec![0u8; bb];
         for (level, &idx) in indices.iter().enumerate() {
@@ -2265,7 +1999,7 @@ mod tests {
     fn auto_checkpoint_folds_the_log_and_survives_reopen() {
         let p = params();
         let dir = temp_dir("ckpt");
-        let mut s = FileStore::create(&p, &dir, 0, Durability::Batch(8)).unwrap();
+        let mut s = store_in(&p, &dir, Some(0), Durability::Batch(8));
         s.set_checkpoint_interval(2);
         let bb = p.bucket_bytes();
         for round in 0..5u64 {
@@ -2286,7 +2020,7 @@ mod tests {
         assert_eq!((summary.base_seq, summary.last_seq), (4, 5));
         assert_eq!(live, vec![(5, vec![4, 12])]);
         drop(s);
-        let s2 = FileStore::open(&p, &dir, 0, Durability::Batch(8)).unwrap();
+        let s2 = open_file(&p, &dir, Durability::Batch(8)).unwrap();
         assert_eq!(s2.wal_seq(), 5);
         let mut out = vec![0u8; bb];
         s2.read_bucket_into(4, &mut out).unwrap();
@@ -2298,12 +2032,12 @@ mod tests {
     fn reopening_without_durability_folds_and_drops_the_log() {
         let p = params();
         let dir = temp_dir("drop-wal");
-        let mut s = FileStore::create(&p, &dir, 0, Durability::Strict).unwrap();
+        let mut s = store_in(&p, &dir, Some(0), Durability::Strict);
         let bb = p.bucket_bytes();
         s.write_path(&[2, 9], &vec![0x5A; 2 * bb]).unwrap();
         drop(s);
-        let s2 = FileStore::open(&p, &dir, 0, Durability::None).unwrap();
-        assert!(!s2.has_wal());
+        let s2 = open_file(&p, &dir, Durability::None).unwrap();
+        assert!(s2.file.as_ref().unwrap().wal.is_none());
         assert!(!wal::wal_file_path(&dir, 0).exists());
         assert_eq!(s2.wal_seq(), 1);
         let mut out = vec![0u8; bb];
@@ -2316,7 +2050,7 @@ mod tests {
     fn mem_load_replays_a_wal_tail() {
         let p = params();
         let dir = temp_dir("mem-tail");
-        let mut s = FileStore::create(&p, &dir, 0, Durability::Strict).unwrap();
+        let mut s = store_in(&p, &dir, Some(0), Durability::Strict);
         let bb = p.bucket_bytes();
         s.write_path(&[1, 6], &vec![0x77; 2 * bb]).unwrap();
         // Meta is still the empty create() checkpoint; the data lives only
@@ -2328,6 +2062,40 @@ mod tests {
         assert_eq!(mem.arena_bucket(6), &vec![0x77u8; bb][..]);
         assert!(mem.is_initialized(1));
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The kind supplies only `K`: every kind opens the tree under the
+    /// `dir` it is given, not the directory the kind names.
+    #[test]
+    fn open_snapshot_opens_the_dir_argument_for_every_kind() {
+        let p = params();
+        let (dir_a, dir_b) = (temp_dir("open-arg-a"), temp_dir("open-arg-b"));
+        let bb = p.bucket_bytes();
+        let mut s = TreeStorage::new(&p);
+        s.write_bucket(1, &vec![0x1B; bb]).unwrap();
+        s.write_bucket(20, &vec![0x2B; bb]).unwrap();
+        s.persist_to(&dir_b, 0).unwrap();
+        for kind in [
+            StorageKind::File { dir: dir_a.clone() },
+            StorageKind::Tiered {
+                dir: dir_a.clone(),
+                memory_budget: budget_for_levels(&p, 2),
+            },
+            StorageKind::Mem,
+        ] {
+            let opened = TreeStorage::open_snapshot(&p, &kind, &dir_b, 0, Durability::Strict)
+                .unwrap_or_else(|e| panic!("{kind:?}: {e}"));
+            assert_eq!(opened.snapshot_bucket(1), vec![0x1B; bb], "{kind:?}");
+            assert_eq!(opened.snapshot_bucket(20), vec![0x2B; bb], "{kind:?}");
+            assert_eq!(opened.resident_bytes(), 2 * bb as u64, "{kind:?}");
+        }
+        assert_eq!(
+            std::fs::read_dir(&dir_a).unwrap().count(),
+            0,
+            "A stays empty"
+        );
+        std::fs::remove_dir_all(&dir_a).unwrap();
+        std::fs::remove_dir_all(&dir_b).unwrap();
     }
 
     #[test]
@@ -2371,8 +2139,8 @@ mod tests {
         assert_eq!(mem.arena_bucket(1), &top_image[..]);
         assert_eq!(mem.arena_bucket(deep_idx), &deep_image[..]);
 
-        // Mutate via a plain file store, persist elsewhere, resume tiered.
-        let mut file = FileStore::open(&p, &dir_a, 0, Durability::None).unwrap();
+        // Mutate via a `File` store, persist elsewhere, resume tiered.
+        let mut file = open_file(&p, &dir_a, Durability::None).unwrap();
         let image_c = vec![0x3C; bb];
         file.write_bucket(2, &image_c).unwrap();
         file.persist_to(&dir_b, 0).unwrap();
@@ -2603,11 +2371,9 @@ mod tests {
         let p = window_params();
         let (dir_w, dir_r) = (temp_dir("window-w"), temp_dir("window-r"));
         let mut windowed = store_in(&p, &dir_w, k, windowed_durability);
-        if let Some(file) = windowed.file.as_mut() {
-            // The windowed store also logs and checkpoints (restarting its
-            // log) as it goes; neither touches the tree bytes.
-            file.set_checkpoint_interval(16);
-        }
+        // The windowed store also logs and checkpoints (restarting its log)
+        // as it goes; neither touches the tree bytes.
+        windowed.set_checkpoint_interval(16);
         let mut reference = store_in(&p, &dir_r, k, Durability::None);
         check_window_writes_match_per_bucket_writes(
             &p,

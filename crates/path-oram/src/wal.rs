@@ -1,9 +1,10 @@
 //! Write-ahead logging for the file-backed tree store.
 //!
 //! PR 5's snapshot machinery made the tree durable *between* `persist`
-//! calls; this module makes the [`crate::FileStore`] crash-consistent
-//! *between accesses*.  Every sealed path writeback is appended to a
-//! `tree<label>.wal` redo log **before** the tree file is touched, so a
+//! calls; this module makes the file tier of a [`crate::TreeStorage`]
+//! crash-consistent *between accesses*.  The file-tier part of every sealed
+//! path writeback is appended to a `tree<label>.wal` redo log **before**
+//! the tree file is touched, so a
 //! kill at any byte boundary leaves one of two recoverable states: the
 //! record is complete (replay finishes the tree write) or it is torn
 //! (replay stops at the tear and the tree write never started).
@@ -31,8 +32,8 @@
 //! Sequence numbers are global per tree, not per log generation: the
 //! header records `base_seq` (the last sequence number already compacted
 //! into the checkpoint) and the first record must carry `base_seq + 1`.
-//! Checkpointing (see `FileStore::checkpoint`) folds the applied records
-//! into the `tree<label>.meta` snapshot and restarts the log in place
+//! Checkpointing (see [`crate::TreeStorage::checkpoint`]) folds the applied
+//! records into the `tree<label>.meta` snapshot and restarts the log in place
 //! ([`Wal::restart`]): only the header is rewritten, with the new
 //! `base_seq`, and the next generation overwrites the previous one from the
 //! front, so a long-lived log stops growing, allocating and committing its
@@ -77,15 +78,15 @@ const HEADER_LEN: usize = 4 + 8 + 8 + CHECKSUM_BYTES;
 const REC_PREFIX: usize = 4 + 4;
 
 /// Upper bound on buckets per record (a root-to-leaf path; matches the
-/// stack bound of the file store's coalesced reads).
+/// stack bound of the file tier's coalesced reads).
 pub const MAX_RECORD_BUCKETS: usize = 64;
 
 /// When the write-ahead log reaches disk.
 ///
 /// Selected on `OramBuilder::durability`, threaded through the frontend
-/// configs to [`crate::FileStore`].  A store without a file tier ignores it
-/// (there is nothing to make durable), as do backends without untrusted
-/// tree storage.
+/// configs to [`crate::TreeStorage::create`].  A store without a file tier
+/// ignores it (there is nothing to make durable), as do backends without
+/// untrusted tree storage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Durability {
     /// No write-ahead log (the default).  Matches the pre-WAL behaviour:
@@ -411,7 +412,8 @@ fn injected_crash(keep: usize, seq: u64, path: &Path) -> OramError {
     }
 }
 
-/// An open write-ahead log, owned by a live [`crate::FileStore`].
+/// An open write-ahead log, owned by the file tier of a live
+/// [`crate::TreeStorage`].
 ///
 /// Appends are framed in a scratch buffer sized for the largest record at
 /// creation and written with one positional write, so the logging path

@@ -90,7 +90,7 @@ impl Driver {
     /// to `ORAM_STORAGE` resolution): each case is one store's guarantee.
     fn new(kind: &StorageKind, seed: u64) -> Self {
         let params = params();
-        let backend = PathOramBackend::new_with_storage(
+        let backend = PathOramBackend::new_backend_with(
             params,
             EncryptionMode::GlobalSeed,
             [3u8; 16],

@@ -1,4 +1,7 @@
-//! Kill-point recovery suite for the crash-consistent [`FileStore`].
+//! Kill-point recovery suite for the crash-consistent file tier of
+//! [`TreeStorage`], driven through the entry points the backend calls:
+//! `TreeStorage::create` with `StorageKind::File`, `write_path`,
+//! `checkpoint` and `open_snapshot`.
 //!
 //! The durability contract under test (see `path_oram::wal`):
 //!
@@ -16,14 +19,19 @@
 //!
 //! Every sweep below drives the same deterministic workload against a
 //! differential oracle (a flat per-bucket model), injects a kill at a
-//! chosen point via the store's fault hooks, reopens, and checks the
-//! recovered image byte-for-byte against the oracle's prefix state.
+//! chosen point via the store's fault hooks, and resumes a fresh copy of
+//! the directory as each store kind — `File`, `Tiered` with a two-level
+//! treetop, and `Mem` — checking every recovered image byte-for-byte
+//! against the oracle's prefix state.  WAL replay lands in whichever tier
+//! holds each bucket, and the `Mem` resume must leave the directory's bytes
+//! as they were.
 //! Because the simulated kill is in-process (the budgeted prefix of the
 //! record reaches the file, nothing after it does), the recovery point is
 //! exact, not merely bounded.
 
-use path_oram::{Durability, FileStore, OramParams};
-use std::path::PathBuf;
+use path_oram::{Durability, OramParams, StorageKind, TreeStorage};
+use std::ffi::OsString;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static DIR_COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -40,6 +48,34 @@ fn temp_dir(tag: &str) -> PathBuf {
     ));
     std::fs::create_dir_all(&dir).unwrap();
     dir
+}
+
+fn copy_dir(from: &Path, to: &Path) {
+    for entry in std::fs::read_dir(from).unwrap() {
+        let entry = entry.unwrap();
+        std::fs::copy(entry.path(), to.join(entry.file_name())).unwrap();
+    }
+}
+
+/// Every file under `dir` with its bytes, by name.
+fn dir_bytes(dir: &Path) -> Vec<(OsString, Vec<u8>)> {
+    let mut files: Vec<_> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| {
+            let entry = entry.unwrap();
+            (entry.file_name(), std::fs::read(entry.path()).unwrap())
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+/// A fresh file-backed store (`K` = 0) under `dir`.
+fn create(p: &OramParams, dir: &Path, durability: Durability) -> TreeStorage {
+    let kind = StorageKind::File {
+        dir: dir.to_path_buf(),
+    };
+    TreeStorage::create(p, &kind, 0, durability).unwrap()
 }
 
 /// One writeback of the deterministic workload: a root-to-leaf path (as
@@ -112,7 +148,7 @@ impl Oracle {
     }
 
     /// Asserts the store's full image equals this model, bucket for bucket.
-    fn assert_matches(&self, store: &FileStore, context: &str) {
+    fn assert_matches(&self, store: &TreeStorage, context: &str) {
         let mut out = vec![0u8; self.bucket_bytes];
         for (index, expected) in self.buckets.iter().enumerate() {
             let index = index as u64;
@@ -138,11 +174,53 @@ impl Oracle {
 
 const WORKLOAD_LEN: usize = 12;
 
+/// Resumes a fresh copy of `dir` as each of `File`, `Tiered` with a
+/// two-level treetop and `Mem`, and checks that every one recovers without
+/// error onto exactly `writebacks` of `wbs`.  A file-backed open must leave
+/// a directory that reads back as the same tree; the `Mem` open only reads
+/// its copy, whose bytes must come out unchanged.
+fn assert_recovers(p: &OramParams, wbs: &[Writeback], dir: &Path, writebacks: u64, context: &str) {
+    let oracle = Oracle::after(p, wbs, writebacks as usize);
+    let copy = temp_dir("resume");
+    let kinds = [
+        StorageKind::File { dir: copy.clone() },
+        StorageKind::Tiered {
+            dir: copy.clone(),
+            // K = 2: the root and its two children.
+            memory_budget: 3 * p.bucket_bytes() as u64,
+        },
+        StorageKind::Mem,
+    ];
+    for kind in kinds {
+        std::fs::remove_dir_all(&copy).unwrap();
+        std::fs::create_dir(&copy).unwrap();
+        copy_dir(dir, &copy);
+        let before = dir_bytes(&copy);
+        let context = format!("{context} as {kind:?}");
+        let recovered = TreeStorage::open_snapshot(p, &kind, &copy, 0, Durability::Strict)
+            .unwrap_or_else(|e| panic!("{context} must recover cleanly: {e}"));
+        assert_eq!(recovered.wal_seq(), writebacks, "{context}");
+        oracle.assert_matches(&recovered, &context);
+        drop(recovered);
+        if kind.is_file_backed() {
+            // The open folded what it replayed: the directory alone now
+            // holds the recovered tree, treetop included.
+            let reread =
+                TreeStorage::open_snapshot(p, &StorageKind::Mem, &copy, 0, Durability::None)
+                    .unwrap();
+            oracle.assert_matches(&reread, &format!("{context}, reread"));
+        } else {
+            assert!(dir_bytes(&copy) == before, "{context}: the open wrote");
+        }
+    }
+    std::fs::remove_dir_all(&copy).unwrap();
+}
+
 /// Byte length of one WAL record for this geometry (header-relative), probed
 /// from a real log so the sweeps stay honest if the format changes.
 fn probe_record_len(p: &OramParams) -> (u64, u64) {
     let dir = temp_dir("probe");
-    let mut store = FileStore::create(p, &dir, 0, Durability::Strict).unwrap();
+    let mut store = create(p, &dir, Durability::Strict);
     let wal_path = dir.join("tree0.wal");
     let header_len = std::fs::metadata(&wal_path).unwrap().len();
     let wb = &workload(p, 1)[0];
@@ -165,7 +243,7 @@ fn kill_points_inside_every_wal_append_recover_the_exact_prefix() {
     for k in 1..=WORKLOAD_LEN {
         for offset in [0, 1, rec_len / 2, rec_len - 1] {
             let dir = temp_dir("sweep-a");
-            let mut store = FileStore::create(&p, &dir, 0, Durability::Strict).unwrap();
+            let mut store = create(&p, &dir, Durability::Strict);
             // Permit records 1..k in full, then `offset` bytes of record k.
             store.set_fail_after_wal_bytes((k as u64 - 1) * rec_len + offset);
             let mut completed = 0usize;
@@ -187,16 +265,8 @@ fn kill_points_inside_every_wal_append_recover_the_exact_prefix() {
             assert!(killed, "kill point k={k} offset={offset} never fired");
             assert_eq!(completed, k - 1);
             drop(store);
-
-            let recovered = FileStore::open(&p, &dir, 0, Durability::Strict).unwrap();
-            assert_eq!(
-                recovered.wal_seq(),
-                k as u64 - 1,
-                "k={k} offset={offset}: wrong recovery sequence"
-            );
-            Oracle::after(&p, &wbs, k - 1)
-                .assert_matches(&recovered, &format!("k={k} offset={offset}"));
-            drop(recovered);
+            let context = format!("k={k} offset={offset}");
+            assert_recovers(&p, &wbs, &dir, k as u64 - 1, &context);
             std::fs::remove_dir_all(&dir).unwrap();
         }
     }
@@ -216,7 +286,7 @@ fn kill_points_inside_every_tree_write_replay_to_completion() {
     for k in 1..=WORKLOAD_LEN {
         for torn_buckets in 0..path_len {
             let dir = temp_dir("sweep-b");
-            let mut store = FileStore::create(&p, &dir, 0, Durability::Strict).unwrap();
+            let mut store = create(&p, &dir, Durability::Strict);
             store.set_fail_after_tree_writes((k as u64 - 1) * path_len + torn_buckets);
             let mut killed = false;
             for wb in &wbs {
@@ -235,16 +305,9 @@ fn kill_points_inside_every_tree_write_replay_to_completion() {
             }
             assert!(killed, "kill point k={k} torn={torn_buckets} never fired");
             drop(store);
-
-            let recovered = FileStore::open(&p, &dir, 0, Durability::Strict).unwrap();
-            assert_eq!(
-                recovered.wal_seq(),
-                k as u64,
-                "k={k} torn={torn_buckets}: the logged writeback must be replayed"
-            );
-            Oracle::after(&p, &wbs, k)
-                .assert_matches(&recovered, &format!("k={k} torn={torn_buckets}"));
-            drop(recovered);
+            // The logged writeback must be replayed.
+            let context = format!("k={k} torn={torn_buckets}");
+            assert_recovers(&p, &wbs, &dir, k as u64, &context);
             std::fs::remove_dir_all(&dir).unwrap();
         }
     }
@@ -255,7 +318,7 @@ fn kill_points_inside_every_tree_write_replay_to_completion() {
 /// This is the worst-case recovery shape: everything rides on the log.
 fn stale_tree_full_log(p: &OramParams, wbs: &[Writeback]) -> PathBuf {
     let dir = temp_dir("stale");
-    let mut store = FileStore::create(p, &dir, 0, Durability::Strict).unwrap();
+    let mut store = create(p, &dir, Durability::Strict);
     store.set_fail_after_tree_writes(0);
     for wb in wbs {
         // Every call logs its record, then dies on the first tree write.
@@ -280,18 +343,11 @@ fn truncating_the_log_at_every_byte_recovers_a_valid_prefix() {
 
     let dir = temp_dir("trunc");
     for len in 0..=wal_bytes.len() {
-        for entry in std::fs::read_dir(&master).unwrap() {
-            let entry = entry.unwrap();
-            std::fs::copy(entry.path(), dir.join(entry.file_name())).unwrap();
-        }
+        copy_dir(&master, &dir);
         std::fs::write(dir.join("tree0.wal"), &wal_bytes[..len]).unwrap();
         let complete_records = (len as u64).saturating_sub(header_len) / rec_len;
-        let recovered = FileStore::open(&p, &dir, 0, Durability::Strict)
-            .unwrap_or_else(|e| panic!("truncation at {len} must recover cleanly: {e}"));
-        assert_eq!(recovered.wal_seq(), complete_records, "truncation at {len}");
-        Oracle::after(&p, &wbs, complete_records as usize)
-            .assert_matches(&recovered, &format!("truncation at {len}"));
-        drop(recovered);
+        let context = format!("truncation at {len}");
+        assert_recovers(&p, &wbs, &dir, complete_records, &context);
     }
     std::fs::remove_dir_all(&dir).unwrap();
     std::fs::remove_dir_all(&master).unwrap();
@@ -311,10 +367,7 @@ fn flipping_any_log_byte_recovers_the_checksummed_prefix() {
 
     let dir = temp_dir("flip");
     for pos in (0..wal_bytes.len()).step_by(3) {
-        for entry in std::fs::read_dir(&master).unwrap() {
-            let entry = entry.unwrap();
-            std::fs::copy(entry.path(), dir.join(entry.file_name())).unwrap();
-        }
+        copy_dir(&master, &dir);
         let mut poisoned = wal_bytes.clone();
         poisoned[pos] ^= 0x41;
         std::fs::write(dir.join("tree0.wal"), &poisoned).unwrap();
@@ -325,12 +378,7 @@ fn flipping_any_log_byte_recovers_the_checksummed_prefix() {
         } else {
             ((pos as u64) - header_len) / rec_len
         };
-        let recovered = FileStore::open(&p, &dir, 0, Durability::Strict)
-            .unwrap_or_else(|e| panic!("flip at {pos} must recover cleanly: {e}"));
-        assert_eq!(recovered.wal_seq(), intact_records, "flip at {pos}");
-        Oracle::after(&p, &wbs, intact_records as usize)
-            .assert_matches(&recovered, &format!("flip at {pos}"));
-        drop(recovered);
+        assert_recovers(&p, &wbs, &dir, intact_records, &format!("flip at {pos}"));
     }
     std::fs::remove_dir_all(&dir).unwrap();
     std::fs::remove_dir_all(&master).unwrap();
@@ -347,7 +395,7 @@ fn batch_mode_kill_points_recover_like_strict() {
     let wbs = workload(&p, WORKLOAD_LEN);
     for k in [1usize, 5, WORKLOAD_LEN] {
         let dir = temp_dir("batch");
-        let mut store = FileStore::create(&p, &dir, 0, Durability::Batch(4)).unwrap();
+        let mut store = create(&p, &dir, Durability::Batch(4));
         store.set_fail_after_wal_bytes((k as u64 - 1) * rec_len + rec_len / 3);
         for wb in &wbs {
             if store.write_path(&wb.indices, &wb.image).is_err() {
@@ -355,10 +403,7 @@ fn batch_mode_kill_points_recover_like_strict() {
             }
         }
         drop(store);
-        let recovered = FileStore::open(&p, &dir, 0, Durability::Batch(4)).unwrap();
-        assert_eq!(recovered.wal_seq(), k as u64 - 1);
-        Oracle::after(&p, &wbs, k - 1).assert_matches(&recovered, &format!("batch k={k}"));
-        drop(recovered);
+        assert_recovers(&p, &wbs, &dir, k as u64 - 1, &format!("batch k={k}"));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }
@@ -370,7 +415,7 @@ fn recovery_after_a_checkpoint_needs_no_log_tail() {
     let p = params();
     let wbs = workload(&p, WORKLOAD_LEN);
     let dir = temp_dir("ckpt");
-    let mut store = FileStore::create(&p, &dir, 0, Durability::Strict).unwrap();
+    let mut store = create(&p, &dir, Durability::Strict);
     for wb in &wbs {
         store.write_path(&wb.indices, &wb.image).unwrap();
     }
@@ -378,10 +423,7 @@ fn recovery_after_a_checkpoint_needs_no_log_tail() {
     drop(store);
     // Simulate the worst truncation crash: the log vanishes entirely.
     std::fs::remove_file(dir.join("tree0.wal")).unwrap();
-    let recovered = FileStore::open(&p, &dir, 0, Durability::Strict).unwrap();
-    assert_eq!(recovered.wal_seq(), WORKLOAD_LEN as u64);
-    Oracle::after(&p, &wbs, WORKLOAD_LEN).assert_matches(&recovered, "post-checkpoint");
-    drop(recovered);
+    assert_recovers(&p, &wbs, &dir, WORKLOAD_LEN as u64, "post-checkpoint");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -398,20 +440,13 @@ const FOLDED: usize = 2 * GENERATION;
 /// so the second generation's last records stay behind them.
 const LIVE: usize = 2;
 
-fn copy_dir(from: &std::path::Path, to: &std::path::Path) {
-    for entry in std::fs::read_dir(from).unwrap() {
-        let entry = entry.unwrap();
-        std::fs::copy(entry.path(), to.join(entry.file_name())).unwrap();
-    }
-}
-
 /// A directory whose log was restarted twice (checkpoints after writebacks
 /// 4 and 8) and then took `LIVE` records whose tree writes all failed, so
 /// recovery of writebacks 9 and 10 rides on the log alone — with records 7
 /// and 8 of the previous generation stale past them.
 fn recycled_log(p: &OramParams, wbs: &[Writeback]) -> PathBuf {
     let dir = temp_dir("recycled");
-    let mut store = FileStore::create(p, &dir, 0, Durability::Strict).unwrap();
+    let mut store = create(p, &dir, Durability::Strict);
     store.set_checkpoint_interval(GENERATION as u64);
     for wb in &wbs[..FOLDED] {
         store.write_path(&wb.indices, &wb.image).unwrap();
@@ -422,20 +457,6 @@ fn recycled_log(p: &OramParams, wbs: &[Writeback]) -> PathBuf {
     }
     drop(store);
     dir
-}
-
-/// Recovers `dir` and checks it landed on exactly `writebacks` of `wbs`.
-fn assert_recovers(
-    p: &OramParams,
-    wbs: &[Writeback],
-    dir: &std::path::Path,
-    writebacks: u64,
-    context: &str,
-) {
-    let recovered = FileStore::open(p, dir, 0, Durability::Strict)
-        .unwrap_or_else(|e| panic!("{context} must recover cleanly: {e}"));
-    assert_eq!(recovered.wal_seq(), writebacks, "{context}");
-    Oracle::after(p, wbs, writebacks as usize).assert_matches(&recovered, context);
 }
 
 #[test]
@@ -537,7 +558,7 @@ fn a_kill_inside_the_checkpoint_header_rewrite_recovers_from_the_meta_file() {
     let header_len = header_len as usize;
     let wbs = workload(&p, FOLDED + LIVE);
     let master = temp_dir("header-rewrite");
-    let mut store = FileStore::create(&p, &master, 0, Durability::Strict).unwrap();
+    let mut store = create(&p, &master, Durability::Strict);
     store.set_checkpoint_interval(GENERATION as u64);
     for wb in &wbs {
         store.write_path(&wb.indices, &wb.image).unwrap();
