@@ -1,10 +1,11 @@
 //! Criterion benchmarks of the scalable timing simulator: DRAM path latency
-//! calibration, timing-frontend accesses, and a full (small) benchmark run.
+//! calibration, frontend accesses through the simulator's processor
+//! adapter, and a full (small) benchmark run.
 
+use cache_sim::MainMemory;
 use criterion::{criterion_group, criterion_main, Criterion};
 use dram_sim::{DramConfig, DramSim};
-use oram_sim::runner::{run_benchmark, SimulationConfig};
-use oram_sim::timing::TimingOram;
+use oram_sim::runner::{oram_memory, run_benchmark, SimulationConfig};
 use oram_sim::SchemePoint;
 use trace_gen::SpecBenchmark;
 
@@ -22,16 +23,17 @@ fn bench_timing_frontend(c: &mut Criterion) {
     let mut group = c.benchmark_group("sim/timing_frontend");
     let sim = SimulationConfig {
         data_capacity_bytes: 1 << 30,
+        latency_samples: 4,
         ..SimulationConfig::paper_default()
     };
     for scheme in [SchemePoint::RX8, SchemePoint::PcX32, SchemePoint::PicX32] {
         let config = sim.oram_config(scheme).expect("a tree-backed design point");
-        let mut oram = TimingOram::new(config, &sim.dram(), 4);
+        let mut memory = oram_memory(config, &sim).expect("a buildable design point");
         let mut addr = 0u64;
         group.bench_function(scheme.label(), |b| {
             b.iter(|| {
                 addr = addr.wrapping_add(0x9e3779b9) % (1 << 24);
-                oram.access(addr)
+                memory.access(addr * sim.block_bytes as u64, false)
             });
         });
     }

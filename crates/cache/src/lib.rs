@@ -3,9 +3,10 @@
 //!
 //! The evaluation's performance numbers are "slowdown relative to an insecure
 //! system without ORAM": the same core and caches are simulated twice, once
-//! with a flat-latency DRAM main memory and once with the ORAM latency model,
-//! and the cycle counts compared.  This crate provides the shared
-//! core/cache machinery; the ORAM latency models live in `oram-sim`, and
+//! with a flat-latency DRAM main memory and once with the ORAM, and the cycle
+//! counts compared.  This crate provides the shared core/cache machinery and
+//! the one processor→ORAM adapter ([`FunctionalOramMemory`]); the latency
+//! models that price its accesses live in `oram-sim`, and
 //! `docs/ARCHITECTURE.md` at the workspace root maps the evaluation stack
 //! onto the functional crates.
 //!

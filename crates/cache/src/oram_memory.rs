@@ -1,11 +1,12 @@
 //! Main-memory adapter that drives a functional [`Oram`] implementation —
 //! the full secure-processor stack (core → caches → ORAM controller) with
-//! real block movement instead of a latency model.
+//! real block movement — and the one processor→ORAM adapter: the trace-driven
+//! simulator in `oram-sim` runs every tree-backed design point through it.
 //!
 //! Any [`Oram`] fits behind the adapter: a `FreecursiveOram` over the Path
 //! ORAM backend for end-to-end functional runs, one over the insecure
-//! backend for fast tests, or a `Box<dyn Oram>` straight from
-//! `OramBuilder::build`.
+//! backend for the simulator and fast tests, or a `Box<dyn Oram>` straight
+//! from `OramBuilder::build`.
 
 use crate::processor::MainMemory;
 use freecursive::Oram;
@@ -13,20 +14,35 @@ use freecursive::Oram;
 /// Connects the LLC miss/writeback stream to a functional ORAM.
 ///
 /// Every LLC miss becomes an ORAM read of the covering block and every dirty
-/// writeback an ORAM write; a fixed latency is reported to the core (the
-/// calibrated latency models live in `oram-sim` — this adapter is about
-/// *contents*, not timing).  Line addresses are folded onto the ORAM's
-/// address space modulo its capacity.
+/// writeback an ORAM write; line addresses are folded onto the ORAM's
+/// address space modulo its capacity.  The latency reported to the core is
+/// what `cycles` — the wrapped ORAM's cumulative cost in processor cycles —
+/// grew by across the access: `oram-sim` prices each tree's path accesses
+/// with its calibrated latency model, a test can charge a fixed latency per
+/// request.
 #[derive(Debug)]
-pub struct FunctionalOramMemory<O: Oram> {
+pub struct FunctionalOramMemory<O: Oram, C: Fn(&O) -> u64> {
     oram: O,
-    latency: u64,
+    cycles: C,
+    /// `cycles` as of the last access (or reset).
+    charged: u64,
+    /// The image of every writeback (the processor model carries no line
+    /// contents), kept so a writeback does not allocate.
+    zero_block: Vec<u8>,
+    /// Destination of every fetch, reused across misses.
+    read_buf: Vec<u8>,
 }
 
-impl<O: Oram> FunctionalOramMemory<O> {
-    /// Wraps an ORAM, reporting `latency` cycles per access to the core.
-    pub fn new(oram: O, latency: u64) -> Self {
-        Self { oram, latency }
+impl<O: Oram, C: Fn(&O) -> u64> FunctionalOramMemory<O, C> {
+    /// Wraps an ORAM whose cumulative cost in cycles is `cycles(&oram)`.
+    pub fn new(oram: O, cycles: C) -> Self {
+        Self {
+            charged: cycles(&oram),
+            zero_block: vec![0u8; oram.block_bytes()],
+            read_buf: Vec::with_capacity(oram.block_bytes()),
+            oram,
+            cycles,
+        }
     }
 
     /// The wrapped ORAM (e.g. to read its statistics).
@@ -34,7 +50,8 @@ impl<O: Oram> FunctionalOramMemory<O> {
         &self.oram
     }
 
-    /// Mutable access to the wrapped ORAM.
+    /// Mutable access to the wrapped ORAM.  Reset its statistics through
+    /// [`FunctionalOramMemory::reset_stats`], which re-bases the charge.
     pub fn oram_mut(&mut self) -> &mut O {
         &mut self.oram
     }
@@ -44,12 +61,19 @@ impl<O: Oram> FunctionalOramMemory<O> {
         self.oram
     }
 
+    /// Resets the wrapped ORAM's statistics (its contents and PLB stay, as
+    /// in a long-running system) and re-bases the charge on them.
+    pub fn reset_stats(&mut self) {
+        self.oram.reset_stats();
+        self.charged = (self.cycles)(&self.oram);
+    }
+
     fn block_of(&self, line_addr: u64) -> u64 {
         (line_addr / self.oram.block_bytes() as u64) % self.oram.num_blocks()
     }
 }
 
-impl<O: Oram> MainMemory for FunctionalOramMemory<O> {
+impl<O: Oram, C: Fn(&O) -> u64> MainMemory for FunctionalOramMemory<O, C> {
     /// # Panics
     ///
     /// Panics if the ORAM reports an error — in the secure-processor model an
@@ -58,19 +82,18 @@ impl<O: Oram> MainMemory for FunctionalOramMemory<O> {
     fn access(&mut self, line_addr: u64, is_write: bool) -> u64 {
         let block = self.block_of(line_addr);
         if is_write {
-            // The timing model carries no line contents; writebacks store a
-            // zero block (the ORAM traffic and state transitions are what
-            // this adapter exists to exercise).
-            let zeros = vec![0u8; self.oram.block_bytes()];
             self.oram
-                .write(block, &zeros)
+                .write(block, &self.zero_block)
                 .expect("ORAM writeback failed: the secure processor would halt");
         } else {
             self.oram
-                .read(block)
+                .read_into(block, &mut self.read_buf)
                 .expect("ORAM fetch failed: the secure processor would halt");
         }
-        self.latency
+        let total = (self.cycles)(&self.oram);
+        let latency = total - self.charged;
+        self.charged = total;
+        latency
     }
 }
 
@@ -90,7 +113,7 @@ mod tests {
             .unwrap();
         let mut cpu = SecureProcessor::new(
             ProcessorConfig::default(),
-            FunctionalOramMemory::new(oram, 1200),
+            FunctionalOramMemory::new(oram, |o| 1200 * o.stats().frontend_requests),
         );
         for i in 0..3000u64 {
             cpu.step(3, (i * 4099 * 64) % (1 << 16), i % 5 == 0);
@@ -117,7 +140,9 @@ mod tests {
             .unwrap();
         let mut cpu = SecureProcessor::new(
             ProcessorConfig::default(),
-            FunctionalOramMemory::new(service.client(), 1200),
+            // Cycles are not under test: the client's stats are a fetched
+            // snapshot, so a stats-based charge would read stale counts.
+            FunctionalOramMemory::new(service.client(), |_| 0),
         );
         for i in 0..3000u64 {
             cpu.step(3, (i * 4099 * 64) % (1 << 16), i % 5 == 0);
@@ -141,7 +166,7 @@ mod tests {
             .block_bytes(64)
             .build()
             .unwrap();
-        let mut memory = FunctionalOramMemory::new(oram, 58);
+        let mut memory = FunctionalOramMemory::new(oram, |o| 58 * o.stats().frontend_requests);
         assert_eq!(memory.access(0, false), 58);
         assert_eq!(memory.access(64, true), 58);
         assert_eq!(memory.oram().stats().frontend_requests, 2);

@@ -4,8 +4,9 @@
 use crate::hierarchy::{CacheHierarchy, HierarchyConfig, HitLevel};
 use serde::{Deserialize, Serialize};
 
-/// The main-memory interface the LLC misses into: either a flat-latency DRAM
-/// (the insecure baseline) or one of the ORAM latency models from `oram-sim`.
+/// The main-memory interface the LLC misses into: a flat-latency DRAM (the
+/// insecure baseline), an ORAM behind [`crate::FunctionalOramMemory`], or
+/// `oram-sim`'s Phantom model.
 pub trait MainMemory {
     /// Performs one line-sized access and returns its latency in CPU cycles.
     fn access(&mut self, line_addr: u64, is_write: bool) -> u64;

@@ -238,7 +238,11 @@ impl OramBuilder {
     /// Resolves the storage kind and durability once, reading variables
     /// through `var` ([`StorageKind::from_env`] / [`Durability::from_env`])
     /// only for the knobs left unset: the one place the configuration
-    /// consults the environment.
+    /// consults the environment.  The one other variable the stack reads,
+    /// `ORAM_CRYPTO_FORCE_SOFT`, is read by `oram-crypto` itself (its
+    /// engine selection, shared by the CRC-64 dispatch), because the cipher
+    /// engine is chosen once per process and sits below any configuration:
+    /// every instance in the process uses the same one.
     fn environment(
         &self,
         var: impl Fn(&str) -> Option<String>,

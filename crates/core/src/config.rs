@@ -27,8 +27,9 @@
 //!
 //! A configuration is the whole description of a design point:
 //! [`FreecursiveConfig::addressing`] and [`FreecursiveConfig::trees`] give
-//! the recursion and the trees it builds, which both the functional
-//! frontend and the `oram-sim` timing model walk.
+//! the recursion and the trees it builds, which the functional frontend
+//! walks (in deployment and, over the insecure backend, in the `oram-sim`
+//! timing simulator).
 
 use crate::error::ConfigError;
 use oram_crypto::mac::MAC_BYTES;
@@ -249,8 +250,7 @@ impl FreecursiveConfig {
 
     /// The (empty) PLB this configuration describes: `None` at capacity 0,
     /// else sized by [`Plb::with_capacity_bytes`] in data-block-sized
-    /// PosMap blocks.  The functional frontend and the timing model both
-    /// take their PLB from here, so they cache the same blocks.
+    /// PosMap blocks.
     pub fn plb<V>(&self) -> Option<Plb<V>> {
         let ways = self.plb_associativity.max(1);
         (self.plb_capacity_bytes > 0)

@@ -238,6 +238,13 @@ impl<B: OramBackend> FreecursiveOram<B> {
         &mut self.trees[0]
     }
 
+    /// Every tree's backend, indexed by the tree's label in
+    /// [`FreecursiveConfig::trees`] (read-only view; index 0 is
+    /// [`FreecursiveOram::backend`]).
+    pub fn trees(&self) -> &[B] {
+        &self.trees
+    }
+
     /// The configuration this controller was built with.
     pub fn config(&self) -> &FreecursiveConfig {
         &self.config

@@ -212,9 +212,11 @@ impl PendingBatch {
 /// Clones share the service's channels: clone one per thread and drive the
 /// same deployment concurrently.  The client implements [`Oram`], so
 /// anything programmed against the trait — including
-/// `cache_sim::FunctionalOramMemory` — can run over a sharded service
-/// unchanged; see [`OramClient::stats`] for the one caveat (stats are a
-/// fetched snapshot, not a live view).
+/// `cache_sim::FunctionalOramMemory`, the processor model's one ORAM
+/// adapter — can run over a sharded service unchanged; see
+/// [`OramClient::stats`] for the one caveat (stats are a fetched snapshot,
+/// not a live view, so a cycle charge computed from them reads stale
+/// counts).
 #[derive(Debug, Clone)]
 pub struct OramClient {
     senders: Vec<Sender<Job>>,

@@ -58,8 +58,8 @@ pub struct PlbEntry<V> {
 
 /// A set-associative PLB holding PosMap blocks of type `V`.
 ///
-/// `V` is typically a typed PosMap block during functional simulation, or a
-/// unit type `()` in the address-only timing simulator.
+/// `V` is typically a typed PosMap block (the frontend's), or a unit type
+/// `()` where only residency matters.
 ///
 /// # Examples
 ///

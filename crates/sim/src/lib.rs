@@ -1,14 +1,14 @@
 //! Trace-driven timing simulation of the Freecursive ORAM secure processor,
 //! scalable to the paper's 4–64 GB ORAM capacities.
 //!
-//! The functional controller in the `freecursive` crate stores real block
-//! contents and therefore cannot be instantiated at 2^26+ blocks on a laptop.
-//! The paper's performance figures, however, never depend on block contents —
-//! only on *which* backend accesses happen (PLB behaviour, recursion depth)
-//! and *how long* each one takes (path length, bucket size, DRAM timing).
-//! `docs/ARCHITECTURE.md` at the workspace root maps this timing stack
-//! onto the functional crates it mirrors.
-//! This crate models exactly that:
+//! The paper's performance figures never depend on block contents — only
+//! on *which* backend accesses happen (PLB behaviour, recursion depth, group
+//! remaps) and *how long* each one takes (path length, bucket size, DRAM
+//! timing).  So the simulator runs the functional frontend itself over the
+//! insecure backend, a sparse hash map: a 64 GB tree costs memory only for
+//! the blocks a trace touches, and a calibrated latency model prices each
+//! path access.  `docs/ARCHITECTURE.md` at the workspace root maps this
+//! stack onto the functional crates.
 //!
 //! * [`latency::OramLatencyModel`] — average latency of one backend access,
 //!   obtained by replaying subtree-layout path reads/writes through the
@@ -18,12 +18,13 @@
 //!   `PIC_X32`, Phantom-4KB).  What each one *is* comes from the same
 //!   [`freecursive::FreecursiveConfig`] the functional frontend is built
 //!   from ([`runner::SimulationConfig::oram_config`]).
-//! * [`timing::TimingOram`] — an address-only model of the frontend that
-//!   walks that configuration's trees: PLB contents, recursion walks and
-//!   byte counts, but no data.
 //! * [`runner`] — drives synthetic SPEC traces through the `cache-sim`
-//!   processor model with either a flat DRAM (insecure baseline) or a
-//!   [`timing::OramMemory`], producing slowdowns.
+//!   processor model with either a flat DRAM (insecure baseline) or the
+//!   design point's functional frontend ([`runner::oram_memory`]: the same
+//!   `FreecursiveOram` that serves requests, over the sparse insecure
+//!   backend, behind `cache_sim::FunctionalOramMemory`), producing slowdowns.
+//!   There is one access walker: PLB hits, PosMap fetches, group remaps and
+//!   byte counts are the frontend's own.
 //! * [`experiments`] — one driver per table/figure of the paper; the `bench`
 //!   crate's binaries print their results.
 //!
@@ -46,9 +47,7 @@ pub mod latency;
 pub mod phantom;
 pub mod report;
 pub mod runner;
-pub mod timing;
 
 pub use freecursive::SchemePoint;
 pub use latency::OramLatencyModel;
 pub use runner::{BenchmarkRun, SimulationConfig};
-pub use timing::{OramMemory, TimingOram};

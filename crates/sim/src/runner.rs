@@ -1,13 +1,17 @@
 //! Drives synthetic SPEC traces through the secure-processor model under a
 //! chosen ORAM design point and reports slowdowns and traffic.
 
+use crate::latency::OramLatencyModel;
 use crate::phantom::{PhantomConfig, PhantomMemory, PhantomOram};
-use crate::timing::{OramMemory, TimingOram, TrafficStats};
 use cache_sim::{
-    CacheConfig, FlatLatencyMemory, HierarchyConfig, ProcessorConfig, RunResult, SecureProcessor,
+    CacheConfig, FlatLatencyMemory, FunctionalOramMemory, HierarchyConfig, ProcessorConfig,
+    RunResult, SecureProcessor,
 };
 use dram_sim::DramConfig;
-use freecursive::{FreecursiveConfig, FreecursiveError, OramBuilder, SchemePoint};
+use freecursive::{
+    FreecursiveConfig, FreecursiveError, FreecursiveOram, FrontendStats, InsecureBackend, Oram,
+    OramBackend, OramBuilder, SchemePoint,
+};
 use path_oram::{Durability, StorageKind};
 use serde::{Deserialize, Serialize};
 use trace_gen::{SpecBenchmark, TraceGenerator};
@@ -109,7 +113,7 @@ impl SimulationConfig {
     /// exactly as the paper's evaluation does (§7.1.4: "giving it a 272 KB
     /// on-chip PosMap"; Figure 7: "up to a 256 KB on-chip PosMap").
     /// Phantom is [`crate::phantom`].  Storage is pinned to `Mem` / `None`:
-    /// the timing model never touches a tree store or the environment.
+    /// the simulator never touches a tree store or the environment.
     ///
     /// # Errors
     ///
@@ -174,16 +178,61 @@ pub struct BenchmarkRun {
     /// Slowdown relative to the insecure baseline (the y-axis of Figures 6
     /// and 8).
     pub slowdown: f64,
-    /// ORAM traffic statistics (zeroed for the insecure/Phantom runs).
-    pub traffic: TrafficStats,
+    /// ORAM traffic of the measured phase: the simulated frontend's own
+    /// statistics (zeroed for the insecure run; requests and data accesses
+    /// only for Phantom).
+    pub traffic: FrontendStats,
 }
 
 impl BenchmarkRun {
     /// Average bytes moved per ORAM request, split `(posmap, data)` — the
     /// quantity plotted in Figures 7 and 8 (right).
     pub fn bytes_per_access(&self) -> (f64, f64) {
-        self.traffic.bytes_per_request()
+        let requests = self.traffic.frontend_requests.max(1) as f64;
+        (
+            self.traffic.posmap_bytes_moved as f64 / requests,
+            self.traffic.data_bytes_moved as f64 / requests,
+        )
     }
+}
+
+/// The simulated ORAM: the functional frontend over the sparse insecure
+/// backend, so a paper-scale tree costs memory only for the blocks a trace
+/// touches while PRF leaves, PMMAC and group remaps all run as deployed.
+pub type SimOram = FreecursiveOram<InsecureBackend>;
+
+/// `config`'s frontend behind the processor adapter, charging each path
+/// access the calibrated latency of its tree (over `cfg`'s DRAM) and, with a
+/// PLB, each PosMap block fetch the frontend's refill latency.
+///
+/// # Errors
+///
+/// As for [`FreecursiveOram::new`].
+pub fn oram_memory(
+    config: FreecursiveConfig,
+    cfg: &SimulationConfig,
+) -> Result<FunctionalOramMemory<SimOram, impl Fn(&SimOram) -> u64>, FreecursiveError> {
+    let oram = SimOram::new(config)?;
+    let models: Vec<_> = oram
+        .trees()
+        .iter()
+        .map(|tree| OramLatencyModel::new(*tree.params(), cfg.dram(), cfg.latency_samples))
+        .collect();
+    let per_access: Vec<u64> = models
+        .iter()
+        .map(|model| model.backend_access_cycles(oram.config().pmmac))
+        .collect();
+    let refill = match oram.config().plb_capacity_bytes {
+        0 => 0,
+        _ => models[0].pipeline.frontend,
+    };
+    let cycles = move |oram: &SimOram| {
+        let paths: u64 = (oram.trees().iter().zip(&per_access))
+            .map(|(tree, cost)| tree.stats().path_accesses * cost)
+            .sum();
+        paths + refill * oram.stats().posmap_backend_accesses
+    };
+    Ok(FunctionalOramMemory::new(oram, cycles))
 }
 
 /// Drives a processor with the benchmark's trace: a warm-up phase (caches and
@@ -232,7 +281,7 @@ pub fn run_benchmark(
             result: insecure,
             insecure,
             slowdown: 1.0,
-            traffic: TrafficStats::default(),
+            traffic: FrontendStats::default(),
         },
         SchemePoint::Phantom4K => {
             let oram = PhantomOram::new(PhantomConfig {
@@ -244,12 +293,11 @@ pub fn run_benchmark(
             drive(&mut cpu, benchmark, cfg, |m| m.reset_stats());
             let result = cpu.result();
             let phantom = cpu.memory().oram().stats();
-            let traffic = TrafficStats {
-                requests: phantom.requests,
-                data_accesses: phantom.oram_accesses,
-                data_bytes: phantom.bytes_moved,
-                cycles: phantom.cycles,
-                ..TrafficStats::default()
+            let traffic = FrontendStats {
+                frontend_requests: phantom.requests,
+                data_backend_accesses: phantom.oram_accesses,
+                data_bytes_moved: phantom.bytes_moved,
+                ..FrontendStats::default()
             };
             BenchmarkRun {
                 benchmark,
@@ -264,11 +312,12 @@ pub fn run_benchmark(
             let config = cfg
                 .oram_config(scheme)
                 .unwrap_or_else(|e| panic!("{}: {e}", scheme.label()));
-            let oram = TimingOram::new(config, &cfg.dram(), cfg.latency_samples);
-            let mut cpu = SecureProcessor::new(cfg.processor(), OramMemory::new(oram));
+            let memory =
+                oram_memory(config, cfg).unwrap_or_else(|e| panic!("{}: {e}", scheme.label()));
+            let mut cpu = SecureProcessor::new(cfg.processor(), memory);
             drive(&mut cpu, benchmark, cfg, |m| m.reset_stats());
             let result = cpu.result();
-            let traffic = *cpu.memory().oram().stats();
+            let traffic = cpu.memory().oram().stats().clone();
             BenchmarkRun {
                 benchmark,
                 scheme,
@@ -294,6 +343,153 @@ pub fn geomean(values: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cache_sim::MainMemory;
+    use freecursive::PosMapFormat;
+
+    fn small_sim() -> SimulationConfig {
+        SimulationConfig {
+            data_capacity_bytes: 64 << 20,
+            latency_samples: 5,
+            ..SimulationConfig::paper_default()
+        }
+    }
+
+    /// `scheme` at 64 MiB behind the simulator's adapter.
+    fn small(scheme: SchemePoint) -> FunctionalOramMemory<SimOram, impl Fn(&SimOram) -> u64> {
+        let sim = small_sim();
+        oram_memory(sim.oram_config(scheme).unwrap(), &sim).unwrap()
+    }
+
+    /// Serves a read of data block `addr` and returns its charged cycles.
+    fn read_block(mem: &mut impl MainMemory, addr: u64) -> u64 {
+        mem.access(addr * 64, false)
+    }
+
+    #[test]
+    fn baseline_walks_every_level_every_time() {
+        // R_X8's own 8 KB on-chip PosMap (the simulation gives it 256 KB,
+        // which leaves fewer than three levels at 64 MiB).
+        let config = OramBuilder::for_scheme(SchemePoint::RX8)
+            .num_blocks((64 << 20) / 64)
+            .freecursive_config()
+            .unwrap();
+        let mut mem = oram_memory(config, &small_sim()).unwrap();
+        let h = u64::from(mem.oram().num_levels());
+        assert!(h >= 3);
+        for addr in 0..100u64 {
+            read_block(&mut mem, addr);
+        }
+        // No request can fetch more than the H - 1 PosMap blocks above its
+        // data block, so the totals pin every single request.
+        let stats = mem.oram().stats();
+        assert_eq!(stats.posmap_backend_accesses, 100 * (h - 1));
+        assert_eq!(stats.data_backend_accesses, 100);
+    }
+
+    #[test]
+    fn plb_design_skips_posmap_accesses_on_locality() {
+        let mut mem = small(SchemePoint::PcX32);
+        // Sequential block addresses share PosMap blocks.
+        for addr in 0..1000u64 {
+            read_block(&mut mem, addr);
+        }
+        let per_request = mem.oram().stats().posmap_backend_accesses as f64 / 1000.0;
+        assert!(
+            per_request < 0.5,
+            "posmap accesses per request {per_request}"
+        );
+    }
+
+    #[test]
+    fn plb_design_costs_less_than_baseline_on_sequential_traffic() {
+        let mut baseline = small(SchemePoint::RX8);
+        let mut plb = small(SchemePoint::PcX32);
+        let mut base_cycles = 0;
+        let mut plb_cycles = 0;
+        for addr in 0..500u64 {
+            base_cycles += read_block(&mut baseline, addr);
+            plb_cycles += read_block(&mut plb, addr);
+        }
+        assert!(
+            plb_cycles < base_cycles,
+            "PLB {plb_cycles} should beat baseline {base_cycles}"
+        );
+    }
+
+    #[test]
+    fn pmmac_increases_per_access_bytes_via_mac_field() {
+        let mut pc = small(SchemePoint::PcX32);
+        let mut pic = small(SchemePoint::PicX32);
+        read_block(&mut pc, 0);
+        read_block(&mut pic, 0);
+        let data_bytes =
+            |mem: &FunctionalOramMemory<SimOram, _>| mem.oram().stats().data_bytes_moved;
+        assert!(data_bytes(&pic) >= data_bytes(&pc));
+        assert!(data_bytes(&pc) > 0);
+    }
+
+    #[test]
+    fn stats_accumulate_and_reset() {
+        // Two identical adapters serve the same requests; one resets in
+        // between.  The charge re-bases on the reset, so the next request
+        // costs exactly what it costs the twin that never reset.
+        let mut kept = small(SchemePoint::PcX32);
+        let mut reset = small(SchemePoint::PcX32);
+        let mut cycles = 0;
+        for addr in 0..50u64 {
+            cycles += read_block(&mut kept, addr * 1000);
+            read_block(&mut reset, addr * 1000);
+        }
+        assert_eq!(reset.oram().stats().frontend_requests, 50);
+        assert!(cycles > 0);
+        reset.reset_stats();
+        assert_eq!(reset.oram().stats().frontend_requests, 0);
+        let next = read_block(&mut reset, 7);
+        assert_eq!(next, read_block(&mut kept, 7));
+        assert!(next > 0 && next < cycles);
+    }
+
+    #[test]
+    fn oram_memory_translates_byte_addresses() {
+        let mut mem = small(SchemePoint::PcX32);
+        let lat = mem.access(0x1000, false);
+        assert!(
+            lat > 100,
+            "an ORAM access takes hundreds of cycles, got {lat}"
+        );
+        assert_eq!(mem.oram().stats().frontend_requests, 1);
+        assert_eq!(mem.oram().stats().data_backend_accesses, 1);
+    }
+
+    #[test]
+    fn group_remaps_are_walked_and_charged_at_their_trees_cost() {
+        // Tiny individual counters overflow every 2^3 accesses of one block;
+        // each overflow remaps the block's X - 1 siblings (§5.2.2) through
+        // the same tree, and each of those path accesses is charged.
+        let sim = small_sim();
+        let config = OramBuilder::for_scheme(SchemePoint::PicX32)
+            .num_blocks(1 << 10)
+            .posmap_format(PosMapFormat::Compressed { alpha: 32, beta: 3 })
+            .onchip_entries(32)
+            .freecursive_config()
+            .unwrap();
+        let mut mem = oram_memory(config, &sim).unwrap();
+        let mut cycles = 0;
+        for _ in 0..40 {
+            cycles += read_block(&mut mem, 5);
+        }
+        let stats = mem.oram().stats();
+        assert!(stats.group_remap_accesses > 0);
+        let tree = OramLatencyModel::new(
+            *mem.oram().trees()[0].params(),
+            sim.dram(),
+            sim.latency_samples,
+        );
+        let paths = stats.total_backend_accesses();
+        let expected = paths * tree.backend_access_cycles(true)
+            + stats.posmap_backend_accesses * tree.pipeline.frontend;
+        assert_eq!(cycles, expected);
+    }
 
     #[test]
     fn insecure_run_has_slowdown_one() {

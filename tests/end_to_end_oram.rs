@@ -68,7 +68,7 @@ fn functional_oram_behind_the_cache_hierarchy() {
         .unwrap();
     let mut cpu = SecureProcessor::new(
         ProcessorConfig::default(),
-        FunctionalOramMemory::new(oram, 1200),
+        FunctionalOramMemory::new(oram, |o| 1200 * o.stats().frontend_requests),
     );
     let trace = TraceGenerator::new(SpecBenchmark::Gcc.profile(), 5);
     for access in trace.take(4000) {
