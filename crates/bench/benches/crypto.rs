@@ -3,11 +3,13 @@
 //! SHA3-224 for PMMAC).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
+use freecursive::FreecursiveConfig;
 use oram_crypto::ctr::{CtrKeystream, KeystreamSpan};
 use oram_crypto::mac::MacKey;
 use oram_crypto::prf::{AesPrf, Prf};
 use oram_crypto::sha3::Sha3_224;
 use oram_crypto::{Aes128, PARALLEL_BLOCKS};
+use path_oram::OramParams;
 
 fn bench_aes_block(c: &mut Criterion) {
     let aes = Aes128::new([7u8; 16]);
@@ -34,15 +36,25 @@ fn bench_aes_block(c: &mut Criterion) {
 }
 
 fn bench_ctr_bucket(c: &mut Criterion) {
-    // One 320-byte bucket (Z = 4, 64-byte blocks) — the unit of bucket
-    // encryption in the backend.
+    // The hot shape of the 1M-block / 64-byte PIC_X32 design point, derived
+    // from its one unified tree: 20 levels of 384-byte bucket images, each
+    // an 8-byte plaintext header and 376 sealed bytes (PMMAC makes the tree
+    // block 78 bytes).  The group name carries the engine label, so a run
+    // records which kernel it measured.
+    let config = FreecursiveConfig::pic_x32(1 << 20, 64);
+    let (blocks, payload_bytes) = config.trees()[0];
+    let params = OramParams::new(blocks, payload_bytes, config.z);
+    let levels = params.levels() as usize;
+    let stride = params.bucket_bytes();
+    let sealed = params.bucket_sealed_bytes();
+
     let ks = CtrKeystream::new([3u8; 16]);
     let engine = ks.engine().label();
     let mut group = c.benchmark_group(format!("crypto/ctr[{engine}]"));
-    group.throughput(Throughput::Bytes(320));
-    group.bench_function("seal_bucket_320B", |b| {
+    group.throughput(Throughput::Bytes(sealed as u64));
+    group.bench_function(format!("seal_bucket_{sealed}B"), |b| {
         b.iter_batched(
-            || vec![0xA5u8; 320],
+            || vec![0xA5u8; sealed],
             |mut bucket| {
                 ks.apply(42, &mut bucket);
                 bucket
@@ -50,21 +62,18 @@ fn bench_ctr_bucket(c: &mut Criterion) {
             BatchSize::SmallInput,
         );
     });
-    // A whole path sealed in one batched pass: 19 buckets of 312 sealed
-    // bytes each — the 1M-block / 64-byte design point's hot shape.
-    let levels = 19usize;
-    let sealed = 312usize;
+    // A whole path sealed in one batched pass.
     let spans: Vec<KeystreamSpan> = (0..levels)
         .map(|i| KeystreamSpan {
             seed: 1000 + i as u128,
-            start: i * 320 + 8,
+            start: i * stride + (stride - sealed),
             len: sealed,
         })
         .collect();
     group.throughput(Throughput::Bytes((levels * sealed) as u64));
-    group.bench_function("seal_path_19x312B_batched", |b| {
+    group.bench_function(format!("seal_path_{levels}x{sealed}B_batched"), |b| {
         b.iter_batched(
-            || vec![0xA5u8; levels * 320],
+            || vec![0xA5u8; levels * stride],
             |mut path| {
                 ks.apply_batch(&spans, &mut path);
                 path

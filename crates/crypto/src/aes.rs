@@ -2,20 +2,25 @@
 //!
 //! The hardware prototype in the paper uses two OpenCores AES-128 units: a
 //! pipelined core for path decryption/re-encryption and a smaller core for the
-//! PRF (§7.2.1).  This module mirrors that with **two software engines behind
-//! one type**:
+//! PRF (§7.2.1).  This module mirrors that with **three software engines
+//! behind one type**:
 //!
-//! * **AES-NI** (the private `aesni` module, x86_64 only) — the hardware
-//!   instructions, with eight blocks interleaved per call so the `AESENC`
-//!   latency pipelines like the paper's dedicated unit.
+//! * **VAES** (the private `aesni` module, x86_64 with VAES, AVX-512F and
+//!   AVX-512BW) — counter mode on 512-bit registers, 24 blocks interleaved
+//!   per group: one sealed bucket of the 64-byte design point per pass.
+//!   Single blocks and caller-built batches run the AES-NI kernel.
+//! * **AES-NI** (same module, x86_64 only) — the hardware instructions, with
+//!   eight blocks interleaved per call so the `AESENC` latency pipelines like
+//!   the paper's dedicated unit.
 //! * **Bitsliced** ([`crate::fixslice`]) — a table-free, constant-time
 //!   software implementation processing eight blocks per call; the portable
 //!   fallback.
 //!
-//! [`Aes128`] picks the engine once at construction: AES-NI when the CPU
-//! reports it, unless the soft path is forced by setting
-//! `ORAM_CRYPTO_FORCE_SOFT` to anything but `0`/empty in the environment
-//! (checked once per process).  [`Aes128::engine`] reports the decision.
+//! [`Aes128`] picks the engine once at construction: VAES when the CPU
+//! reports it, else AES-NI when the CPU reports that, unless the soft path
+//! is forced by setting `ORAM_CRYPTO_FORCE_SOFT` to anything but `0`/empty
+//! in the environment (checked once per process).  [`Aes128::engine`]
+//! reports the decision.
 //!
 //! The historical scalar implementation (S-box table + per-column GF(2^8)
 //! arithmetic) is retained test-only as `encrypt_block_scalar`, the
@@ -97,7 +102,12 @@ pub(crate) fn counter_block(seed: u128, chunk: u32) -> [u8; BLOCK_BYTES] {
 /// Which implementation an [`Aes128`] instance dispatches to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineKind {
-    /// Hardware AES instructions (`AESENC`/`AESENCLAST`), x86_64 only.
+    /// Counter mode on 512-bit VAES registers, 24 blocks per group (x86_64
+    /// with VAES, AVX-512F and AVX-512BW); single blocks and caller-built
+    /// batches run the [`EngineKind::AesNi`] kernel.
+    Vaes,
+    /// Hardware AES instructions (`AESENC`/`AESENCLAST`) on 128-bit
+    /// registers, 8 blocks per call, x86_64 only.
     AesNi,
     /// Table-free bitsliced software engine (8 blocks per call).
     Bitsliced,
@@ -107,6 +117,7 @@ impl EngineKind {
     /// Human-readable engine name (for logs and benchmark labels).
     pub fn label(self) -> &'static str {
         match self {
+            EngineKind::Vaes => "vaes-avx512",
             EngineKind::AesNi => "aes-ni",
             EngineKind::Bitsliced => "soft-bitsliced",
         }
@@ -128,8 +139,13 @@ pub(crate) fn force_soft() -> bool {
 fn select_engine() -> EngineKind {
     #[cfg(target_arch = "x86_64")]
     {
-        if !force_soft() && crate::aesni::detected() {
-            return EngineKind::AesNi;
+        if !force_soft() {
+            if crate::aesni::vaes_detected() {
+                return EngineKind::Vaes;
+            }
+            if crate::aesni::detected() {
+                return EngineKind::AesNi;
+            }
         }
     }
     let _ = force_soft(); // non-x86_64: the override exists but changes nothing
@@ -157,13 +173,18 @@ pub struct Aes128 {
     /// 11 round keys of 16 bytes each.
     round_keys: [[u8; 16]; ROUNDS + 1],
     /// Engine-specific state: only the selected engine's schedule is built
-    /// (the bitsliced plane broadcast is skipped entirely under AES-NI).
+    /// (the bitsliced plane broadcast is skipped entirely under the
+    /// hardware engines).
     state: EngineState,
 }
 
 /// Which engine an instance dispatches to, with that engine's extra state.
 #[derive(Clone)]
 enum EngineState {
+    /// VAES needs nothing beyond the byte-form round keys, which its kernel
+    /// broadcasts to every 128-bit lane per call.
+    #[cfg(target_arch = "x86_64")]
+    Vaes,
     /// AES-NI needs nothing beyond the byte-form round keys.
     #[cfg(target_arch = "x86_64")]
     AesNi,
@@ -190,9 +211,15 @@ impl Drop for Aes128 {
 
 impl Aes128 {
     /// Creates a cipher instance by expanding `key` into the round-key
-    /// schedule (byte form for the scalar/AES-NI paths, plane form for the
-    /// bitsliced engine).
+    /// schedule (byte form for the scalar and hardware paths, plane form for
+    /// the bitsliced engine).
     pub fn new(key: [u8; KEY_BYTES]) -> Self {
+        Self::on_engine(key, select_engine())
+    }
+
+    /// [`Aes128::new`] on a given engine, which the caller has checked this
+    /// host runs.
+    fn on_engine(key: [u8; KEY_BYTES], engine: EngineKind) -> Self {
         let mut words = [[0u8; 4]; 4 * (ROUNDS + 1)];
         for (i, w) in words.iter_mut().take(4).enumerate() {
             w.copy_from_slice(&key[4 * i..4 * i + 4]);
@@ -218,11 +245,15 @@ impl Aes128 {
                 rk[4 * c..4 * c + 4].copy_from_slice(&words[4 * r + c]);
             }
         }
-        let state = match select_engine() {
+        let state = match engine {
+            #[cfg(target_arch = "x86_64")]
+            EngineKind::Vaes => EngineState::Vaes,
             #[cfg(target_arch = "x86_64")]
             EngineKind::AesNi => EngineState::AesNi,
             #[cfg(not(target_arch = "x86_64"))]
-            EngineKind::AesNi => unreachable!("AES-NI is never selected off x86_64"),
+            EngineKind::Vaes | EngineKind::AesNi => {
+                unreachable!("hardware engines are never selected off x86_64")
+            }
             EngineKind::Bitsliced => EngineState::Soft(Box::new(FixslicedKeys::new(&round_keys))),
         };
         Self { round_keys, state }
@@ -232,9 +263,27 @@ impl Aes128 {
     pub fn engine(&self) -> EngineKind {
         match self.state {
             #[cfg(target_arch = "x86_64")]
+            EngineState::Vaes => EngineKind::Vaes,
+            #[cfg(target_arch = "x86_64")]
             EngineState::AesNi => EngineKind::AesNi,
             EngineState::Soft(_) => EngineKind::Bitsliced,
         }
+    }
+
+    /// A cipher on `engine`, or `None` when this host does not run it (for
+    /// the tests that compare engines directly).
+    #[cfg(test)]
+    pub(crate) fn with_engine(key: [u8; KEY_BYTES], engine: EngineKind) -> Option<Self> {
+        let available = match engine {
+            #[cfg(target_arch = "x86_64")]
+            EngineKind::Vaes => crate::aesni::vaes_detected(),
+            #[cfg(target_arch = "x86_64")]
+            EngineKind::AesNi => crate::aesni::detected(),
+            #[cfg(not(target_arch = "x86_64"))]
+            EngineKind::Vaes | EngineKind::AesNi => false,
+            EngineKind::Bitsliced => true,
+        };
+        available.then(|| Self::on_engine(key, engine))
     }
 
     /// The expanded round keys (for the engine tests).
@@ -245,15 +294,16 @@ impl Aes128 {
 
     /// Encrypts a single 16-byte block and returns the ciphertext.
     ///
-    /// Soft-mode single blocks still run through the bitsliced engine (one
-    /// occupied lane) so the constant-time property holds for *every*
-    /// non-AES-NI encryption, at the cost of a full batch per lone block —
-    /// hot paths batch via [`Aes128::encrypt_blocks`] instead.
+    /// Both hardware engines run the AES-NI kernel here.  Soft-mode single
+    /// blocks still run through the bitsliced engine (one occupied lane) so
+    /// the constant-time property holds for *every* software encryption, at
+    /// the cost of a full batch per lone block — hot paths batch via
+    /// [`Aes128::encrypt_blocks`] instead.
     // lint: ct-scope, no-alloc
     pub fn encrypt_block(&self, block: [u8; BLOCK_BYTES]) -> [u8; BLOCK_BYTES] {
         match &self.state {
             #[cfg(target_arch = "x86_64")]
-            EngineState::AesNi => {
+            EngineState::Vaes | EngineState::AesNi => {
                 let mut out = block;
                 crate::aesni::encrypt_blocks(&self.round_keys, &mut out);
                 out
@@ -268,7 +318,8 @@ impl Aes128 {
     }
 
     /// Encrypts `data` — any whole number of 16-byte blocks, laid out
-    /// back-to-back — in place, eight blocks per engine call.
+    /// back-to-back — in place, eight blocks per engine call (the AES-NI
+    /// kernel under both hardware engines).
     ///
     /// This is the batched hot path used by [`crate::ctr::CtrKeystream`]:
     /// callers fill `data` with counter blocks and receive the keystream in
@@ -285,7 +336,9 @@ impl Aes128 {
         );
         match &self.state {
             #[cfg(target_arch = "x86_64")]
-            EngineState::AesNi => crate::aesni::encrypt_blocks(&self.round_keys, data),
+            EngineState::Vaes | EngineState::AesNi => {
+                crate::aesni::encrypt_blocks(&self.round_keys, data);
+            }
             EngineState::Soft(keys) => {
                 let mut chunks = data.chunks_exact_mut(crate::fixslice::BATCH_BYTES);
                 for chunk in &mut chunks {
@@ -312,12 +365,17 @@ impl Aes128 {
     /// `AES_K((seed << 32) | (first_chunk + i))`, the index wrapping at 32
     /// bits, and a trailing partial chunk with its pad's prefix.
     ///
-    /// Under AES-NI this is the fused kernel: counter blocks exist only in
-    /// registers and the keystream is XORed 128 bits at a time straight into
-    /// `data`.  The bitsliced engine fills its eight lanes with counter
-    /// blocks, encrypts them, and XORs the batch.
+    /// Under the hardware engines this is a fused kernel: counter blocks
+    /// exist only in registers and the keystream is XORed straight into
+    /// `data`, 512 bits per store in 24-block groups under VAES, 128 bits per
+    /// store in 8-block groups under AES-NI.  The bitsliced engine fills its
+    /// eight lanes with counter blocks, encrypts them, and XORs the batch.
     pub fn ctr_xor(&self, seed: u128, first_chunk: u32, data: &mut [u8]) {
         match &self.state {
+            #[cfg(target_arch = "x86_64")]
+            EngineState::Vaes => {
+                crate::aesni::ctr_xor_vaes(&self.round_keys, seed, first_chunk, data);
+            }
             #[cfg(target_arch = "x86_64")]
             EngineState::AesNi => {
                 crate::aesni::ctr_xor(&self.round_keys, seed, first_chunk, data);
@@ -428,12 +486,33 @@ pub(crate) fn ctr_xor_scalar(aes: &Aes128, seed: u128, first_chunk: u32, data: &
     }
 }
 
+/// Every engine this host runs, keyed with `key`.  Each engine it does not
+/// run is named on stderr with the reason it is skipped.
+#[cfg(test)]
+pub(crate) fn host_ciphers(key: [u8; KEY_BYTES]) -> Vec<Aes128> {
+    [EngineKind::Vaes, EngineKind::AesNi, EngineKind::Bitsliced]
+        .into_iter()
+        .filter_map(|engine| {
+            let cipher = Aes128::with_engine(key, engine);
+            if cipher.is_none() {
+                eprintln!(
+                    "skipping the {} engine: this CPU does not support it",
+                    engine.label()
+                );
+            }
+            cipher
+        })
+        .collect()
+}
+
 /// Drives a `ctr_xor` implementation (`f(seed, first_chunk, data)`, keyed
-/// like `aes`) over the shapes the fused kernel has to get right, comparing
+/// like `aes`) over the shapes the fused kernels have to get right, comparing
 /// every byte with [`ctr_xor_scalar`]: each length from nothing to two full
-/// groups plus a partial block at unaligned starts inside a larger buffer
-/// (whose other bytes must not change), chunk indices carrying across byte
-/// boundaries and wrapping at `u32::MAX`, and seeds with the high bits of the
+/// xmm groups plus a partial block, lengths around one, two and three
+/// 24-block VAES groups (a sealed 376-byte bucket, a 632-byte one, ~1 KiB),
+/// all at unaligned starts inside a larger buffer (whose other bytes must not
+/// change), chunk indices carrying across byte boundaries, across a group
+/// boundary and wrapping at `u32::MAX`, and seeds with the high bits of the
 /// 96-bit field set.
 #[cfg(test)]
 pub(crate) fn check_ctr_xor(aes: &Aes128, f: impl Fn(u128, u32, &mut [u8])) {
@@ -443,7 +522,11 @@ pub(crate) fn check_ctr_xor(aes: &Aes128, f: impl Fn(u128, u32, &mut [u8])) {
         0x8000_0000_0000_0000_0000_0001,
         0xffff_ffff_ffff_ffff_ffff_ffff,
     ];
-    for len in 0..=273usize {
+    let lengths = (0..=273usize)
+        .chain(374..=378)
+        .chain(630..=634)
+        .chain(1150..=1160);
+    for len in lengths {
         let start = 1 + len % 7;
         let seed = seeds[len % seeds.len()];
         let mut expected: Vec<u8> = (0..start + len + 5).map(|i| (i * 37 % 251) as u8).collect();
@@ -452,18 +535,30 @@ pub(crate) fn check_ctr_xor(aes: &Aes128, f: impl Fn(u128, u32, &mut [u8])) {
         f(seed, 0, &mut actual[start..start + len]);
         assert_eq!(actual, expected, "len {len} at start {start}");
     }
-    for first_chunk in [0xFAu32, 0xFFFA, 0x00FF_FFFA, u32::MAX - 5] {
+    // 11 chunks and a partial one put the carry inside the first group and
+    // again in the short last group; 50 and a partial one span two full
+    // VAES groups and a short third.  `0xFFE8` carries exactly at the second
+    // VAES group, `u32::MAX - 30` wraps inside it.
+    let carries = [
+        0xFAu32,
+        0xFFFA,
+        0x00FF_FFFA,
+        u32::MAX - 5,
+        0xFFE8,
+        u32::MAX - 30,
+    ];
+    for first_chunk in carries {
         for seed in seeds {
-            // 11 chunks and a partial one: the carry lands inside the first
-            // group and again in the short last group.
-            let mut expected = vec![0x5Au8; 11 * BLOCK_BYTES + 3];
-            let mut actual = expected.clone();
-            ctr_xor_scalar(aes, seed, first_chunk, &mut expected);
-            f(seed, first_chunk, &mut actual);
-            assert_eq!(
-                actual, expected,
-                "first_chunk {first_chunk:#x}, seed {seed:#x}"
-            );
+            for blocks in [11, 50] {
+                let mut expected = vec![0x5Au8; blocks * BLOCK_BYTES + 3];
+                let mut actual = expected.clone();
+                ctr_xor_scalar(aes, seed, first_chunk, &mut expected);
+                f(seed, first_chunk, &mut actual);
+                assert_eq!(
+                    actual, expected,
+                    "first_chunk {first_chunk:#x}, seed {seed:#x}, {blocks} blocks"
+                );
+            }
         }
     }
 }
@@ -472,14 +567,16 @@ pub(crate) fn check_ctr_xor(aes: &Aes128, f: impl Fn(u128, u32, &mut [u8])) {
 mod tests {
     use super::*;
 
-    /// Whichever engine dispatch selected (AES-NI by default, bitsliced on
-    /// the forced-soft leg) against the scalar reference.
+    /// Every engine this host runs, through the dispatching
+    /// [`Aes128::ctr_xor`], against the scalar reference: the bitsliced
+    /// engine on every host, the hardware kernels where the CPU has them.
     #[test]
     fn ctr_xor_matches_scalar_reference() {
-        let aes = Aes128::new([0x3Cu8; 16]);
-        check_ctr_xor(&aes, |seed, first_chunk, data| {
-            aes.ctr_xor(seed, first_chunk, data)
-        });
+        for aes in host_ciphers([0x3Cu8; 16]) {
+            check_ctr_xor(&aes, |seed, first_chunk, data| {
+                aes.ctr_xor(seed, first_chunk, data)
+            });
+        }
     }
 
     /// FIPS-197 Appendix B example vector.
@@ -576,7 +673,10 @@ mod tests {
     fn engine_selection_is_reported() {
         let aes = Aes128::new([0u8; 16]);
         let kind = aes.engine();
-        assert!(matches!(kind, EngineKind::AesNi | EngineKind::Bitsliced));
+        assert!(matches!(
+            kind,
+            EngineKind::Vaes | EngineKind::AesNi | EngineKind::Bitsliced
+        ));
         assert!(!kind.label().is_empty());
         // Whatever was selected, a clone dispatches identically.
         assert_eq!(aes.clone().engine(), kind);

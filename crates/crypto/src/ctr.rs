@@ -21,13 +21,20 @@
 //! an entire ORAM path (~20 buckets) is one such call per direction.  What
 //! happens underneath depends on the engine ([`CtrKeystream::engine`]):
 //!
-//! * **AES-NI: the fused kernel.**  Each span goes through
-//!   [`Aes128::ctr_xor`]: the seed sits in a register, the byte-swapped chunk
-//!   index is inserted per lane, eight `AESENC` chains run interleaved, and
-//!   the result is XORed 128 bits at a time straight into the buffer.  No
-//!   counter block or pad is ever written to memory, except the pad of a
-//!   span's trailing partial block.  A span's last, part-filled group still
-//!   runs all eight lanes and drops the pads it has no bytes for.
+//! * **VAES: the 512-bit fused kernel.**  Each span goes through
+//!   [`Aes128::ctr_xor`]: the seed and the round keys are broadcast to every
+//!   128-bit lane, the byte-swapped chunk index is inserted per lane, six
+//!   zmm `AESENC` chains (24 blocks) run interleaved, and the result is
+//!   XORed 64 bytes at a time straight into the buffer.  A 376-byte sealed
+//!   bucket of the 64-byte PMMAC design point is one group.  A span's last,
+//!   part-filled group runs only the registers it has bytes for and ends in
+//!   one masked load/store, so no counter block or pad is ever written to
+//!   memory.
+//! * **AES-NI: the 128-bit fused kernel.**  The same shape on xmm
+//!   registers: eight `AESENC` chains per group, XORed 16 bytes at a time.
+//!   The only pad written to memory is that of a span's trailing partial
+//!   block.  A span's last, part-filled group still runs all eight lanes and
+//!   drops the pads it has no bytes for.
 //! * **Bitsliced: cross-span lane packing.**  One bitsliced call costs the
 //!   same whether one lane or all eight are occupied, so here counter blocks
 //!   from *different* spans share an engine call and a path costs
@@ -35,7 +42,7 @@
 //!   This is the only engine off x86_64 and on the forced-soft CI leg, which
 //!   is why the packing code stays.
 //!
-//! Guarantees, identical for both:
+//! Guarantees, identical for all three:
 //!
 //! * Byte-for-byte equivalence with the scalar construction: chunk `i` of a
 //!   span is XORed with `AES_K((seed << 32) | i)` exactly as
@@ -131,9 +138,9 @@ impl CtrKeystream {
     }
 
     /// XORs every span's keystream into `data` in place: span by span
-    /// through the fused kernel under AES-NI, with counter blocks of all
-    /// spans packed into shared engine calls under the bitsliced engine (see
-    /// the module docs for the full contract).
+    /// through the fused kernel under VAES and AES-NI, with counter blocks of
+    /// all spans packed into shared engine calls under the bitsliced engine
+    /// (see the module docs for the full contract).
     ///
     /// # Panics
     ///
@@ -147,7 +154,7 @@ impl CtrKeystream {
             );
         }
         match self.cipher.engine() {
-            EngineKind::AesNi => {
+            EngineKind::Vaes | EngineKind::AesNi => {
                 for span in spans {
                     self.cipher
                         .ctr_xor(span.seed, 0, &mut data[span.start..span.start + span.len]);
@@ -340,40 +347,47 @@ mod tests {
         }
     }
 
-    /// The backend's shape: a path of 20 bucket images at a 320-byte stride,
-    /// each an 8-byte plaintext header followed by 312 sealed bytes (19
-    /// whole chunks and half of a 20th).  The headers between spans must come
-    /// through untouched.
+    /// The backend's shapes: a path of bucket images, each an 8-byte
+    /// plaintext header followed by its sealed bytes — 20 × 384-byte images
+    /// (376 sealed: 23 whole chunks and half of a 24th, the 64-byte PMMAC
+    /// design point) and 16 × 640-byte ones (632 sealed, an oblivious-map
+    /// bucket).  Every engine this host runs must give the scalar
+    /// reference's bytes, and the headers between spans must come through
+    /// untouched.
     #[test]
     fn path_shaped_batch_leaves_headers_untouched() {
-        const BUCKETS: usize = 20;
-        const STRIDE: usize = 320;
         const HEADER: usize = 8;
-        let ks = CtrKeystream::new([0x6Du8; 16]);
-        let original: Vec<u8> = (0..BUCKETS * STRIDE)
-            .map(|i| (i * 29 % 253) as u8)
-            .collect();
-        let mut expected = original.clone();
-        let mut actual = original.clone();
-        let spans: Vec<KeystreamSpan> = (0..BUCKETS)
-            .map(|k| KeystreamSpan {
-                seed: (0xFEDC_BA98u128 << 64) | (k as u128 + 1),
-                start: k * STRIDE + HEADER,
-                len: STRIDE - HEADER,
-            })
-            .collect();
-        for span in &spans {
-            apply_reference(
-                &ks,
-                span.seed,
-                &mut expected[span.start..span.start + span.len],
-            );
-        }
-        ks.apply_batch(&spans, &mut actual);
-        assert_eq!(actual, expected);
-        for k in 0..BUCKETS {
-            let header = k * STRIDE..k * STRIDE + HEADER;
-            assert_eq!(actual[header.clone()], original[header], "header {k}");
+        for (buckets, stride) in [(20usize, 384usize), (16, 640)] {
+            let original: Vec<u8> = (0..buckets * stride)
+                .map(|i| (i * 29 % 253) as u8)
+                .collect();
+            let spans: Vec<KeystreamSpan> = (0..buckets)
+                .map(|k| KeystreamSpan {
+                    seed: (0xFEDC_BA98u128 << 64) | (k as u128 + 1),
+                    start: k * stride + HEADER,
+                    len: stride - HEADER,
+                })
+                .collect();
+            let mut expected = original.clone();
+            let reference = CtrKeystream::new([0x6Du8; 16]);
+            for span in &spans {
+                apply_reference(
+                    &reference,
+                    span.seed,
+                    &mut expected[span.start..span.start + span.len],
+                );
+            }
+            for cipher in crate::aes::host_ciphers([0x6Du8; 16]) {
+                let engine = cipher.engine().label();
+                let ks = CtrKeystream { cipher };
+                let mut actual = original.clone();
+                ks.apply_batch(&spans, &mut actual);
+                assert_eq!(actual, expected, "{engine}, {buckets} x {stride} B");
+                for k in 0..buckets {
+                    let header = k * stride..k * stride + HEADER;
+                    assert_eq!(actual[header.clone()], original[header], "header {k}");
+                }
+            }
         }
     }
 

@@ -9,12 +9,14 @@
 //! workspace root shows where each sits on the access path):
 //!
 //! * [`aes::Aes128`] — the block cipher (FIPS-197), encryption direction
-//!   only, with two engines behind one type: AES-NI (x86_64, runtime
-//!   detected) and a table-free bitsliced software fallback
-//!   ([`fixslice`]), both processing 8 blocks per call.
+//!   only, with three engines behind one type: VAES on 512-bit registers
+//!   (x86_64 with AVX-512, runtime detected; counter mode in 24-block
+//!   groups), AES-NI (x86_64, runtime detected; 8 blocks per call) and a
+//!   table-free bitsliced software fallback ([`fixslice`], 8 blocks per
+//!   call).
 //! * [`ctr::CtrKeystream`] / [`ctr::xor_in_place`] — AES counter-mode pads
 //!   for probabilistic bucket encryption, XORed in place by the fused
-//!   AES-NI kernel.
+//!   VAES or AES-NI kernel.
 //! * [`sha3::Sha3_224`] — the Keccak-based hash used for MACs.
 //! * [`prf::Prf`] / [`prf::AesPrf`] — the pseudorandom function
 //!   `PRF_K(x) mod 2^L` that maps (address, counter) pairs to leaves.
@@ -26,22 +28,25 @@
 //! # The batched API contract
 //!
 //! Every primitive that evaluates AES more than once per logical operation
-//! exposes an entry point that keeps the engine's eight lanes busy, with
-//! identical output to the scalar path:
+//! exposes an entry point that keeps the engine's lanes busy, with identical
+//! output to the scalar path:
 //!
 //! * [`aes::Aes128::ctr_xor`] — counter mode over one run of bytes.  Under
-//!   AES-NI this is the **fused kernel**: the 96-bit seed stays in a
-//!   register, each lane gets its byte-swapped chunk index inserted, eight
-//!   `AESENC` chains run interleaved, and the keystream is XORed 128 bits at
-//!   a time straight into the caller's buffer — no counter block and no pad
-//!   is written to memory (a trailing partial block excepted).  The
-//!   bitsliced engine fills an eight-block batch with counter blocks
-//!   instead.
+//!   the hardware engines this is a **fused kernel**: the 96-bit seed stays
+//!   in a register, each 128-bit lane gets its byte-swapped chunk index
+//!   inserted, the `AESENC` chains run interleaved, and the keystream is
+//!   XORed straight into the caller's buffer.  VAES runs six 512-bit chains,
+//!   a 24-block group (one 376-byte sealed bucket of the 64-byte PMMAC
+//!   design point), XORs 64 bytes per store and ends a run with one masked
+//!   load/store, so no counter block or pad is written to memory.  AES-NI
+//!   runs eight 128-bit chains and XORs 16 bytes per store; only a trailing
+//!   partial block's pad goes through memory.  The bitsliced engine fills
+//!   an eight-block batch with counter blocks instead.
 //! * [`ctr::CtrKeystream::apply_batch`] (and the single-run
 //!   [`ctr::CtrKeystream::apply`] / [`ctr::CtrKeystream::pad_blocks`]) —
 //!   keystream over arbitrary [`ctr::KeystreamSpan`]s of one buffer, which
 //!   is how an ORAM path's ~20 buckets seal in one call per direction.
-//!   AES-NI runs the fused kernel once per span.  The bitsliced engine keeps
+//!   VAES and AES-NI run their fused kernel once per span.  The bitsliced engine keeps
 //!   the older cross-span lane packing, counter blocks from *different*
 //!   spans sharing an engine call: a bitsliced call costs the same for one
 //!   block as for eight, so part-filled calls are what it must avoid, and it
@@ -55,9 +60,13 @@
 //!
 //! # Engine selection
 //!
-//! The engine is chosen per cipher instance at construction: AES-NI when the
-//! CPU supports it, unless `ORAM_CRYPTO_FORCE_SOFT` is set to a non-empty
-//! value other than `0` in the environment (read once per process).
+//! The engine is chosen per cipher instance at construction: VAES when the
+//! CPU reports `vaes`, `avx512f` and `avx512bw`, else AES-NI when it reports
+//! `aes`, unless `ORAM_CRYPTO_FORCE_SOFT` is set to a non-empty value other
+//! than `0` in the environment (read once per process), which selects the
+//! bitsliced engine.  [`aes::Aes128::encrypt_block`],
+//! [`aes::Aes128::encrypt_blocks`] and the PRF run the AES-NI kernel under
+//! both hardware engines.
 //! [`aes::Aes128::engine`] reports the decision.  The same override sends
 //! [`crc64::crc64`] to its table path.  Key material (expanded AES
 //! schedules, MAC keys) is scrubbed with volatile writes on drop.
@@ -74,8 +83,8 @@
 //! ```
 
 // Unsafe code is denied everywhere except the three audited islands that opt
-// back in: the AES-NI intrinsics (`aesni`), the PCLMULQDQ CRC kernel
-// (`clmul`) and the volatile key scrubbing (`zeroize`).
+// back in: the AES-NI and VAES intrinsics (`aesni`), the PCLMULQDQ CRC
+// kernel (`clmul`) and the volatile key scrubbing (`zeroize`).
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

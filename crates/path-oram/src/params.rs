@@ -155,8 +155,9 @@ impl OramParams {
     /// Bytes of a serialised bucket image covered by the keystream: all of
     /// it except the plaintext 8-byte seed header.  One path direction
     /// therefore moves `levels() * bucket_sealed_bytes()` bytes through the
-    /// AES engine, which the batched cipher pass pays off in
-    /// ⌈that / (16 · 8)⌉ engine calls.
+    /// AES engine in one batched cipher pass.  Per bucket that is
+    /// ⌈`bucket_sealed_bytes()` / 384⌉ 24-block groups under VAES, or
+    /// ⌈`bucket_sealed_bytes()` / 128⌉ 8-block groups under AES-NI.
     pub fn bucket_sealed_bytes(&self) -> usize {
         self.bucket_bytes() - BUCKET_HEADER_BYTES
     }
