@@ -32,10 +32,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use serde::{Deserialize, Serialize};
-
 /// Area of an SRAM macro: a fixed periphery cost plus a per-KB cost.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SramMacro {
     /// Fixed periphery/decoder area in mm².
     pub fixed_mm2: f64,
@@ -51,7 +49,7 @@ impl SramMacro {
 }
 
 /// Physical design parameters of the controller.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AreaParams {
     /// On-chip PosMap capacity in bytes (8 KB in the prototype).
     pub onchip_posmap_bytes: u64,
@@ -114,7 +112,7 @@ impl Default for AreaParams {
 }
 
 /// The per-component area breakdown for one channel count.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AreaBreakdown {
     /// DRAM channel count the breakdown is for.
     pub channels: usize,
@@ -162,7 +160,7 @@ impl AreaBreakdown {
 }
 
 /// The analytical area model.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct AreaModel {
     /// Physical parameters.
     pub params: AreaParams,

@@ -1,9 +1,7 @@
 //! A generic set-associative write-back cache with LRU replacement.
 
-use serde::{Deserialize, Serialize};
-
 /// Geometry of one cache level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Total capacity in bytes.
     pub capacity_bytes: usize,

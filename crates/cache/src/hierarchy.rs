@@ -2,10 +2,9 @@
 //! a 1 MB 16-way unified L2 (the LLC), both with 64-byte lines.
 
 use crate::cache::{CacheConfig, SetAssocCache};
-use serde::{Deserialize, Serialize};
 
 /// Where a memory access was satisfied.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HitLevel {
     /// Hit in the L1 data cache.
     L1,
@@ -26,7 +25,7 @@ pub struct HierarchyOutcome {
 }
 
 /// Configuration of the hierarchy (latencies in CPU cycles, per Table 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HierarchyConfig {
     /// L1 geometry.
     pub l1: CacheConfig,

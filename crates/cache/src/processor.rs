@@ -2,7 +2,6 @@
 //! pluggable main memory.
 
 use crate::hierarchy::{CacheHierarchy, HierarchyConfig, HitLevel};
-use serde::{Deserialize, Serialize};
 
 /// The main-memory interface the LLC misses into: a flat-latency DRAM (the
 /// insecure baseline), an ORAM behind [`crate::FunctionalOramMemory`], or
@@ -33,7 +32,7 @@ impl MainMemory for FlatLatencyMemory {
 }
 
 /// Core and hierarchy configuration (Table 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProcessorConfig {
     /// Cache hierarchy geometry and latencies.
     pub hierarchy: HierarchyConfig,
@@ -51,7 +50,7 @@ impl Default for ProcessorConfig {
 }
 
 /// Aggregate results of a trace run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RunResult {
     /// Total simulated cycles.
     pub total_cycles: u64,

@@ -17,10 +17,8 @@
 //! These are *models* (they ignore constants the simulators capture); the
 //! tests verify the qualitative relationships the paper states.
 
-use serde::{Deserialize, Serialize};
-
 /// Parameters of the asymptotic model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AsymptoticParams {
     /// Number of data blocks (N).
     pub num_blocks: f64,

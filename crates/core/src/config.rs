@@ -36,10 +36,9 @@ use oram_crypto::mac::MAC_BYTES;
 use path_oram::{Durability, EncryptionMode, OramParams, StorageKind};
 use posmap::compressed::{CompressedPosMapBlock, DEFAULT_ALPHA, DEFAULT_BETA};
 use posmap::{Plb, RecursionAddressing};
-use serde::{Deserialize, Serialize};
 
 /// How PosMap blocks represent the leaves of the blocks they cover.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PosMapFormat {
     /// X raw leaf labels per block (4 bytes each); leaves drawn uniformly at
     /// random on every remap.  The baseline format (§3.2).
@@ -106,7 +105,7 @@ impl PosMapFormat {
 }
 
 /// Full configuration of a Freecursive ORAM controller instance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FreecursiveConfig {
     /// Number of data blocks the ORAM must hold (N).
     pub num_blocks: u64,

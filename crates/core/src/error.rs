@@ -7,11 +7,10 @@
 //! halt-the-machine event rather than an ordinary error (§6).
 
 use path_oram::OramError;
-use serde::{Deserialize, Serialize};
 
 /// Errors detected while validating a [`crate::FreecursiveConfig`] or
 /// resolving an [`crate::OramBuilder`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum ConfigError {
     /// A size parameter was zero.
@@ -99,7 +98,7 @@ impl std::error::Error for ConfigError {}
 /// discovered mid-operation, after which the op still completes its full
 /// padded access schedule so the failure is not distinguishable from a
 /// success in the ORAM request count.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum MapError {
     /// The key is longer than the layout's maximum key size.

@@ -10,7 +10,6 @@ use oram_crypto::prf::Prf;
 use posmap::compressed::IncrementOutcome;
 use posmap::{CompressedPosMapBlock, UncompressedPosMapBlock};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// The result of advancing (remapping) one entry of a PosMap block.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -37,7 +36,7 @@ pub struct GroupRemapInfo {
 }
 
 /// The contents of one PosMap block.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PosMapBlockPayload {
     /// X raw leaves.
     Leaves(UncompressedPosMapBlock),

@@ -7,9 +7,8 @@
 //! plus the tree files the backend's store writes next to it.  This module
 //! holds the kind tags that dispatch `OramBuilder::resume`, and the
 //! field-by-field serialisation helpers for the structs shared across
-//! frontends (the `serde` dependency is a no-op shim in this offline
-//! workspace, so everything is written by hand against
-//! [`path_oram::snapshot`]).
+//! frontends (written by hand against [`path_oram::snapshot`], as the
+//! workspace has no serialisation framework).
 
 use crate::config::PosMapFormat;
 use crate::stats::FrontendStats;

@@ -6,10 +6,8 @@
 //! resolved by [`crate::OramBuilder::for_scheme`]; the functional frontend
 //! and the timing simulator in `oram-sim` both read that one table.
 
-use serde::{Deserialize, Serialize};
-
 /// A design point that can be attached to the secure processor model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SchemePoint {
     /// No ORAM at all: flat-latency DRAM (the denominator of every slowdown).
     Insecure,

@@ -2,14 +2,13 @@
 
 use path_oram::BackendStats;
 use posmap::PlbStats;
-use serde::{Deserialize, Serialize};
 
 /// Counters accumulated by a Freecursive frontend (with or without a PLB).
 ///
 /// The evaluation figures are all derived from these: Figure 6/8 from the
 /// backend-access counts (latency), Figure 7 from the byte counters, §6.3
 /// from the hash counters.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FrontendStats {
     /// Requests received from the LLC (each is one `read` or `write`).
     pub frontend_requests: u64,

@@ -8,10 +8,9 @@
 //! bank so activates overlap with transfers.
 
 use crate::config::DramConfig;
-use serde::{Deserialize, Serialize};
 
 /// A decomposed DRAM location.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DramLocation {
     /// Channel index.
     pub channel: usize,
@@ -26,7 +25,7 @@ pub struct DramLocation {
 }
 
 /// Maps physical byte addresses to DRAM locations.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AddressMapping {
     channels: usize,
     ranks: usize,

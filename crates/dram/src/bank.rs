@@ -1,11 +1,10 @@
 //! Per-bank row-buffer state machine.
 
 use crate::config::DramConfig;
-use serde::{Deserialize, Serialize};
 
 /// The state of a single DRAM bank: which row (if any) is open in its row
 /// buffer and when the bank next becomes available for a new command.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct BankState {
     /// Currently open row, if any.
     open_row: Option<usize>,

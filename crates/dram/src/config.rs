@@ -1,7 +1,5 @@
 //! DRAM geometry and timing configuration.
 
-use serde::{Deserialize, Serialize};
-
 /// Geometry and timing parameters of the simulated DDR3 memory system.
 ///
 /// Defaults follow the paper's DRAMSim2 configuration (§7.1.1): per channel
@@ -16,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// let cfg = DramConfig { channels: 2, ..DramConfig::default() };
 /// assert!((cfg.peak_bandwidth_bytes_per_sec() / 1e9 - 21.3).abs() < 0.5);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DramConfig {
     /// Number of independent DRAM channels.
     pub channels: usize,

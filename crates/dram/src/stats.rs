@@ -1,9 +1,7 @@
 //! DRAM activity statistics.
 
-use serde::{Deserialize, Serialize};
-
 /// Counters accumulated by [`crate::DramSim`] over a run.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DramStats {
     /// Number of read requests (of any size).
     pub read_requests: u64,

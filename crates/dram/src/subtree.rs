@@ -7,8 +7,6 @@
 //! region stream at row-buffer-hit bandwidth.  The paper relies on this layout
 //! to reach "nearly peak DRAM bandwidth" (§7.1.1).
 
-use serde::{Deserialize, Serialize};
-
 /// Maps ORAM tree buckets `(level, index)` to physical byte addresses.
 ///
 /// # Examples
@@ -23,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// assert_ne!(a, b);
 /// assert!(layout.total_bytes() > 0);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SubtreeLayout {
     /// Total number of tree levels (`L + 1`).
     levels: u32,
@@ -38,7 +36,7 @@ pub struct SubtreeLayout {
     groups: Vec<GroupLayout>,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct GroupLayout {
     first_level: u32,
     /// Levels in this group; kept for layout debugging even though address

@@ -19,10 +19,9 @@
 use crate::params::{OramParams, BUCKET_HEADER_BYTES};
 use oram_crypto::ctr::{CtrKeystream, KeystreamSpan};
 use oram_crypto::EngineKind;
-use serde::{Deserialize, Serialize};
 
 /// Which bucket-encryption discipline the backend uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EncryptionMode {
     /// No encryption (timing studies only).
     None,

@@ -1,7 +1,5 @@
 //! ORAM tree geometry and bucket layout parameters.
 
-use serde::{Deserialize, Serialize};
-
 /// Default stash capacity in blocks, following the paper (§3.1, "we assume
 /// 200 following \[26\]").  The capacity excludes the path being processed.
 pub const DEFAULT_STASH_CAPACITY: usize = 200;
@@ -30,7 +28,7 @@ pub const BUCKET_HEADER_BYTES: usize = 8;
 /// assert_eq!(p.leaf_level(), 24);
 /// assert_eq!(p.bucket_bytes(), 320);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OramParams {
     /// Maximum number of real data blocks (N).
     pub num_blocks: u64,

@@ -2,9 +2,9 @@
 //! serialisation shared by the backend's `save_state` and the frontends'
 //! whole-instance `persist`/`resume`.
 //!
-//! The workspace is offline — the `serde` dependency is a no-op shim — so
-//! every persisted structure is written field by field through the helpers
-//! here.  All integers are little-endian; variable-length payloads are
+//! The workspace has no serialisation framework, so every persisted
+//! structure is written field by field through the helpers here.  All
+//! integers are little-endian; variable-length payloads are
 //! length-prefixed with a `u64`.
 //!
 //! # State-file framing

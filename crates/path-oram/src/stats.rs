@@ -1,9 +1,7 @@
 //! Backend activity statistics.
 
-use serde::{Deserialize, Serialize};
-
 /// Counters accumulated by [`crate::PathOramBackend`].
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BackendStats {
     /// Path accesses performed (read, write or readrmv).
     pub path_accesses: u64,

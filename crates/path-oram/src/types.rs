@@ -1,7 +1,5 @@
 //! Core value types shared across the ORAM backend and frontends.
 
-use serde::{Deserialize, Serialize};
-
 /// A program-visible block address (the unit requested by the LLC, e.g. a
 /// cache line address).  PosMap blocks live in the same address space with a
 /// level tag folded into the high bits (see `posmap::addressing`).
@@ -16,7 +14,7 @@ pub type Leaf = u64;
 pub type BlockData = Vec<u8>;
 
 /// The operations the Backend supports (§3.1 and §4.2.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessOp {
     /// Read the block and leave it in the stash/tree, remapped to a new leaf.
     Read,

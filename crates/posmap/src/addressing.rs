@@ -7,8 +7,6 @@
 //! on chip.  `H` denotes the total number of ORAMs in the recursion,
 //! `H = ⌈log(N/p)/log X⌉ + 1` for an on-chip PosMap with `p` entries.
 
-use serde::{Deserialize, Serialize};
-
 /// Bit position at which the recursion-level tag is packed into a unified
 /// block address (`i‖a_i`, §4.2.1).  56 bits of block index supports ORAMs
 /// far beyond anything simulated here.
@@ -20,7 +18,7 @@ pub const LEVEL_TAG_SHIFT: u32 = 56;
 /// entries give the leaves of level `i - 1` blocks.  Level `H - 1` is the
 /// deepest PosMap ORAM; its blocks' leaves (or counters) live in the on-chip
 /// PosMap.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecursionAddressing {
     /// Number of data blocks (N).
     data_blocks: u64,

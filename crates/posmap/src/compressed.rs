@@ -19,8 +19,6 @@
 //! group-remap overhead is X′/2^β = 0.2% (§5.3).  The same counters double as
 //! the non-repeating write counters PMMAC needs (§6.2.2).
 
-use serde::{Deserialize, Serialize};
-
 /// Default group-counter width in bits (§5.3).
 pub const DEFAULT_ALPHA: u32 = 64;
 /// Default individual-counter width in bits (§5.3).
@@ -39,7 +37,7 @@ pub enum IncrementOutcome {
 }
 
 /// A compressed PosMap block.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompressedPosMapBlock {
     group_counter: u64,
     individual: Vec<u64>,

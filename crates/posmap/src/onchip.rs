@@ -5,10 +5,8 @@
 //! entry is instead a 64-bit access counter from which the leaf is derived
 //! through the PRF (§6.2.1); the counters form the root of trust.
 
-use serde::{Deserialize, Serialize};
-
 /// What the on-chip PosMap entries hold.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OnChipEntryKind {
     /// Uncompressed leaf labels (baseline and PLB-only designs).
     Leaf,
@@ -17,7 +15,7 @@ pub enum OnChipEntryKind {
 }
 
 /// The trusted on-chip PosMap.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OnChipPosMap {
     entries: Vec<u64>,
     kind: OnChipEntryKind,

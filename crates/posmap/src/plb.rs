@@ -11,10 +11,8 @@
 //! The paper evaluates direct-mapped PLBs of 8–128 KB and finds ≤10% benefit
 //! from full associativity (§7.1.3), so direct-mapped is the default here.
 
-use serde::{Deserialize, Serialize};
-
 /// Hit/miss statistics for a PLB instance.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlbStats {
     /// Lookups that found the requested block.
     pub hits: u64,
@@ -45,7 +43,7 @@ impl PlbStats {
 }
 
 /// One PLB-resident PosMap block.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlbEntry<V> {
     /// Unified address (`i‖a_i`) of the cached PosMap block.
     pub unified_addr: u64,

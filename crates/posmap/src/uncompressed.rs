@@ -6,13 +6,11 @@
 //! comfortably holds the ≤ 32 tree levels of every configuration in the
 //! paper.
 
-use serde::{Deserialize, Serialize};
-
 /// Bytes used to serialise one leaf entry.
 pub const LEAF_ENTRY_BYTES: usize = 4;
 
 /// A PosMap block holding `X` uncompressed leaf labels.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UncompressedPosMapBlock {
     leaves: Vec<u64>,
 }

@@ -18,14 +18,13 @@ use freecursive::SchemePoint;
 use path_oram::OramParams;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 // ---------------------------------------------------------------------------
 // PLB associativity
 // ---------------------------------------------------------------------------
 
 /// Result of the PLB-associativity ablation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlbAssociativityResult {
     /// `(associativity, geomean slowdown)` pairs at fixed 64 KB capacity.
     pub points: Vec<(usize, f64)>,
@@ -84,7 +83,7 @@ impl PlbAssociativityResult {
 // ---------------------------------------------------------------------------
 
 /// Result of the DRAM-layout ablation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LayoutAblationResult {
     /// Average path read+write latency with the subtree layout (CPU cycles).
     pub subtree_cycles: u64,
@@ -173,7 +172,7 @@ impl LayoutAblationResult {
 // ---------------------------------------------------------------------------
 
 /// Result of the unified-vs-separate ablation: PosMap bytes per access.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UnifiedTreeAblationResult {
     /// `(scheme label, posmap KB per access, total KB per access)` rows.
     pub rows: Vec<(String, f64, f64)>,

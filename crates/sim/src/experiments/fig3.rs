@@ -11,10 +11,9 @@
 use crate::report::{f2, format_table};
 use freecursive::{OramBuilder, SchemePoint};
 use path_oram::{Durability, OramParams, StorageKind};
-use serde::{Deserialize, Serialize};
 
 /// One curve of Figure 3 (a block-size / on-chip-PosMap combination).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Fig3Series {
     /// Data ORAM block size in bytes (64 or 128).
     pub block_bytes: usize,
@@ -34,7 +33,7 @@ impl Fig3Series {
 }
 
 /// One point of one curve.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fig3Point {
     /// log2 of the Data ORAM capacity in bytes (the x-axis, 30–40).
     pub log2_capacity: u32,
@@ -45,7 +44,7 @@ pub struct Fig3Point {
 }
 
 /// The full figure.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig3Result {
     /// `(series, points)` pairs.
     pub series: Vec<(Fig3Series, Vec<Fig3Point>)>,

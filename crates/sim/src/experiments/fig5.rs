@@ -10,14 +10,13 @@ use crate::experiments::ExperimentScale;
 use crate::report::{f2, format_table};
 use crate::runner::{run_benchmark, SimulationConfig};
 use freecursive::SchemePoint;
-use serde::{Deserialize, Serialize};
 use trace_gen::SpecBenchmark;
 
 /// The PLB capacities swept in the figure.
 pub const PLB_CAPACITIES: [usize; 4] = [8 << 10, 32 << 10, 64 << 10, 128 << 10];
 
 /// One benchmark's sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig5Row {
     /// The benchmark.
     pub benchmark: SpecBenchmark,
@@ -26,7 +25,7 @@ pub struct Fig5Row {
 }
 
 /// The full figure.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig5Result {
     /// One row per benchmark plus the average.
     pub rows: Vec<Fig5Row>,

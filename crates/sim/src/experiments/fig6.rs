@@ -9,14 +9,13 @@ use crate::experiments::ExperimentScale;
 use crate::report::{f2, format_table};
 use crate::runner::{geomean, run_benchmark, BenchmarkRun, SimulationConfig};
 use freecursive::SchemePoint;
-use serde::{Deserialize, Serialize};
 use trace_gen::SpecBenchmark;
 
 /// The schemes compared in the figure.
 pub const SCHEMES: [SchemePoint; 3] = [SchemePoint::RX8, SchemePoint::PcX32, SchemePoint::PicX32];
 
 /// One benchmark's slowdowns.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig6Row {
     /// The benchmark.
     pub benchmark: SpecBenchmark,
@@ -25,7 +24,7 @@ pub struct Fig6Row {
 }
 
 /// The full figure.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig6Result {
     /// One row per benchmark.
     pub rows: Vec<Fig6Row>,

@@ -10,7 +10,6 @@ use crate::experiments::ExperimentScale;
 use crate::report::{format_table, kb};
 use crate::runner::{run_benchmark, SimulationConfig};
 use freecursive::SchemePoint;
-use serde::{Deserialize, Serialize};
 
 /// The design points compared in the figure.
 pub const SCHEMES: [SchemePoint; 5] = [
@@ -25,7 +24,7 @@ pub const SCHEMES: [SchemePoint; 5] = [
 pub const CAPACITIES: [u64; 3] = [4 << 30, 16 << 30, 64 << 30];
 
 /// One (scheme, capacity) bar of the figure.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fig7Bar {
     /// The design point.
     pub scheme: SchemePoint,
@@ -45,7 +44,7 @@ impl Fig7Bar {
 }
 
 /// The full figure.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig7Result {
     /// All bars.
     pub bars: Vec<Fig7Bar>,

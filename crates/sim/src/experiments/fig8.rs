@@ -11,11 +11,10 @@ use crate::experiments::ExperimentScale;
 use crate::report::{f2, format_table, kb};
 use crate::runner::{geomean, run_benchmark, SimulationConfig};
 use freecursive::SchemePoint;
-use serde::{Deserialize, Serialize};
 use trace_gen::SpecBenchmark;
 
 /// One benchmark's results.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig8Row {
     /// The benchmark.
     pub benchmark: SpecBenchmark,
@@ -24,7 +23,7 @@ pub struct Fig8Row {
 }
 
 /// The full figure (slowdowns on the left, data movement on the right).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig8Result {
     /// One row per benchmark.
     pub rows: Vec<Fig8Row>,

@@ -9,11 +9,10 @@ use crate::experiments::ExperimentScale;
 use crate::report::{f2, format_table};
 use crate::runner::{geomean, run_benchmark, SimulationConfig};
 use freecursive::SchemePoint;
-use serde::{Deserialize, Serialize};
 use trace_gen::SpecBenchmark;
 
 /// One benchmark's comparison.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fig9Row {
     /// The benchmark.
     pub benchmark: SpecBenchmark,
@@ -26,7 +25,7 @@ pub struct Fig9Row {
 }
 
 /// The full figure.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig9Result {
     /// One row per benchmark.
     pub rows: Vec<Fig9Row>,

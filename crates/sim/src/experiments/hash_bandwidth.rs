@@ -10,10 +10,9 @@
 use crate::report::{f2, format_table};
 use freecursive::{Oram, OramBuilder, SchemePoint};
 use path_oram::OramBackend as _;
-use serde::{Deserialize, Serialize};
 
 /// One row of the analytic comparison.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HashBandwidthRow {
     /// Leaf level L of the ORAM tree.
     pub leaf_level: u32,
@@ -26,7 +25,7 @@ pub struct HashBandwidthRow {
 }
 
 /// The full result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HashBandwidthResult {
     /// Analytic rows for a range of tree depths.
     pub analytic: Vec<HashBandwidthRow>,

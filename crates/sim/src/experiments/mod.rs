@@ -17,11 +17,10 @@ pub mod hash_bandwidth;
 pub mod table2;
 pub mod table3;
 
-use serde::{Deserialize, Serialize};
 use trace_gen::SpecBenchmark;
 
 /// How much work an experiment driver should do.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExperimentScale {
     /// A few benchmarks, short traces — used by unit tests and smoke runs.
     Quick,

@@ -5,10 +5,9 @@ use crate::latency::OramLatencyModel;
 use crate::report::format_table;
 use dram_sim::DramConfig;
 use path_oram::OramParams;
-use serde::{Deserialize, Serialize};
 
 /// One row of Table 2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Table2Row {
     /// DRAM channel count.
     pub channels: usize,
@@ -17,7 +16,7 @@ pub struct Table2Row {
 }
 
 /// The full table.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Table2Result {
     /// One row per channel count (1, 2, 4, 8).
     pub rows: Vec<Table2Row>,

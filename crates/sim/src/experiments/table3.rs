@@ -3,10 +3,9 @@
 
 use crate::report::{f2, format_table};
 use area_model::{AreaBreakdown, AreaModel};
-use serde::{Deserialize, Serialize};
 
 /// The full table plus the alternatives.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table3Result {
     /// Breakdown for 1, 2 and 4 channels.
     pub breakdowns: Vec<AreaBreakdown>,

@@ -7,10 +7,9 @@ use crate::latency::OramLatencyModel;
 use cache_sim::MainMemory;
 use dram_sim::DramConfig;
 use path_oram::OramParams;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the Phantom comparison point (§7.1.6).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PhantomConfig {
     /// ORAM block size in bytes (4 KB in the paper's comparison).
     pub block_bytes: usize,
@@ -43,7 +42,7 @@ impl Default for PhantomConfig {
 }
 
 /// Statistics of a Phantom timing run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhantomStats {
     /// LLC-side requests served.
     pub requests: u64,

@@ -13,11 +13,10 @@ use freecursive::{
     OramBackend, OramBuilder, SchemePoint,
 };
 use path_oram::{Durability, StorageKind};
-use serde::{Deserialize, Serialize};
 use trace_gen::{SpecBenchmark, TraceGenerator};
 
 /// Everything needed to reproduce one run: processor, ORAM and trace scale.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimulationConfig {
     /// Logical ORAM capacity in bytes.
     pub data_capacity_bytes: u64,
@@ -165,7 +164,7 @@ impl SimulationConfig {
 }
 
 /// The outcome of one (benchmark, scheme) run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BenchmarkRun {
     /// The benchmark.
     pub benchmark: SpecBenchmark,

@@ -47,10 +47,9 @@ pub use spec::SpecBenchmark;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// One memory reference of a trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemoryAccess {
     /// Non-memory instructions executed before this reference.
     pub gap: u64,

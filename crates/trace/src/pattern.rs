@@ -2,13 +2,12 @@
 
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A primitive access pattern confined to a region of the address space.
 ///
 /// Regions are expressed as `(base, bytes)`; generated addresses fall in
 /// `[base, base + bytes)`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AccessPattern {
     /// A forward streaming scan that wraps at the end of the region
     /// (libquantum-style).

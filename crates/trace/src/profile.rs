@@ -2,10 +2,9 @@
 //! mix parameters.
 
 use crate::pattern::AccessPattern;
-use serde::{Deserialize, Serialize};
 
 /// A complete workload description.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadProfile {
     /// Human-readable name (benchmark name in the figures).
     pub name: String,

@@ -21,10 +21,9 @@
 
 use crate::pattern::AccessPattern;
 use crate::profile::WorkloadProfile;
-use serde::{Deserialize, Serialize};
 
 /// The SPEC06-int benchmarks that appear in the paper's figures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)]
 pub enum SpecBenchmark {
     Astar,
