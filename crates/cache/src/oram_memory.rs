@@ -56,11 +56,6 @@ impl<O: Oram, C: Fn(&O) -> u64> FunctionalOramMemory<O, C> {
         &mut self.oram
     }
 
-    /// Unwraps the adapter.
-    pub fn into_inner(self) -> O {
-        self.oram
-    }
-
     /// Resets the wrapped ORAM's statistics (its contents and PLB stay, as
     /// in a long-running system) and re-bases the charge on them.
     pub fn reset_stats(&mut self) {

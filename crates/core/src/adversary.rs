@@ -91,20 +91,6 @@ impl Adversary {
             oram.backend_mut().storage_mut().replay_bucket(*idx, image);
         }
     }
-
-    /// Rolls back the plaintext encryption seed of every initialised bucket
-    /// by one — the precondition of the §6.4 one-time-pad replay attack.
-    /// Returns how many bucket seeds were rolled back.
-    pub fn rollback_all_seeds(&self, oram: &mut FreecursiveOram) -> usize {
-        let num = oram.backend().storage().num_buckets() as u64;
-        let mut rolled = 0;
-        for idx in 0..num {
-            if oram.backend_mut().storage_mut().rollback_seed(idx, 1) {
-                rolled += 1;
-            }
-        }
-        rolled
-    }
 }
 
 #[cfg(test)]

@@ -207,8 +207,7 @@ impl OramBuilder {
     /// [`Durability::None`] (no log, the default), `Batch(n)` (fsync the log
     /// every `n` path writebacks) or `Strict` (fsync every writeback).
     /// Unset, `ORAM_DURABILITY=strict|batch:<n>` decides (see
-    /// [`OramBuilder::durability_in_effect`]).  Memory-backed trees ignore
-    /// it.
+    /// [`Durability::from_env`]).  Memory-backed trees ignore it.
     pub fn durability(mut self, durability: Durability) -> Self {
         self.durability = Some(durability);
         self
@@ -223,16 +222,6 @@ impl OramBuilder {
     /// for a malformed environment value.
     pub fn storage_in_effect(&self) -> Result<StorageKind, FreecursiveError> {
         Ok(self.environment(env_var)?.0)
-    }
-
-    /// The durability discipline in effect: the explicit override, or else
-    /// the environment's `ORAM_DURABILITY` selection.
-    ///
-    /// # Errors
-    ///
-    /// As for [`OramBuilder::storage_in_effect`].
-    pub fn durability_in_effect(&self) -> Result<Durability, FreecursiveError> {
-        Ok(self.environment(env_var)?.1)
     }
 
     /// Resolves the storage kind and durability once, reading variables

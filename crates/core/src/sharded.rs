@@ -307,11 +307,6 @@ impl<O: Oram> ShardedOram<O> {
         self.shards.iter().map(|s| s.stats()).collect()
     }
 
-    /// Unwraps the composite into its shards.
-    pub fn into_shards(self) -> Vec<O> {
-        self.shards
-    }
-
     fn remerge(&mut self) {
         self.merged = FrontendStats::merged(self.shards.iter().map(|s| s.stats()));
     }

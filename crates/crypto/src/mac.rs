@@ -18,7 +18,19 @@ use crate::sha3::Sha3_224;
 pub const MAC_BYTES: usize = 14;
 
 /// A message authentication code attached to an ORAM block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+///
+/// `Mac` has no `==`: a derived comparison is an early-exit `memcmp` whose
+/// timing tells how long a prefix of a forged MAC was right.  Check a MAC
+/// with [`MacKey::verify`], which compares in constant time.
+///
+/// ```compile_fail,E0369
+/// use oram_crypto::mac::MacKey;
+///
+/// let key = MacKey::new([1u8; 16]);
+/// let (a, b) = (key.compute(5, 42, b"x"), key.compute(5, 42, b"x"));
+/// let _ = a == b;
+/// ```
+#[derive(Debug, Clone, Copy)]
 pub struct Mac(pub [u8; MAC_BYTES]);
 
 impl Mac {

@@ -99,18 +99,6 @@ impl DramSim {
         }
         completion
     }
-
-    /// Issues a request and returns the latency in **processor** cycles,
-    /// assuming the request is issued when the memory system is idle
-    /// (`now = 0` relative time).  Convenience for latency studies.
-    pub fn isolated_latency_cpu_cycles(&mut self, addr: u64, bytes: usize, is_write: bool) -> u64 {
-        // Advance a private copy so repeated calls don't interfere through
-        // bus state.
-        let mut probe = self.clone();
-        let done = probe.access(addr, bytes, is_write, 0);
-        self.stats = probe.stats;
-        self.cfg.dram_to_cpu_cycles(done)
-    }
 }
 
 /// A closed-form latency model: `latency = fixed + bytes / effective_bandwidth`.

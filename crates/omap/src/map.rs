@@ -168,11 +168,6 @@ impl<O: Oram> ObliviousMap<O> {
         &self.oram
     }
 
-    /// Consumes the map, returning the backing ORAM.
-    pub fn into_oram(self) -> O {
-        self.oram
-    }
-
     /// Inserts or replaces `key → value`, returning the previous value's
     /// *length* if the key was present (`None` for a fresh insert).  The
     /// previous bytes themselves are not returned: fetching them would

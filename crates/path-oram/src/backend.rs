@@ -479,11 +479,6 @@ impl PathOramBackend {
         self.stash.contains(addr)
     }
 
-    /// Number of blocks currently stored.
-    pub fn resident_blocks(&self) -> usize {
-        self.resident.len()
-    }
-
     /// Slab slot capacity of the stash (diagnostics for the
     /// capacity-stability tests).
     pub fn stash_slot_capacity(&self) -> usize {

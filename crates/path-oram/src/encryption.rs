@@ -173,14 +173,6 @@ impl BucketCipher {
             self.keystream.apply(pad_seed, &mut image[8..]);
         }
     }
-
-    /// Produces an encrypted image of an all-dummy bucket, used to initialise
-    /// the tree.
-    pub fn sealed_empty_bucket(&mut self, bucket_index: u64, params: &OramParams) -> Vec<u8> {
-        let mut image = vec![0u8; params.bucket_bytes()];
-        self.seal(bucket_index, &mut image);
-        image
-    }
 }
 
 /// Pad seed for the per-bucket-seed discipline: `BucketID || BucketSeed`.

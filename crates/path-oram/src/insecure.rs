@@ -44,11 +44,6 @@ impl InsecureBackend {
         }
     }
 
-    /// Number of blocks currently stored.
-    pub fn resident_blocks(&self) -> usize {
-        self.blocks.len()
-    }
-
     /// Whether a block address is currently stored.
     pub fn is_resident(&self, addr: BlockId) -> bool {
         self.blocks.contains_key(&addr)

@@ -188,12 +188,6 @@ impl OramParams {
     pub fn data_capacity_bytes(&self) -> u64 {
         self.num_blocks * self.block_bytes as u64
     }
-
-    /// On-chip PosMap size in bits for a non-recursive design: `N` entries of
-    /// `L` bits (§1.1).  Used by the area model and Figure 3.
-    pub fn flat_posmap_bits(&self) -> u64 {
-        self.num_blocks * u64::from(self.leaf_level)
-    }
 }
 
 #[cfg(test)]

@@ -303,12 +303,6 @@ impl Stash {
     }
     // lint: end
 
-    /// Iterates over resident blocks as `(addr, leaf)` pairs (test/diagnostic
-    /// use).
-    pub fn iter_addrs(&self) -> impl Iterator<Item = (BlockId, Leaf)> + '_ {
-        self.occupied_slots().map(|(_, addr, leaf)| (addr, leaf))
-    }
-
     // ------------------------------------------------------------------
     // Snapshot persistence.
     // ------------------------------------------------------------------

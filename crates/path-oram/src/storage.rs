@@ -255,51 +255,22 @@ impl StorageKind {
         }
     }
 
-    /// One-byte tag recorded in snapshots (temp stores persist as plain
-    /// directory-rooted ones: the snapshot directory *is* their new home).
-    pub fn tag(&self) -> u8 {
-        match self {
-            StorageKind::Mem => 0,
-            StorageKind::File { .. } | StorageKind::TempFile => 1,
-            StorageKind::Tiered { .. } | StorageKind::TempTiered { .. } => 2,
-        }
-    }
-
-    /// Inverse of [`StorageKind::tag`] for the budget-free tags, rooting
-    /// file-backed kinds at `dir`.  Tag 2 (tiered) carries a budget field
-    /// in snapshots and must go through [`StorageKind::load`].
-    ///
-    /// # Errors
-    ///
-    /// [`OramError::Snapshot`] for an unknown or budget-carrying tag.
-    pub fn from_tag(tag: u8, dir: &Path) -> Result<StorageKind, OramError> {
-        match tag {
-            0 => Ok(StorageKind::Mem),
-            1 => Ok(StorageKind::File {
-                dir: dir.to_path_buf(),
-            }),
-            2 => Err(OramError::Snapshot {
-                detail: "storage kind tag 2 (tiered) carries a budget field; \
-                         decode it with StorageKind::load"
-                    .into(),
-            }),
-            other => Err(OramError::Snapshot {
-                detail: format!("unknown storage kind tag {other}"),
-            }),
-        }
-    }
-
-    /// Appends this kind's snapshot encoding to `out`: the one-byte
-    /// [`StorageKind::tag`], followed (for tiered kinds only) by the
-    /// treetop budget as a little-endian `u64`.  Old snapshots — written
-    /// before tiered storage existed — decode unchanged: the budget field
-    /// exists only behind tag 2, which they never wrote.
+    /// Appends this kind's snapshot encoding to `out`: a one-byte tag (0
+    /// `Mem`, 1 file, 2 tiered; temp stores persist as plain
+    /// directory-rooted ones: the snapshot directory *is* their new home),
+    /// followed (for tiered kinds only) by the treetop budget as a
+    /// little-endian `u64`.  Old snapshots — written before tiered storage
+    /// existed — decode unchanged: the budget field exists only behind tag
+    /// 2, which they never wrote.
     pub fn save(&self, out: &mut Vec<u8>) {
-        snapshot::put_u8(out, self.tag());
-        if let StorageKind::Tiered { memory_budget, .. }
-        | StorageKind::TempTiered { memory_budget } = self
-        {
-            snapshot::put_u64(out, *memory_budget);
+        match self {
+            StorageKind::Mem => snapshot::put_u8(out, 0),
+            StorageKind::File { .. } | StorageKind::TempFile => snapshot::put_u8(out, 1),
+            StorageKind::Tiered { memory_budget, .. }
+            | StorageKind::TempTiered { memory_budget } => {
+                snapshot::put_u8(out, 2);
+                snapshot::put_u64(out, *memory_budget);
+            }
         }
     }
 
@@ -310,14 +281,17 @@ impl StorageKind {
     ///
     /// [`OramError::Snapshot`] on an unknown tag or truncated encoding.
     pub fn load(r: &mut SnapReader<'_>, dir: &Path) -> Result<StorageKind, OramError> {
-        let tag = r.u8()?;
-        if tag == 2 {
-            Ok(StorageKind::Tiered {
-                dir: dir.to_path_buf(),
+        let dir = dir.to_path_buf();
+        match r.u8()? {
+            0 => Ok(StorageKind::Mem),
+            1 => Ok(StorageKind::File { dir }),
+            2 => Ok(StorageKind::Tiered {
+                dir,
                 memory_budget: r.u64()?,
-            })
-        } else {
-            Self::from_tag(tag, dir)
+            }),
+            other => Err(OramError::Snapshot {
+                detail: format!("unknown storage kind tag {other}"),
+            }),
         }
     }
 }
@@ -1950,26 +1924,32 @@ mod tests {
                 memory_budget: 1 << 20,
             }
         );
-        assert_eq!(StorageKind::Mem.tag(), 0);
-        assert_eq!(file.tag(), 1);
-        assert_eq!(StorageKind::TempFile.tag(), 1);
-        assert_eq!(tiered.tag(), 2);
+        let saved = |kind: &StorageKind| {
+            let mut out = Vec::new();
+            kind.save(&mut out);
+            out
+        };
+        assert_eq!(saved(&StorageKind::Mem), [0]);
+        assert_eq!(saved(&file), [1]);
+        assert_eq!(saved(&StorageKind::TempFile), [1]);
+        let tiered_bytes = [&[2u8][..], &(1u64 << 20).to_le_bytes()].concat();
+        assert_eq!(saved(&tiered), tiered_bytes);
         assert_eq!(
-            StorageKind::TempTiered {
+            saved(&StorageKind::TempTiered {
                 memory_budget: 1 << 20
-            }
-            .tag(),
-            2
+            }),
+            tiered_bytes
         );
         let root = Path::new("/snap");
-        assert_eq!(StorageKind::from_tag(0, root).unwrap(), StorageKind::Mem);
+        let load = |bytes: &[u8]| StorageKind::load(&mut SnapReader::new(bytes), root);
+        assert_eq!(load(&[0]).unwrap(), StorageKind::Mem);
         assert_eq!(
-            StorageKind::from_tag(1, root).unwrap(),
+            load(&[1]).unwrap(),
             StorageKind::File {
                 dir: root.to_path_buf()
             }
         );
-        assert!(StorageKind::from_tag(9, root).is_err());
+        assert!(load(&[9]).is_err());
     }
 
     #[test]
@@ -2479,8 +2459,8 @@ mod tests {
             assert_eq!(StorageKind::load(&mut r, root).unwrap(), expect);
             assert_eq!(r.remaining(), 0, "codec must consume exactly what it wrote");
         }
-        // The budget-free legacy decoder refuses the tiered tag rather than
-        // inventing a budget.
-        assert!(StorageKind::from_tag(2, root).is_err());
+        // A bare tiered tag, missing its budget field, is refused rather
+        // than given an invented budget.
+        assert!(StorageKind::load(&mut SnapReader::new(&[2]), root).is_err());
     }
 }
