@@ -1032,8 +1032,10 @@ impl TreeStorage {
         });
         match live {
             Some(tier) => {
+                // The tree file's length is fixed at create, so a data sync
+                // covers everything a reopen reads back.
                 tier.file
-                    .sync_all()
+                    .sync_data()
                     .map_err(|e| io_err("syncing", &tier.path, e))?;
                 // The live log, without the stale tail earlier generations
                 // left behind: a persisted directory holds exactly what it
@@ -1110,8 +1112,10 @@ impl TreeStorage {
         let Some(tier) = self.file.as_mut() else {
             return Ok(());
         };
+        // `sync_data`: the tree file keeps the length `create` gave it, so
+        // no metadata a reopen needs is left behind.
         tier.file
-            .sync_all()
+            .sync_data()
             .map_err(|e| io_err("syncing", &tier.path, e))?;
         write_tree_meta(
             &tree_meta_path(&tier.dir, tier.label),
