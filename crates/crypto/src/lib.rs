@@ -97,6 +97,8 @@ pub mod crc64;
 pub mod ctr;
 pub mod fixslice;
 pub mod keccak;
+#[cfg(target_arch = "x86_64")]
+pub(crate) mod keccak_avx512;
 pub mod mac;
 pub mod prf;
 pub mod sha3;

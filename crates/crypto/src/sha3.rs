@@ -2,8 +2,13 @@
 //!
 //! PMMAC (§6.1) uses SHA3-224 as `MAC_K()`; the 28-byte digest is truncated to
 //! the MAC width chosen by the design (80–128 bits, §6.3).
+//!
+//! Besides the incremental [`Sha3_224`], [`digest_pair`] hashes two
+//! messages side by side, so each pair of their permutations runs as one
+//! pass of the two-state Keccak kernel: the PMMAC verify of a fetched block
+//! and the MAC of the block written back in its place.
 
-use crate::keccak::{keccak_f1600, STATE_LANES};
+use crate::keccak::{keccak_f1600, Kernel, STATE_LANES};
 
 /// Digest length of SHA3-224 in bytes.
 pub const DIGEST_BYTES: usize = 28;
@@ -62,11 +67,7 @@ impl Sha3_224 {
     }
 
     fn absorb_block(&mut self) {
-        for (lane_idx, chunk) in self.buffer.chunks(8).enumerate() {
-            let mut lane = [0u8; 8];
-            lane.copy_from_slice(chunk);
-            self.state[lane_idx] ^= u64::from_le_bytes(lane);
-        }
+        xor_block(&mut self.state, &self.buffer);
         keccak_f1600(&mut self.state);
         self.buffer = [0u8; RATE_BYTES];
         self.buffer_len = 0;
@@ -75,23 +76,11 @@ impl Sha3_224 {
     /// Finalizes the hash and returns the 28-byte digest, consuming the
     /// hasher.
     pub fn finalize(mut self) -> [u8; DIGEST_BYTES] {
-        // SHA-3 domain separation suffix 0b01 followed by pad10*1.
-        self.buffer[self.buffer_len] ^= 0x06;
-        self.buffer[RATE_BYTES - 1] ^= 0x80;
+        pad(&mut self.buffer, self.buffer_len);
         // Absorb the final (padded) block.
-        for (lane_idx, chunk) in self.buffer.chunks(8).enumerate() {
-            let mut lane = [0u8; 8];
-            lane.copy_from_slice(chunk);
-            self.state[lane_idx] ^= u64::from_le_bytes(lane);
-        }
+        xor_block(&mut self.state, &self.buffer);
         keccak_f1600(&mut self.state);
-
-        let mut digest = [0u8; DIGEST_BYTES];
-        for (i, chunk) in digest.chunks_mut(8).enumerate() {
-            let lane = self.state[i].to_le_bytes();
-            chunk.copy_from_slice(&lane[..chunk.len()]);
-        }
-        digest
+        squeeze(&self.state)
     }
 
     /// One-shot convenience: hash `data` and return the digest.
@@ -102,9 +91,103 @@ impl Sha3_224 {
     }
 }
 
+/// Appends SHA-3's domain separation suffix `0b01` and pad10*1 to a final
+/// block holding `len < RATE_BYTES` message bytes.
+fn pad(block: &mut [u8; RATE_BYTES], len: usize) {
+    block[len] ^= 0x06;
+    block[RATE_BYTES - 1] ^= 0x80;
+}
+
+/// XORs one rate block into the state, lane by little-endian lane.
+fn xor_block(state: &mut [u64; STATE_LANES], block: &[u8; RATE_BYTES]) {
+    let (lanes, _) = block.as_chunks::<8>();
+    for (s, lane) in state.iter_mut().zip(lanes) {
+        *s ^= u64::from_le_bytes(*lane);
+    }
+}
+
+/// The digest: the first [`DIGEST_BYTES`] of the state, little-endian.
+fn squeeze(state: &[u64; STATE_LANES]) -> [u8; DIGEST_BYTES] {
+    let mut digest = [0u8; DIGEST_BYTES];
+    for (chunk, lane) in digest.chunks_mut(8).zip(state) {
+        chunk.copy_from_slice(&lane.to_le_bytes()[..chunk.len()]);
+    }
+    digest
+}
+
+/// One message of [`digest_pair`]: the concatenation of its pieces, and
+/// the sponge absorbing it.
+struct Sponge<'a> {
+    pieces: &'a [&'a [u8]],
+    len: usize,
+    state: [u64; STATE_LANES],
+}
+
+impl<'a> Sponge<'a> {
+    fn new(pieces: &'a [&'a [u8]]) -> Self {
+        Self {
+            pieces,
+            len: pieces.iter().map(|p| p.len()).sum(),
+            state: [0u64; STATE_LANES],
+        }
+    }
+
+    /// Rate blocks the message pads to, the last holding the padding.
+    fn blocks(&self) -> usize {
+        self.len / RATE_BYTES + 1
+    }
+
+    /// XORs rate block `k` of the padded message into the state.
+    fn absorb(&mut self, k: usize) {
+        let mut block = [0u8; RATE_BYTES];
+        let start = k * RATE_BYTES;
+        let end = (start + RATE_BYTES).min(self.len);
+        let mut at = 0;
+        for piece in self.pieces {
+            let (lo, hi) = (start.max(at), end.min(at + piece.len()));
+            if lo < hi {
+                block[lo - start..hi - start].copy_from_slice(&piece[lo - at..hi - at]);
+            }
+            at += piece.len();
+        }
+        if k + 1 == self.blocks() {
+            pad(&mut block, end - start);
+        }
+        xor_block(&mut self.state, &block);
+    }
+}
+
+/// SHA3-224 of two messages, each the concatenation of its pieces, on the
+/// Keccak `kernel`: while both messages have a block left, one two-state
+/// pass permutes both sponges; the longer message finishes alone.  Equal
+/// to two [`Sha3_224::digest`] calls, byte for byte.
+pub(crate) fn digest_pair(kernel: Kernel, a: &[&[u8]], b: &[&[u8]]) -> [[u8; DIGEST_BYTES]; 2] {
+    let (mut a, mut b) = (Sponge::new(a), Sponge::new(b));
+    let (na, nb) = (a.blocks(), b.blocks());
+    for k in 0..na.max(nb) {
+        match (k < na, k < nb) {
+            (true, true) => {
+                a.absorb(k);
+                b.absorb(k);
+                kernel.permute_x2(&mut a.state, &mut b.state);
+            }
+            (true, false) => {
+                a.absorb(k);
+                kernel.permute(&mut a.state);
+            }
+            _ => {
+                b.absorb(k);
+                kernel.permute(&mut b.state);
+            }
+        }
+    }
+    [squeeze(&a.state), squeeze(&b.state)]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::keccak::host_kernels;
 
     fn hex(digest: &[u8]) -> String {
         digest.iter().map(|b| format!("{b:02x}")).collect()
@@ -190,6 +273,53 @@ ijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu";
                 h.finalize(),
                 Sha3_224::digest(&data),
                 "round {round}: {len} bytes cut as {cuts:?}"
+            );
+        }
+    }
+
+    /// The NIST vectors above, and messages on each side of the rate
+    /// boundary paired with messages of other lengths, through the paired
+    /// sponge under every kernel this host runs: each digest equals the
+    /// one-shot `digest()`, whichever side it rode on and however its
+    /// bytes were cut into pieces.
+    #[test]
+    fn digest_pair_matches_two_digests() {
+        let data: Vec<u8> = (0..700u32).map(|i| (i * 7 % 253) as u8).collect();
+        let mut messages: Vec<&[u8]> = vec![b"", b"abc"];
+        for len in [1, 31, 32, 143, 144, 145, 160, 287, 288, 289, 700] {
+            messages.push(&data[..len]);
+        }
+        for kernel in host_kernels() {
+            for (i, x) in messages.iter().enumerate() {
+                let y = messages[(i * 5 + 3) % messages.len()];
+                let cut = x.len() / 3;
+                let xs: [&[u8]; 3] = [&x[..cut], &[], &x[cut..]];
+                let [dx, dy] = digest_pair(kernel, &xs, &[y]);
+                assert_eq!(
+                    dx,
+                    Sha3_224::digest(x),
+                    "{} {} bytes",
+                    kernel.label(),
+                    x.len()
+                );
+                assert_eq!(
+                    dy,
+                    Sha3_224::digest(y),
+                    "{} {} bytes",
+                    kernel.label(),
+                    y.len()
+                );
+                let [dy2, dx2] = digest_pair(kernel, &[y], &xs);
+                assert_eq!((dx2, dy2), (dx, dy), "{} swapped", kernel.label());
+            }
+            let [d1, d2] = digest_pair(kernel, &[b"a", b"bc"], &[b""]);
+            assert_eq!(
+                hex(&d1),
+                "e642824c3f8cf24ad09234ee7d3c766fc9a3a5168d0c94ad73b46fdf"
+            );
+            assert_eq!(
+                hex(&d2),
+                "6b4e03423667dbb73b6e15454f0eb1abd4597f9a1b078e3f5b5a6bc7"
             );
         }
     }
