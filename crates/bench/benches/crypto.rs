@@ -5,6 +5,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use freecursive::FreecursiveConfig;
 use oram_crypto::ctr::{CtrKeystream, KeystreamSpan};
+use oram_crypto::keccak;
 use oram_crypto::mac::MacKey;
 use oram_crypto::prf::{AesPrf, Prf};
 use oram_crypto::sha3::Sha3_224;
@@ -96,7 +97,10 @@ fn bench_prf_leaf(c: &mut Criterion) {
 }
 
 fn bench_sha3_and_mac(c: &mut Criterion) {
-    let mut group = c.benchmark_group("crypto/sha3");
+    // The group name carries the Keccak kernel label, as the ctr group
+    // carries the AES engine's.
+    let kernel = keccak::kernel_label();
+    let mut group = c.benchmark_group(format!("crypto/sha3[{kernel}]"));
     group.throughput(Throughput::Bytes(64));
     group.bench_function("sha3_224_64B", |b| {
         let data = [0x5Au8; 64];
@@ -111,6 +115,22 @@ fn bench_sha3_and_mac(c: &mut Criterion) {
             key.compute(counter, 77, &data)
         });
     });
+    // One path access's two MACs in one call: the check of the fetched
+    // block and the MAC of the block written back, for the 64-byte data
+    // block and the map's 128-byte block.
+    for bytes in [64usize, 128] {
+        let fetched = vec![0x5Au8; bytes];
+        let written = vec![0xA5u8; bytes];
+        let tag = key.compute(1, 77, &fetched);
+        group.throughput(Throughput::Bytes(2 * bytes as u64));
+        group.bench_function(format!("pmmac_verify_and_compute_{bytes}B"), |b| {
+            let mut counter = 1u64;
+            b.iter(|| {
+                counter += 1;
+                key.verify_and_compute((1, 77, &fetched), &tag, (counter, 77, &written))
+            });
+        });
+    }
     group.finish();
 }
 

@@ -20,7 +20,7 @@ use crate::error::FreecursiveError;
 use crate::payload::{AdvanceResult, GroupRemapInfo, PosMapBlockPayload};
 use crate::stats::FrontendStats;
 use crate::traits::{Oram, Request, Response};
-use oram_crypto::mac::{MacKey, MAC_BYTES};
+use oram_crypto::mac::{Mac, MacKey, MAC_BYTES};
 use oram_crypto::prf::{AesPrf, Prf};
 use path_oram::{AccessOp, OramBackend, OramError, OramParams, PathOramBackend};
 use posmap::addressing::{tag_address, untag_address, RecursionAddressing};
@@ -99,6 +99,9 @@ pub struct FreecursiveOram<B: OramBackend = PathOramBackend> {
     payload_buf: Vec<u8>,
     /// Scratch: sealed (data ‖ MAC) payloads for write-back.
     sealed_buf: Vec<u8>,
+    /// Scratch: the serialised PosMap block of a PLB victim (or displaced
+    /// parked entry) on its way back to its tree.
+    victim_buf: Vec<u8>,
     /// Scratch: discarded pre-images of write requests.
     result_buf: Vec<u8>,
     /// An all-zero data block, the write-back image of `read_remove`.
@@ -216,6 +219,7 @@ impl<B: OramBackend> FreecursiveOram<B> {
             stats: FrontendStats::default(),
             payload_buf: Vec::with_capacity(payload_bytes),
             sealed_buf: Vec::with_capacity(payload_bytes),
+            victim_buf: Vec::with_capacity(payload_bytes),
             result_buf: Vec::new(),
             zero_block,
         }
@@ -531,7 +535,7 @@ impl<B: OramBackend> FreecursiveOram<B> {
         }
         let mut mac = [0u8; MAC_BYTES];
         mac.copy_from_slice(mac_bytes);
-        if !mac_key.verify(counter, unified_addr, data, &oram_crypto::mac::Mac(mac)) {
+        if !mac_key.verify(counter, unified_addr, data, &Mac(mac)) {
             stats.integrity_violations += 1;
             return Err(OramError::IntegrityViolation { addr: unified_addr });
         }
@@ -562,6 +566,58 @@ impl<B: OramBackend> FreecursiveOram<B> {
         // lint: allow(no-alloc, the MAC trailer fits the scratch capacity reserved at construction)
         out.extend_from_slice(mac.as_bytes());
     }
+
+    /// [`Self::verify_payload`] on the fetched `payload` of `verify =
+    /// (unified_addr, counter)`, then [`Self::seal_payload`] of `fresh =
+    /// (unified_addr, counter, data)` into `out`, with both MACs hashed in
+    /// one pass ([`MacKey::verify_and_compute`]) when there are two to
+    /// hash.  An integrity violation is returned before `out` is filled,
+    /// so the caller's next backend access, append or copy to the user
+    /// comes after the check.  Field-wise for the same reason as
+    /// [`Self::verify_payload`].
+    // lint: ct-scope, no-alloc
+    #[allow(clippy::too_many_arguments)]
+    fn verify_and_seal(
+        config: &FreecursiveConfig,
+        mac_key: &MacKey,
+        stats: &mut FrontendStats,
+        (unified_addr, counter): (u64, Option<u64>),
+        payload: &[u8],
+        (fresh_addr, fresh_counter): (u64, Option<u64>),
+        data: &[u8],
+        out: &mut Vec<u8>,
+    ) -> Result<(), OramError> {
+        if !config.pmmac || counter == Some(0) {
+            // Nothing to pair: without PMMAC nothing is hashed, and a
+            // never-written block is accepted unhashed.
+            Self::verify_payload(config, mac_key, stats, unified_addr, counter, payload)?;
+            Self::seal_payload(config, mac_key, stats, fresh_addr, fresh_counter, data, out);
+            return Ok(());
+        }
+        let (fetched, mac_bytes) = payload.split_at(payload.len() - MAC_BYTES);
+        let counter = counter.expect("pmmac requires counters");
+        let fresh_counter = fresh_counter.expect("pmmac requires counters");
+        let mut tag = [0u8; MAC_BYTES];
+        tag.copy_from_slice(mac_bytes);
+        stats.macs_verified += 1;
+        let (ok, mac) = mac_key.verify_and_compute(
+            (counter, unified_addr, fetched),
+            &Mac(tag),
+            (fresh_counter, fresh_addr, data),
+        );
+        if !ok {
+            stats.integrity_violations += 1;
+            return Err(OramError::IntegrityViolation { addr: unified_addr });
+        }
+        stats.macs_computed += 1;
+        out.clear();
+        // lint: allow(no-alloc, writes into the reused sealed scratch whose capacity persists across requests)
+        out.extend_from_slice(data);
+        // lint: allow(no-alloc, the MAC trailer fits the scratch capacity reserved at construction)
+        out.extend_from_slice(mac.as_bytes());
+        Ok(())
+    }
+    // lint: end
 
     /// Accounts one path access to the tree serving `level`: returns the
     /// bytes it moved, and charges the hashes a Merkle-tree scheme (\[25\])
@@ -706,23 +762,16 @@ impl<B: OramBackend> FreecursiveOram<B> {
             assert!(fetched, "backend readrmv returned no data");
             self.stats.group_remap_accesses += 1;
             self.stats.posmap_bytes_moved += self.path_access_bytes(level);
-            Self::verify_payload(
+            Self::verify_and_seal(
                 &self.config,
                 &self.mac_key,
                 &mut self.stats,
-                sibling_unified,
-                Some(old_counter),
+                (sibling_unified, Some(old_counter)),
                 &self.payload_buf,
-            )?;
-            Self::seal_payload(
-                &self.config,
-                &self.mac_key,
-                &mut self.stats,
-                sibling_unified,
-                Some(new_counter),
+                (sibling_unified, Some(new_counter)),
                 &self.payload_buf[..block_bytes],
                 &mut self.sealed_buf,
-            );
+            )?;
             self.trees[tree].access(
                 AccessOp::Append,
                 sibling_unified,
@@ -764,18 +813,43 @@ impl<B: OramBackend> FreecursiveOram<B> {
     /// Appends a PosMap block leaving the chip — evicted from the PLB
     /// (§4.2.4 step 2), or displaced from the parked slot — back into the
     /// tree serving its level.
-    fn append_evicted(&mut self, victim: PlbEntry<PlbPayload>) -> Result<(), OramError> {
+    ///
+    /// `fetched` names the PosMap block just fetched into
+    /// `self.payload_buf`, still unverified: its check is hashed in the
+    /// same pass as the victim's MAC and fails the call before the victim
+    /// is appended.
+    fn append_evicted(
+        &mut self,
+        victim: PlbEntry<PlbPayload>,
+        fetched: Option<(u64, Option<u64>)>,
+    ) -> Result<(), OramError> {
         let (level, _) = untag_address(victim.unified_addr);
-        let data = victim.payload.block.to_bytes(self.block_bytes_at(level));
-        Self::seal_payload(
-            &self.config,
-            &self.mac_key,
-            &mut self.stats,
-            victim.unified_addr,
-            victim.payload.counter,
-            &data,
-            &mut self.sealed_buf,
-        );
+        victim
+            .payload
+            .block
+            .to_bytes_into(self.block_bytes_at(level), &mut self.victim_buf);
+        let sealed = (victim.unified_addr, victim.payload.counter);
+        match fetched {
+            Some(fetched) => Self::verify_and_seal(
+                &self.config,
+                &self.mac_key,
+                &mut self.stats,
+                fetched,
+                &self.payload_buf,
+                sealed,
+                &self.victim_buf,
+                &mut self.sealed_buf,
+            )?,
+            None => Self::seal_payload(
+                &self.config,
+                &self.mac_key,
+                &mut self.stats,
+                sealed.0,
+                sealed.1,
+                &self.victim_buf,
+                &mut self.sealed_buf,
+            ),
+        }
         let tree = self.config.tree_of(level);
         self.trees[tree].access(
             AccessOp::Append,
@@ -866,21 +940,18 @@ impl<B: OramBackend> FreecursiveOram<B> {
                 self.stats.data_backend_accesses += 1;
                 self.stats.data_bytes_moved += bytes;
             }
-            Self::verify_payload(
-                &self.config,
-                &self.mac_key,
-                &mut self.stats,
-                child_unified,
-                resolved.current_counter,
-                &self.payload_buf,
-            )?;
             let block_bytes = self.block_bytes_at(level);
+            let fetched = (child_unified, resolved.current_counter);
 
             if level >= 1 {
                 // The PosMap block goes on chip: into the PLB, whose victim
                 // is appended back; or, without a PLB, into the parked slot,
                 // whose previous occupant — this block's parent, already
-                // advanced — goes back to its own tree.
+                // advanced — goes back to its own tree.  The fetched block
+                // is verified in the same pass as the victim's MAC, before
+                // the victim's append or any later access: a block that
+                // fails its check is on chip only until the violation halts
+                // the instance, and never chooses a leaf.
                 let payload = std::mem::take(&mut self.payload_buf);
                 let block = self.parse_posmap_block(level, &payload[..block_bytes]);
                 self.payload_buf = payload;
@@ -897,16 +968,24 @@ impl<B: OramBackend> FreecursiveOram<B> {
                     Some(plb) => plb.insert(entry),
                     None => self.parked.replace(entry),
                 };
-                if let Some(victim) = displaced {
-                    self.append_evicted(victim)?;
+                match displaced {
+                    Some(victim) => self.append_evicted(victim, Some(fetched))?,
+                    None => Self::verify_payload(
+                        &self.config,
+                        &self.mac_key,
+                        &mut self.stats,
+                        fetched.0,
+                        fetched.1,
+                        &self.payload_buf,
+                    )?,
                 }
                 if let Some(plb) = &self.plb {
                     self.stats.plb = plb.stats();
                 }
             } else {
-                // Data block access.
-                // lint: allow(no-alloc, grows the caller's buffer to block_bytes once; steady state reuses its capacity)
-                out.extend_from_slice(&self.payload_buf[..block_bytes]);
+                // Data block access: the fetched block's check and the
+                // write-back's MAC in one pass; only a block that passed
+                // reaches `out`.
                 let write_back: &[u8] = if remove {
                     &self.zero_block
                 } else if let Some(new_data) = write_data {
@@ -914,15 +993,18 @@ impl<B: OramBackend> FreecursiveOram<B> {
                 } else {
                     &self.payload_buf[..block_bytes]
                 };
-                Self::seal_payload(
+                Self::verify_and_seal(
                     &self.config,
                     &self.mac_key,
                     &mut self.stats,
-                    child_unified,
-                    resolved.advance.new_counter,
+                    fetched,
+                    &self.payload_buf,
+                    (child_unified, resolved.advance.new_counter),
                     write_back,
                     &mut self.sealed_buf,
-                );
+                )?;
+                // lint: allow(no-alloc, grows the caller's buffer to block_bytes once; steady state reuses its capacity)
+                out.extend_from_slice(&self.payload_buf[..block_bytes]);
                 self.trees[tree].access(
                     AccessOp::Append,
                     child_unified,
@@ -932,7 +1014,7 @@ impl<B: OramBackend> FreecursiveOram<B> {
                 )?;
                 self.stats.appends += 1;
                 if let Some(parent) = self.parked.take() {
-                    self.append_evicted(parent)?;
+                    self.append_evicted(parent, None)?;
                 }
                 // lint: allow(no-alloc, diagnostics snapshot of flat counters; copied once per request after the path work)
                 let mut backend = self.trees[0].stats().clone();
@@ -1226,6 +1308,71 @@ mod tests {
             }
         }
         assert_eq!(o.stats().integrity_violations, 0);
+    }
+
+    /// PIC_X32 on a warm PLB, with one data byte flipped in every PosMap
+    /// block resident in the tree: the PosMap fetch whose check is paired
+    /// with the PLB victim's MAC must surface as an integrity violation at
+    /// that PosMap block, and every read before it returns the right bytes.
+    /// Buckets are left unencrypted so the test can find the PosMap blocks;
+    /// PMMAC is what catches the flip either way.
+    #[test]
+    fn tampered_posmap_block_on_a_warm_plb_fails_the_paired_check() {
+        const N: u64 = 1 << 12;
+        let mut o = point(SchemePoint::PicX32, N, 64)
+            .onchip_entries(64)
+            .plb_capacity_bytes(8 * 64)
+            .encryption(path_oram::EncryptionMode::None)
+            .build_freecursive()
+            .unwrap();
+        let data = |a: u64| vec![(a % 251) as u8 ^ 0x5A; 64];
+        for a in 0..N {
+            o.write(a, &data(a)).unwrap();
+        }
+        assert!(o.plb.as_ref().unwrap().stats().evictions > 0, "PLB is warm");
+
+        let params = *o.backend().params();
+        let base = params.bucket_data_base();
+        let mut tampered = 0;
+        for idx in 0..params.num_buckets() {
+            if !o.backend().storage().is_initialized(idx) {
+                continue;
+            }
+            let image = o.backend().storage().snapshot_bucket(idx);
+            for slot in 0..params.z {
+                // Slot metadata: [valid: 1B][addr: 8B][leaf: 4B] after the
+                // 8-byte seed header.
+                let meta = &image[8 + slot * 13..8 + (slot + 1) * 13];
+                let addr = u64::from_le_bytes(meta[1..9].try_into().unwrap());
+                if meta[0] == 1 && untag_address(addr).0 >= 1 {
+                    let offset = base + slot * params.block_bytes;
+                    assert!(o.backend_mut().storage_mut().tamper_xor(idx, offset, 0x01));
+                    tampered += 1;
+                }
+            }
+        }
+        assert!(tampered > 0, "some PosMap block must sit in the tree");
+
+        // Each read walks to a fresh level-1 PosMap block, which misses the
+        // PLB; every insert then displaces a victim.
+        for i in 0..N {
+            let a = (i * 32 + i / (N / 32)) % N;
+            let evictions = o.plb.as_ref().unwrap().stats().evictions;
+            match o.read(a) {
+                Ok(bytes) => assert_eq!(bytes, data(a), "silent wrong data at {a}"),
+                Err(FreecursiveError::Integrity { addr }) => {
+                    assert!(untag_address(addr).0 >= 1, "the PosMap block fails");
+                    assert!(
+                        o.plb.as_ref().unwrap().stats().evictions > evictions,
+                        "the failing fetch displaced a PLB victim"
+                    );
+                    assert_eq!(o.stats().integrity_violations, 1);
+                    return;
+                }
+                Err(e) => panic!("read {a}: expected Integrity, got {e:?}"),
+            }
+        }
+        panic!("no read reached a tampered PosMap block");
     }
 
     #[test]

@@ -82,16 +82,24 @@ impl PosMapBlockPayload {
 
     /// Serialises the payload into exactly `block_bytes` bytes.
     pub fn to_bytes(&self, block_bytes: usize) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.to_bytes_into(block_bytes, &mut out);
+        out
+    }
+
+    /// [`Self::to_bytes`] into `out` (replacing its contents), reusing its
+    /// capacity: the PLB eviction path serialises every victim this way.
+    pub fn to_bytes_into(&self, block_bytes: usize, out: &mut Vec<u8>) {
         match self {
-            Self::Leaves(b) => b.to_bytes(block_bytes),
+            Self::Leaves(b) => b.to_bytes_into(block_bytes, out),
             Self::FlatCounters(counters) => {
-                let mut out = vec![0u8; block_bytes];
+                out.clear();
+                out.resize(block_bytes, 0);
                 for (i, c) in counters.iter().enumerate() {
                     out[i * 8..(i + 1) * 8].copy_from_slice(&c.to_le_bytes());
                 }
-                out
             }
-            Self::Compressed(b) => b.to_bytes(block_bytes),
+            Self::Compressed(b) => b.to_bytes_into(block_bytes, out),
         }
     }
 

@@ -148,18 +148,30 @@ impl CompressedPosMapBlock {
     ///
     /// Panics if the counters do not fit in `block_bytes`.
     pub fn to_bytes(&self, block_bytes: usize) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.to_bytes_into(block_bytes, &mut out);
+        out
+    }
+
+    /// [`Self::to_bytes`] into `out` (replacing its contents), reusing its
+    /// capacity.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the counters do not fit in `block_bytes`.
+    pub fn to_bytes_into(&self, block_bytes: usize, out: &mut Vec<u8>) {
         let needed_bits = self.alpha as usize + self.individual.len() * self.beta as usize;
         assert!(
             needed_bits <= block_bytes * 8,
             "{needed_bits} counter bits do not fit in a {block_bytes}-byte block"
         );
-        let mut out = vec![0u8; block_bytes];
-        let mut writer = BitWriter::new(&mut out);
+        out.clear();
+        out.resize(block_bytes, 0);
+        let mut writer = BitWriter::new(out);
         writer.write(self.group_counter, self.alpha);
         for &ic in &self.individual {
             writer.write(ic, self.beta);
         }
-        out
     }
 
     /// Parses a block serialised by [`Self::to_bytes`].

@@ -55,19 +55,31 @@ impl UncompressedPosMapBlock {
     ///
     /// Panics if the entries do not fit in `block_bytes`.
     pub fn to_bytes(&self, block_bytes: usize) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.to_bytes_into(block_bytes, &mut out);
+        out
+    }
+
+    /// [`Self::to_bytes`] into `out` (replacing its contents), reusing its
+    /// capacity.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the entries do not fit in `block_bytes`.
+    pub fn to_bytes_into(&self, block_bytes: usize, out: &mut Vec<u8>) {
         assert!(
             self.leaves.len() * LEAF_ENTRY_BYTES <= block_bytes,
             "X = {} entries do not fit in a {}-byte block",
             self.leaves.len(),
             block_bytes
         );
-        let mut out = vec![0u8; block_bytes];
+        out.clear();
+        out.resize(block_bytes, 0);
         for (i, leaf) in self.leaves.iter().enumerate() {
             let leaf = u32::try_from(*leaf).expect("leaf exceeds the 4-byte PosMap entry");
             out[i * LEAF_ENTRY_BYTES..(i + 1) * LEAF_ENTRY_BYTES]
                 .copy_from_slice(&leaf.to_le_bytes());
         }
-        out
     }
 
     /// Parses a block serialised by [`Self::to_bytes`] with `x` entries.
