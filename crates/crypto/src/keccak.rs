@@ -3,8 +3,8 @@
 //! PMMAC (§6) instantiates its MAC with SHA3-224; this module provides the
 //! sponge permutation, and [`crate::sha3`] builds the hash on top of it.
 //!
-//! Two kernels sit behind [`keccak_f1600`] and [`keccak_f1600_x2`], chosen
-//! once per process:
+//! Two kernels sit behind [`keccak_f1600`] and the paired sponge of
+//! [`crate::sha3`], chosen once per process:
 //!
 //! * **AVX-512VL** (the private `keccak_avx512` module, x86_64 with
 //!   AVX-512F and AVX-512VL, runtime detected) keeps the state in 25 xmm
@@ -159,12 +159,6 @@ pub fn keccak_f1600(state: &mut [u64; STATE_LANES]) {
     selected().permute(state);
 }
 
-/// Applies Keccak-f\[1600\] to two independent states: one pass of the
-/// AVX-512VL kernel, or two scalar calls where it does not run.
-pub fn keccak_f1600_x2(a: &mut [u64; STATE_LANES], b: &mut [u64; STATE_LANES]) {
-    selected().permute_x2(a, b);
-}
-
 /// The portable permutation: the scalar fallback and the reference every
 /// kernel is tested against.
 pub(crate) fn keccak_f1600_scalar(state: &mut [u64; STATE_LANES]) {
@@ -231,35 +225,6 @@ mod tests {
         let mut state = [0u64; STATE_LANES];
         keccak_f1600(&mut state);
         check(&state, kernel_label());
-    }
-
-    /// Seeded random states: every kernel's single-state form, and each
-    /// state of its two-state form, equals the scalar loop.
-    #[test]
-    fn every_kernel_matches_the_scalar_loop() {
-        let mut seed = 0xD1B5_4A32_D192_ED03u64;
-        let mut rng = move || {
-            seed ^= seed << 13;
-            seed ^= seed >> 7;
-            seed ^= seed << 17;
-            seed
-        };
-        for kernel in host_kernels() {
-            for round in 0..32 {
-                let x: [u64; STATE_LANES] = std::array::from_fn(|_| rng());
-                let y: [u64; STATE_LANES] = std::array::from_fn(|_| rng());
-                let (mut ex, mut ey) = (x, y);
-                keccak_f1600_scalar(&mut ex);
-                keccak_f1600_scalar(&mut ey);
-                let mut one = x;
-                kernel.permute(&mut one);
-                assert_eq!(one, ex, "{} single state, round {round}", kernel.label());
-                let (mut a, mut b) = (x, y);
-                kernel.permute_x2(&mut a, &mut b);
-                assert_eq!(a, ex, "{} first of two, round {round}", kernel.label());
-                assert_eq!(b, ey, "{} second of two, round {round}", kernel.label());
-            }
-        }
     }
 
     #[test]

@@ -187,7 +187,8 @@ mod tests {
 
     /// Seeded random state pairs: each register lane must come out as the
     /// scalar loop permutes it, whichever lane it rode in and whatever the
-    /// other lane held (equal, unrelated or all-zero).
+    /// other lane held (equal, unrelated or all-zero); and a lone state,
+    /// with the upper lane idle, likewise.
     #[test]
     fn two_state_kernel_matches_scalar_loop() {
         if !detected() {
@@ -211,6 +212,9 @@ mod tests {
             let (mut ex, mut ey) = (x, y);
             keccak_f1600_scalar(&mut ex);
             keccak_f1600_scalar(&mut ey);
+            let mut one = x;
+            permute(&mut one);
+            assert_eq!(one, ex, "round {round}: one state");
             let (mut a, mut b) = (x, y);
             permute_x2(&mut a, &mut b);
             assert_eq!(a, ex, "round {round}: low lane");

@@ -17,10 +17,15 @@
 //! * [`ctr::CtrKeystream`] / [`ctr::xor_in_place`] — AES counter-mode pads
 //!   for probabilistic bucket encryption, XORed in place by the fused
 //!   VAES or AES-NI kernel.
-//! * [`sha3::Sha3_224`] — the Keccak-based hash used for MACs.
+//! * [`sha3::Sha3_224`] — the Keccak-based hash used for MACs, over a
+//!   Keccak-f\[1600\] permutation with two kernels ([`keccak`]): a
+//!   two-state AVX-512VL kernel (x86_64, runtime detected) and the scalar
+//!   loop as fallback and reference.
 //! * [`prf::Prf`] / [`prf::AesPrf`] — the pseudorandom function
 //!   `PRF_K(x) mod 2^L` that maps (address, counter) pairs to leaves.
-//! * [`mac::MacKey`] — the keyed MAC `MAC_K(c || a || d)` of §6.2.1.
+//! * [`mac::MacKey`] — the keyed MAC `MAC_K(c || a || d)` of §6.2.1;
+//!   [`mac::MacKey::verify_and_compute`] checks one MAC and computes
+//!   another in a single two-state Keccak pass.
 //! * [`crc64::crc64`] — the CRC-64/XZ torn-write detector of the tree
 //!   store's write-ahead log: a PCLMULQDQ folding kernel (x86_64, runtime
 //!   detected) with the slicing-by-8 table as fallback and reference.
@@ -68,7 +73,9 @@
 //! [`aes::Aes128::encrypt_blocks`] and the PRF run the AES-NI kernel under
 //! both hardware engines.
 //! [`aes::Aes128::engine`] reports the decision.  The same override sends
-//! [`crc64::crc64`] to its table path.  Key material (expanded AES
+//! [`crc64::crc64`] to its table path and Keccak to its scalar loop; without
+//! it Keccak runs the AVX-512VL kernel when the CPU reports `avx512f` and
+//! `avx512vl` ([`keccak::kernel_label`] reports the decision).  Key material (expanded AES
 //! schedules, MAC keys) is scrubbed with volatile writes on drop.
 //!
 //! # Examples
@@ -82,9 +89,10 @@
 //! assert!(leaf < (1 << 20));
 //! ```
 
-// Unsafe code is denied everywhere except the three audited islands that opt
+// Unsafe code is denied everywhere except the four audited islands that opt
 // back in: the AES-NI and VAES intrinsics (`aesni`), the PCLMULQDQ CRC
-// kernel (`clmul`) and the volatile key scrubbing (`zeroize`).
+// kernel (`clmul`), the AVX-512VL Keccak kernel (`keccak_avx512`) and the
+// volatile key scrubbing (`zeroize`).
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

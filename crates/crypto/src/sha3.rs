@@ -3,10 +3,10 @@
 //! PMMAC (§6.1) uses SHA3-224 as `MAC_K()`; the 28-byte digest is truncated to
 //! the MAC width chosen by the design (80–128 bits, §6.3).
 //!
-//! Besides the incremental [`Sha3_224`], [`digest_pair`] hashes two
-//! messages side by side, so each pair of their permutations runs as one
-//! pass of the two-state Keccak kernel: the PMMAC verify of a fetched block
-//! and the MAC of the block written back in its place.
+//! Besides the incremental [`Sha3_224`], the crate-internal `digest_pair`
+//! hashes two messages side by side, so each pair of their permutations
+//! runs as one pass of the two-state Keccak kernel: the PMMAC verify of a
+//! fetched block and the MAC of the block written back in its place.
 
 use crate::keccak::{keccak_f1600, Kernel, STATE_LANES};
 
