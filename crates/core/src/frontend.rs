@@ -810,46 +810,30 @@ impl<B: OramBackend> FreecursiveOram<B> {
         PosMapBlockPayload::from_bytes(data, self.config.posmap_format, x)
     }
 
-    /// Appends a PosMap block leaving the chip — evicted from the PLB
-    /// (§4.2.4 step 2), or displaced from the parked slot — back into the
-    /// tree serving its level.
-    ///
-    /// `fetched` names the PosMap block just fetched into
-    /// `self.payload_buf`, still unverified: its check is hashed in the
-    /// same pass as the victim's MAC and fails the call before the victim
-    /// is appended.
-    fn append_evicted(
-        &mut self,
-        victim: PlbEntry<PlbPayload>,
-        fetched: Option<(u64, Option<u64>)>,
-    ) -> Result<(), OramError> {
+    /// Serializes the PosMap block that putting `child_unified` on chip
+    /// would displace — the least recently used way of its full PLB set,
+    /// or without a PLB the parked entry — into `self.victim_buf`, and
+    /// returns its `(unified_addr, counter)`, or `None` when nothing would
+    /// be displaced.  The victim stays on chip.
+    fn stage_victim(&mut self, child_unified: u64) -> Option<(u64, Option<u64>)> {
+        let victim = match &self.plb {
+            Some(plb) => plb.victim_for(child_unified),
+            None => self.parked.as_ref(),
+        }?;
         let (level, _) = untag_address(victim.unified_addr);
+        let block_bytes = self.block_bytes_at(level);
         victim
             .payload
             .block
-            .to_bytes_into(self.block_bytes_at(level), &mut self.victim_buf);
-        let sealed = (victim.unified_addr, victim.payload.counter);
-        match fetched {
-            Some(fetched) => Self::verify_and_seal(
-                &self.config,
-                &self.mac_key,
-                &mut self.stats,
-                fetched,
-                &self.payload_buf,
-                sealed,
-                &self.victim_buf,
-                &mut self.sealed_buf,
-            )?,
-            None => Self::seal_payload(
-                &self.config,
-                &self.mac_key,
-                &mut self.stats,
-                sealed.0,
-                sealed.1,
-                &self.victim_buf,
-                &mut self.sealed_buf,
-            ),
-        }
+            .to_bytes_into(block_bytes, &mut self.victim_buf);
+        Some((victim.unified_addr, victim.payload.counter))
+    }
+
+    /// Appends a PosMap block leaving the chip — evicted from the PLB
+    /// (§4.2.4 step 2), or displaced from the parked slot — back into the
+    /// tree serving its level, sealed in `self.sealed_buf`.
+    fn append_sealed(&mut self, victim: &PlbEntry<PlbPayload>) -> Result<(), OramError> {
+        let (level, _) = untag_address(victim.unified_addr);
         let tree = self.config.tree_of(level);
         self.trees[tree].access(
             AccessOp::Append,
@@ -860,6 +844,26 @@ impl<B: OramBackend> FreecursiveOram<B> {
         )?;
         self.stats.appends += 1;
         Ok(())
+    }
+
+    /// Seals and appends a PosMap block leaving the chip with no check to
+    /// pair its MAC with: the parked parent of the data block.
+    fn append_evicted(&mut self, victim: PlbEntry<PlbPayload>) -> Result<(), OramError> {
+        let (level, _) = untag_address(victim.unified_addr);
+        victim
+            .payload
+            .block
+            .to_bytes_into(self.block_bytes_at(level), &mut self.victim_buf);
+        Self::seal_payload(
+            &self.config,
+            &self.mac_key,
+            &mut self.stats,
+            victim.unified_addr,
+            victim.payload.counter,
+            &self.victim_buf,
+            &mut self.sealed_buf,
+        );
+        self.append_sealed(&victim)
     }
 
     /// Performs one full ORAM access for data block `a0` (§4.2.4), writing
@@ -948,10 +952,30 @@ impl<B: OramBackend> FreecursiveOram<B> {
                 // is appended back; or, without a PLB, into the parked slot,
                 // whose previous occupant — this block's parent, already
                 // advanced — goes back to its own tree.  The fetched block
-                // is verified in the same pass as the victim's MAC, before
-                // the victim's append or any later access: a block that
-                // fails its check is on chip only until the violation halts
-                // the instance, and never chooses a leaf.
+                // is verified first, in the same pass as the victim's seal:
+                // a block that fails its check never goes on chip, and the
+                // victim stays where it was.
+                let victim = self.stage_victim(child_unified);
+                match victim {
+                    Some(victim) => Self::verify_and_seal(
+                        &self.config,
+                        &self.mac_key,
+                        &mut self.stats,
+                        fetched,
+                        &self.payload_buf,
+                        victim,
+                        &self.victim_buf,
+                        &mut self.sealed_buf,
+                    )?,
+                    None => Self::verify_payload(
+                        &self.config,
+                        &self.mac_key,
+                        &mut self.stats,
+                        fetched.0,
+                        fetched.1,
+                        &self.payload_buf,
+                    )?,
+                }
                 let payload = std::mem::take(&mut self.payload_buf);
                 let block = self.parse_posmap_block(level, &payload[..block_bytes]);
                 self.payload_buf = payload;
@@ -968,16 +992,9 @@ impl<B: OramBackend> FreecursiveOram<B> {
                     Some(plb) => plb.insert(entry),
                     None => self.parked.replace(entry),
                 };
-                match displaced {
-                    Some(victim) => self.append_evicted(victim, Some(fetched))?,
-                    None => Self::verify_payload(
-                        &self.config,
-                        &self.mac_key,
-                        &mut self.stats,
-                        fetched.0,
-                        fetched.1,
-                        &self.payload_buf,
-                    )?,
+                if let Some(displaced) = displaced {
+                    debug_assert_eq!(Some(displaced.unified_addr), victim.map(|v| v.0));
+                    self.append_sealed(&displaced)?;
                 }
                 if let Some(plb) = &self.plb {
                     self.stats.plb = plb.stats();
@@ -1014,7 +1031,7 @@ impl<B: OramBackend> FreecursiveOram<B> {
                 )?;
                 self.stats.appends += 1;
                 if let Some(parent) = self.parked.take() {
-                    self.append_evicted(parent, None)?;
+                    self.append_evicted(parent)?;
                 }
                 // lint: allow(no-alloc, diagnostics snapshot of flat counters; copied once per request after the path work)
                 let mut backend = self.trees[0].stats().clone();
@@ -1314,6 +1331,7 @@ mod tests {
     /// block resident in the tree: the PosMap fetch whose check is paired
     /// with the PLB victim's MAC must surface as an integrity violation at
     /// that PosMap block, and every read before it returns the right bytes.
+    /// The failing block is not put on chip, and the victim stays resident.
     /// Buckets are left unencrypted so the test can find the PosMap blocks;
     /// PMMAC is what catches the flip either way.
     #[test]
@@ -1354,18 +1372,35 @@ mod tests {
         assert!(tampered > 0, "some PosMap block must sit in the tree");
 
         // Each read walks to a fresh level-1 PosMap block, which misses the
-        // PLB; every insert then displaces a victim.
+        // PLB; every insert then displaces a victim.  Every PosMap block in
+        // the tree is tampered, so a read's first PosMap fetch is the one
+        // that fails, and the PLB must hold the same blocks after it.
+        let resident = |o: &FreecursiveOram<PathOramBackend>| {
+            let mut addrs: Vec<u64> = o
+                .plb
+                .as_ref()
+                .unwrap()
+                .iter_sets()
+                .flatten()
+                .map(|e| e.unified_addr)
+                .collect();
+            addrs.sort_unstable();
+            addrs
+        };
         for i in 0..N {
             let a = (i * 32 + i / (N / 32)) % N;
-            let evictions = o.plb.as_ref().unwrap().stats().evictions;
+            let before = resident(&o);
             match o.read(a) {
                 Ok(bytes) => assert_eq!(bytes, data(a), "silent wrong data at {a}"),
                 Err(FreecursiveError::Integrity { addr }) => {
                     assert!(untag_address(addr).0 >= 1, "the PosMap block fails");
+                    let plb = o.plb.as_ref().unwrap();
                     assert!(
-                        o.plb.as_ref().unwrap().stats().evictions > evictions,
-                        "the failing fetch displaced a PLB victim"
+                        plb.victim_for(addr).is_some(),
+                        "the failing fetch was paired with a PLB victim's seal"
                     );
+                    assert!(!plb.contains(addr), "the tampered block never goes on chip");
+                    assert_eq!(resident(&o), before, "the victim stays in the PLB");
                     assert_eq!(o.stats().integrity_violations, 1);
                     return;
                 }

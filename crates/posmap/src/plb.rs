@@ -194,6 +194,19 @@ impl<V> Plb<V> {
             .any(|e| e.unified_addr == unified_addr)
     }
 
+    /// The entry that inserting `unified_addr` would displace: the least
+    /// recently used way of its set, when the set is full and does not
+    /// hold `unified_addr`.  Touches neither statistics nor LRU state, so
+    /// the frontend can seal the victim before it decides to insert.
+    pub fn victim_for(&self, unified_addr: u64) -> Option<&PlbEntry<V>> {
+        let set = &self.sets[self.set_index(unified_addr)];
+        // lint: allow(secret-branch, replace-versus-fill is a cache-internal decision; the external refill traffic is fixed by the miss path per section 4.1.2)
+        if set.len() < self.associativity || set.iter().any(|e| e.unified_addr == unified_addr) {
+            return None;
+        }
+        set.first()
+    }
+
     /// Inserts a block, returning the entry it displaced (which the frontend
     /// must append back to the ORAM, §4.2.4 step 2), if any.
     ///
@@ -328,6 +341,35 @@ mod tests {
         assert!(plb.insert(updated).is_none());
         assert_eq!(plb.lookup(9).unwrap().leaf, 123);
         assert_eq!(plb.len(), 1);
+    }
+
+    /// Seeded mix of lookups and inserts over several geometries:
+    /// `victim_for` always names exactly the entry the next `insert`
+    /// displaces, and changes no statistics.
+    #[test]
+    fn victim_for_names_what_insert_displaces() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut rng = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for (capacity, assoc) in [(4, 1), (8, 2), (8, 8), (12, 3)] {
+            let mut plb: Plb<u64> = Plb::new(capacity, assoc);
+            for _ in 0..2000 {
+                let addr = rng() % 40;
+                if rng() % 3 == 0 {
+                    plb.lookup(addr);
+                    continue;
+                }
+                let stats = plb.stats();
+                let named = plb.victim_for(addr).map(|e| e.unified_addr);
+                assert_eq!(plb.stats(), stats);
+                let displaced = plb.insert(entry(addr)).map(|e| e.unified_addr);
+                assert_eq!(named, displaced, "{capacity}x{assoc} inserting {addr}");
+            }
+        }
     }
 
     #[test]
