@@ -17,7 +17,7 @@
 //! hashes.
 
 use crate::keccak::{self, Kernel};
-use crate::sha3::{digest_pair, Sha3_224, DIGEST_BYTES};
+use crate::sha3::{digest_pair, Sha3_224, DIGEST_BYTES, HEAD_BYTES};
 
 /// Width of a stored MAC in bytes (112 bits, within the paper's 80–128 bit
 /// range).
@@ -149,16 +149,16 @@ impl MacKey {
         let fresh_head = self.header(fresh_counter, fresh_addr);
         let [expected, fresh] = digest_pair(
             kernel,
-            &[&verify_head, verify_data],
-            &[&fresh_head, fresh_data],
+            (&verify_head, verify_data),
+            (&fresh_head, fresh_data),
         );
         (tags_equal(&truncate(&expected), tag), truncate(&fresh))
     }
     // lint: end
 
     /// The message prefix `key || counter || addr`.
-    fn header(&self, counter: u64, addr: u64) -> [u8; 32] {
-        let mut head = [0u8; 32];
+    fn header(&self, counter: u64, addr: u64) -> [u8; HEAD_BYTES] {
+        let mut head = [0u8; HEAD_BYTES];
         head[..16].copy_from_slice(&self.key);
         head[16..24].copy_from_slice(&counter.to_le_bytes());
         head[24..].copy_from_slice(&addr.to_le_bytes());
