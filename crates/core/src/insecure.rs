@@ -44,11 +44,6 @@ impl InsecureOram {
         })
     }
 
-    /// The flat backend (diagnostics).
-    pub fn backend(&self) -> &InsecureBackend {
-        &self.backend
-    }
-
     /// Persists the flat memory into `dir` (one digest-sealed state file;
     /// there are no tree files).  Mostly useful so sharded composites with
     /// `Insecure` shards can persist uniformly.

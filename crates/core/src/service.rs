@@ -263,7 +263,7 @@ impl OramClient {
     /// submitted.  [`FreecursiveError::Service`] if a touched worker is
     /// gone.  Liveness is pre-checked for *every* touched shard after
     /// staging and before the first send — the same
-    /// validate-before-dispatch discipline [`ShardRouter::partition`]
+    /// validate-before-dispatch discipline the router's batch partition
     /// applies to malformed requests — so a batch that routes to a shard
     /// whose death has already been announced (its panic reply was
     /// delivered, or the service shut down) fails side-effect-free: no

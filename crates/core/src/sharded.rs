@@ -65,6 +65,10 @@ use path_oram::OramError;
 /// The pure address-partitioning logic shared by [`ShardedOram`] and the
 /// [`crate::OramService`] client: shard selection, address rewriting, batch
 /// partitioning and response reassembly.
+///
+/// Outside this crate it is the read-only routing rule that
+/// [`crate::OramClient::router`] returns; its only constructor is the shard
+/// geometry check, which rejects an empty shard set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardRouter {
     num_shards: u64,
@@ -76,18 +80,18 @@ pub struct ShardRouter {
 /// addresses, arrival order preserved) plus the plan mapping each per-shard
 /// position back to its global batch index.
 #[derive(Debug)]
-pub struct PartitionedBatch {
+pub(crate) struct PartitionedBatch {
     /// `per_shard[s]` is the sub-batch for shard `s`, already rewritten to
     /// intra-shard addresses.
-    pub per_shard: Vec<Vec<Request>>,
+    pub(crate) per_shard: Vec<Vec<Request>>,
     /// `plan[s][j]` is the global batch index of `per_shard[s][j]`.
-    pub plan: Vec<Vec<usize>>,
+    pub(crate) plan: Vec<Vec<usize>>,
 }
 
 impl ShardRouter {
     /// A router over `num_shards` shards serving `num_blocks` global
     /// addresses of `block_bytes` each.
-    pub fn new(num_shards: u64, num_blocks: u64, block_bytes: usize) -> Self {
+    pub(crate) fn new(num_shards: u64, num_blocks: u64, block_bytes: usize) -> Self {
         debug_assert!(num_shards > 0);
         Self {
             num_shards,
@@ -154,7 +158,7 @@ impl ShardRouter {
 
     /// Rewrites a (validated) request to its intra-shard address, returning
     /// the owning shard.
-    pub fn rewrite(&self, request: Request) -> (usize, Request) {
+    pub(crate) fn rewrite(&self, request: Request) -> (usize, Request) {
         let shard = self.shard_of(request.addr());
         let inner = self.inner_addr(request.addr());
         let rewritten = match request {
@@ -173,7 +177,10 @@ impl ShardRouter {
     ///
     /// [`FreecursiveError::Batch`] wrapping the validation failure of the
     /// first malformed request.
-    pub fn partition(&self, requests: Vec<Request>) -> Result<PartitionedBatch, FreecursiveError> {
+    pub(crate) fn partition(
+        &self,
+        requests: Vec<Request>,
+    ) -> Result<PartitionedBatch, FreecursiveError> {
         for (index, request) in requests.iter().enumerate() {
             self.validate(request)
                 .map_err(|e| e.with_batch_index(index))?;
@@ -192,7 +199,7 @@ impl ShardRouter {
     /// Reassembles per-shard response vectors into global request order,
     /// rewriting intra-shard addresses back to global ones.  `plan` must be
     /// the partition plan the sub-batches were produced from.
-    pub fn reassemble(
+    pub(crate) fn reassemble(
         &self,
         plan: &[Vec<usize>],
         per_shard: Vec<Vec<Response>>,

@@ -14,9 +14,11 @@
 use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 
+use freecursive::Request;
+
 use crate::wire::{
-    decode_response, encode_request, read_frame, write_frame, TenantStats, WireError, WireOp,
-    WireRequest, WireResponse, WireResult,
+    decode_response, encode_request, read_frame, write_frame, TenantStats, WireError, WireRequest,
+    WireResponse, WireResult,
 };
 
 /// What a client call can fail with.
@@ -211,14 +213,15 @@ impl NetClient {
         }
     }
 
-    /// Executes an ordered batch, returning per-item results.
+    /// Executes an ordered batch of tenant-relative requests, returning
+    /// per-item results.
     ///
     /// # Errors
     ///
     /// See [`ClientError`]; batches are admitted atomically against the
     /// tenant quota, so an oversized batch fails as a whole with
     /// [`crate::wire::ErrorCode::QuotaExceeded`].
-    pub fn batch(&mut self, items: Vec<WireOp>) -> Result<Vec<WireResult>, ClientError> {
+    pub fn batch(&mut self, items: Vec<Request>) -> Result<Vec<WireResult>, ClientError> {
         match self.call(&WireRequest::Batch { items })? {
             WireResponse::Batch(results) => Ok(results),
             other => Err(unexpected("Batch", &other)),

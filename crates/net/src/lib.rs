@@ -43,7 +43,7 @@
 //! The ORAM hides *which* block a request touches from an adversary
 //! watching the storage backend.  This TCP layer makes no attempt to hide
 //! request *timing*, sizes, or per-tenant rates from a network observer —
-//! see ROADMAP item 2 (timing protection) before treating the wire as an
+//! see ROADMAP item 11 (timing protection) before treating the wire as an
 //! oblivious channel.
 
 pub mod client;
@@ -52,4 +52,4 @@ pub mod wire;
 
 pub use client::{ClientError, NetClient, SessionInfo};
 pub use server::{NetServer, ServerConfig, TenantSpec};
-pub use wire::{ErrorCode, TenantStats, WireError, WireOp, WireRequest, WireResponse, WireResult};
+pub use wire::{ErrorCode, TenantStats, WireError, WireRequest, WireResponse, WireResult};

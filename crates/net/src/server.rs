@@ -42,7 +42,7 @@ use freecursive::{Oram, OramClient, OramService, Request, Response};
 
 use crate::wire::{
     decode_header, decode_request, encode_response, write_frame, ErrorCode, TenantStats, WireError,
-    WireOp, WireRequest, WireResponse, WireResult, FRAME_HEADER_LEN, PROTOCOL_VERSION,
+    WireRequest, WireResponse, WireResult, FRAME_HEADER_LEN, PROTOCOL_VERSION,
 };
 
 /// How often blocked reads wake up to poll the shutdown flag.
@@ -511,20 +511,18 @@ fn handle_data_request(
     tenant: &TenantState,
     request: WireRequest,
 ) -> WireResponse {
-    // Translate into global-address Requests, validating as we go.
-    let (ops, is_batch) = match request {
+    let (mut requests, is_batch) = match request {
         WireRequest::Stats => return WireResponse::Stats(tenant.counters.snapshot()),
-        WireRequest::Read { addr } => (vec![WireOp::Read { addr }], false),
-        WireRequest::Write { addr, data } => (vec![WireOp::Write { addr, data }], false),
-        WireRequest::ReadRemove { addr } => (vec![WireOp::ReadRemove { addr }], false),
+        WireRequest::Read { addr } => (vec![Request::Read { addr }], false),
+        WireRequest::Write { addr, data } => (vec![Request::Write { addr, data }], false),
+        WireRequest::ReadRemove { addr } => (vec![Request::ReadRemove { addr }], false),
         WireRequest::Batch { items } => (items, true),
         WireRequest::Hello { .. } => unreachable!("hello handled by the caller"),
     };
-    let mut requests = Vec::with_capacity(ops.len());
-    for op in ops {
-        match translate_op(op, tenant, shared.block_bytes) {
-            Ok(r) => requests.push(r),
-            Err(e) => return WireResponse::Error(e),
+    // Rebase onto global addresses, validating as we go.
+    for request in &mut requests {
+        if let Err(e) = translate_op(request, tenant, shared.block_bytes) {
+            return WireResponse::Error(e);
         }
     }
 
@@ -552,48 +550,38 @@ fn handle_data_request(
     }
 }
 
-/// Maps a tenant-relative wire op onto a global-address [`Request`].
+/// Rebases a tenant-relative [`Request`] onto its global address, after
+/// checking the address against the tenant's range and a write's payload
+/// against the block size.
 fn translate_op(
-    op: WireOp,
+    request: &mut Request,
     tenant: &TenantState,
     block_bytes: usize,
-) -> Result<Request, WireError> {
-    let translate = |addr: u64| -> Result<u64, WireError> {
-        if addr < tenant.blocks {
-            Ok(tenant.base + addr)
-        } else {
-            Err(WireError::new(
-                ErrorCode::AddrOutOfRange,
+) -> Result<(), WireError> {
+    if let Request::Write { data, .. } = request {
+        if data.len() != block_bytes {
+            return Err(WireError::new(
+                ErrorCode::SizeMismatch,
                 format!(
-                    "address {addr} outside the tenant's {} blocks",
-                    tenant.blocks
+                    "write payload of {} bytes, blocks are {block_bytes}",
+                    data.len()
                 ),
-            ))
+            ));
         }
-    };
-    Ok(match op {
-        WireOp::Read { addr } => Request::Read {
-            addr: translate(addr)?,
-        },
-        WireOp::ReadRemove { addr } => Request::ReadRemove {
-            addr: translate(addr)?,
-        },
-        WireOp::Write { addr, data } => {
-            if data.len() != block_bytes {
-                return Err(WireError::new(
-                    ErrorCode::SizeMismatch,
-                    format!(
-                        "write payload of {} bytes, blocks are {block_bytes}",
-                        data.len()
-                    ),
-                ));
-            }
-            Request::Write {
-                addr: translate(addr)?,
-                data,
-            }
-        }
-    })
+    }
+    let (Request::Read { addr } | Request::Write { addr, .. } | Request::ReadRemove { addr }) =
+        request;
+    if *addr >= tenant.blocks {
+        return Err(WireError::new(
+            ErrorCode::AddrOutOfRange,
+            format!(
+                "address {addr} outside the tenant's {} blocks",
+                tenant.blocks
+            ),
+        ));
+    }
+    *addr += tenant.base;
+    Ok(())
 }
 
 fn count_admitted(tenant: &TenantState, requests: &[Request], is_batch: bool) {

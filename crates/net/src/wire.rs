@@ -54,6 +54,8 @@
 
 use std::io::{self, Read, Write};
 
+use freecursive::Request;
+
 /// Magic bytes opening every frame.
 pub const WIRE_MAGIC: [u8; 2] = *b"ON";
 
@@ -348,28 +350,6 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<(FrameHeader, Vec<u8>)
     Ok(Some((header, body)))
 }
 
-/// One operation inside a BATCH frame (addresses tenant-relative).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WireOp {
-    /// Return the block's contents.
-    Read {
-        /// Tenant-relative block address.
-        addr: u64,
-    },
-    /// Overwrite the block.
-    Write {
-        /// Tenant-relative block address.
-        addr: u64,
-        /// New contents (must be the server's block size).
-        data: Vec<u8>,
-    },
-    /// Return the block's contents and zero it.
-    ReadRemove {
-        /// Tenant-relative block address.
-        addr: u64,
-    },
-}
-
 /// A decoded request frame body.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WireRequest {
@@ -397,8 +377,9 @@ pub enum WireRequest {
     },
     /// Ordered multi-op batch.
     Batch {
-        /// The operations, executed in order.
-        items: Vec<WireOp>,
+        /// The operations, executed in order.  Addresses are
+        /// tenant-relative; write payloads must be the server's block size.
+        items: Vec<Request>,
     },
     /// Fetch this tenant's counters.
     Stats,
@@ -560,11 +541,11 @@ pub fn encode_request(request: &WireRequest) -> (u8, Vec<u8>) {
             body.extend_from_slice(&u32::try_from(items.len()).unwrap_or(u32::MAX).to_le_bytes());
             for item in items {
                 match item {
-                    WireOp::Read { addr } => {
+                    Request::Read { addr } => {
                         body.push(KIND_READ);
                         body.extend_from_slice(&addr.to_le_bytes());
                     }
-                    WireOp::Write { addr, data } => {
+                    Request::Write { addr, data } => {
                         body.push(KIND_WRITE);
                         body.extend_from_slice(&addr.to_le_bytes());
                         body.extend_from_slice(
@@ -572,7 +553,7 @@ pub fn encode_request(request: &WireRequest) -> (u8, Vec<u8>) {
                         );
                         body.extend_from_slice(data);
                     }
-                    WireOp::ReadRemove { addr } => {
+                    Request::ReadRemove { addr } => {
                         body.push(KIND_READ_REMOVE);
                         body.extend_from_slice(&addr.to_le_bytes());
                     }
@@ -622,15 +603,15 @@ pub fn decode_request(kind: u8, body: &[u8]) -> Result<WireRequest, WireError> {
                 let op = r.u8()?;
                 let addr = r.u64()?;
                 items.push(match op {
-                    KIND_READ => WireOp::Read { addr },
+                    KIND_READ => Request::Read { addr },
                     KIND_WRITE => {
                         let len = r.u32()? as usize;
-                        WireOp::Write {
+                        Request::Write {
                             addr,
                             data: r.take(len)?.to_vec(),
                         }
                     }
-                    KIND_READ_REMOVE => WireOp::ReadRemove { addr },
+                    KIND_READ_REMOVE => Request::ReadRemove { addr },
                     other => {
                         return Err(WireError::new(
                             ErrorCode::Malformed,
@@ -821,12 +802,12 @@ mod tests {
         roundtrip_request(WireRequest::ReadRemove { addr: 0 });
         roundtrip_request(WireRequest::Batch {
             items: vec![
-                WireOp::Read { addr: 1 },
-                WireOp::Write {
+                Request::Read { addr: 1 },
+                Request::Write {
                     addr: 2,
                     data: vec![3; 16],
                 },
-                WireOp::ReadRemove { addr: 3 },
+                Request::ReadRemove { addr: 3 },
             ],
         });
         roundtrip_request(WireRequest::Batch { items: vec![] });

@@ -1,14 +1,15 @@
 //! Differential check: the TCP path is a transparent wrapper.
 //!
-//! Two identically-seeded ORAM services run side by side — one behind a
-//! [`NetServer`] driven through [`NetClient`] over a real socket, one
-//! driven directly through the in-process `OramClient`.  The same seeded
-//! mixed workload (reads, writes, read-removes, batches) goes to both;
-//! every response must be byte-identical.  Any framing, translation, or
-//! ordering bug in the network layer shows up as a divergence here.
+//! A sharded ORAM service behind a [`NetServer`], driven through
+//! [`NetClient`] over a real socket, must answer a seeded mixed schedule —
+//! single reads, writes and read-removes, and batches of one to eight — as
+//! the flat oracle does, response by response.  Any framing, translation,
+//! or ordering bug in the network layer shows up as a divergence here.
 
-use freecursive::{Oram, OramBuilder, OramService, Request, SchemePoint};
-use oram_net::{NetClient, NetServer, ServerConfig, WireOp, WireResult};
+use freecursive::{Oram, OramBuilder, OramService, Request, Response, SchemePoint};
+use freecursive_repro::Op::{Read, ReadRemove, Write};
+use freecursive_repro::{answers, flat, schedule};
+use oram_net::{NetClient, NetServer, ServerConfig, TenantSpec, WireResult};
 
 const BLOCK_BYTES: usize = 32;
 const BLOCKS: u64 = 128;
@@ -28,70 +29,41 @@ fn build_service() -> OramService {
         .expect("service")
 }
 
-/// Deterministic xorshift stream driving both sides identically.
-struct Gen(u64);
-
-impl Gen {
-    fn next(&mut self) -> u64 {
-        self.0 ^= self.0 << 13;
-        self.0 ^= self.0 >> 7;
-        self.0 ^= self.0 << 17;
-        self.0
-    }
-
-    fn addr(&mut self) -> u64 {
-        self.next() % BLOCKS
-    }
-
-    fn block(&mut self) -> Vec<u8> {
-        let mut data = Vec::with_capacity(BLOCK_BYTES);
-        while data.len() < BLOCK_BYTES {
-            data.extend_from_slice(&self.next().to_le_bytes());
+/// `request` as a single-op READ, WRITE or READ_REMOVE frame.
+fn single(tcp: &mut NetClient, request: Request) -> Response {
+    let addr = request.addr();
+    let data = match request {
+        Request::Read { addr } => Some(tcp.read(addr).expect("tcp read")),
+        Request::Write { addr, data } => {
+            tcp.write(addr, data).expect("tcp write");
+            None
         }
-        data.truncate(BLOCK_BYTES);
-        data
-    }
+        Request::ReadRemove { addr } => Some(tcp.read_remove(addr).expect("tcp read_remove")),
+    };
+    Response { addr, data }
 }
 
-/// One scripted step, applied identically to both sides.
-enum Step {
-    Read(u64),
-    Write(u64, Vec<u8>),
-    ReadRemove(u64),
-    Batch(Vec<WireOp>),
-}
-
-fn script() -> Vec<Step> {
-    let mut g = Gen(0xACE5_5EED);
-    let mut steps = Vec::with_capacity(STEPS);
-    for _ in 0..STEPS {
-        steps.push(match g.next() % 10 {
-            0..=3 => Step::Read(g.addr()),
-            4..=6 => Step::Write(g.addr(), g.block()),
-            7 => Step::ReadRemove(g.addr()),
-            _ => {
-                let len = 1 + usize::try_from(g.next() % 8).expect("small");
-                let items = (0..len)
-                    .map(|_| match g.next() % 3 {
-                        0 => WireOp::Read { addr: g.addr() },
-                        1 => WireOp::Write {
-                            addr: g.addr(),
-                            data: g.block(),
-                        },
-                        _ => WireOp::ReadRemove { addr: g.addr() },
-                    })
-                    .collect();
-                Step::Batch(items)
-            }
-        });
-    }
-    steps
+/// `requests` as one BATCH frame.
+fn batch(tcp: &mut NetClient, requests: &[Request]) -> Vec<Response> {
+    let results = tcp.batch(requests.to_vec()).expect("tcp batch");
+    assert_eq!(results.len(), requests.len(), "one result per batch item");
+    requests
+        .iter()
+        .zip(results)
+        .map(|(request, result)| Response {
+            addr: request.addr(),
+            data: match result {
+                WireResult::Data(data) => Some(data),
+                WireResult::Done => None,
+            },
+        })
+        .collect()
 }
 
 #[test]
 fn tcp_responses_are_byte_identical_to_in_process_responses() {
-    // Side A: service behind TCP, one tenant covering every block, so
-    // tenant-relative and global addresses coincide.
+    // One tenant covering every block, so tenant-relative and global
+    // addresses coincide.
     let server = NetServer::spawn(
         build_service(),
         ServerConfig::single_tenant(BLOCKS, 1024),
@@ -99,74 +71,39 @@ fn tcp_responses_are_byte_identical_to_in_process_responses() {
     )
     .expect("spawn");
     let mut tcp = NetClient::connect(server.local_addr(), "default").expect("connect");
+    let mut oracle = flat(BLOCKS, BLOCK_BYTES);
 
-    // Side B: the same service driven in-process.
-    let reference_service = build_service();
-    let mut reference = reference_service.client();
-
-    for (step_index, step) in script().into_iter().enumerate() {
-        match step {
-            Step::Read(addr) => {
-                let over_tcp = tcp.read(addr).expect("tcp read");
-                let direct = reference
-                    .access(Request::Read { addr })
-                    .expect("direct read")
-                    .data
-                    .expect("reads carry data");
-                assert_eq!(over_tcp, direct, "step {step_index}: read {addr} diverged");
-            }
-            Step::Write(addr, data) => {
-                tcp.write(addr, data.clone()).expect("tcp write");
-                let direct = reference
-                    .access(Request::Write { addr, data })
-                    .expect("direct write");
-                assert_eq!(direct.data, None, "writes return no data");
-            }
-            Step::ReadRemove(addr) => {
-                let over_tcp = tcp.read_remove(addr).expect("tcp read_remove");
-                let direct = reference
-                    .access(Request::ReadRemove { addr })
-                    .expect("direct read_remove")
-                    .data
-                    .expect("read_removes carry data");
-                assert_eq!(
-                    over_tcp, direct,
-                    "step {step_index}: read_remove {addr} diverged"
-                );
-            }
-            Step::Batch(items) => {
-                let requests: Vec<Request> = items
-                    .iter()
-                    .map(|op| match op {
-                        WireOp::Read { addr } => Request::Read { addr: *addr },
-                        WireOp::Write { addr, data } => Request::Write {
-                            addr: *addr,
-                            data: data.clone(),
-                        },
-                        WireOp::ReadRemove { addr } => Request::ReadRemove { addr: *addr },
-                    })
-                    .collect();
-                let over_tcp = tcp.batch(items).expect("tcp batch");
-                let direct = reference
-                    .access_batch_owned(requests)
-                    .expect("direct batch");
-                assert_eq!(over_tcp.len(), direct.len());
-                for (item_index, (wire, response)) in over_tcp.iter().zip(direct.iter()).enumerate()
-                {
-                    match (wire, &response.data) {
-                        (WireResult::Data(a), Some(b)) => assert_eq!(
-                            a, b,
-                            "step {step_index} item {item_index}: batch data diverged"
-                        ),
-                        (WireResult::Done, None) => {}
-                        (wire, direct) => panic!(
-                            "step {step_index} item {item_index}: \
-                             shape mismatch {wire:?} vs {direct:?}"
-                        ),
-                    }
-                }
-            }
-        }
+    // Four steps in five are single ops (4:3:1 reads, writes and
+    // read-removes); every fifth is a batch of one to eight.
+    let is_batch = |step: usize| step % 5 == 4;
+    let sizes: Vec<usize> = (0..STEPS)
+        .map(|step| if is_batch(step) { 1 + step / 5 % 8 } else { 1 })
+        .collect();
+    let mix = [Read, Read, Read, Read, Write, Write, Write, ReadRemove];
+    let requests = schedule(
+        0xACE5_5EED,
+        sizes.iter().sum(),
+        0..BLOCKS,
+        BLOCK_BYTES,
+        &mix,
+    );
+    let mut next = 0;
+    for (step, size) in sizes.into_iter().enumerate() {
+        let items = &requests[next..next + size];
+        next += size;
+        let over_tcp = if is_batch(step) {
+            batch(&mut tcp, items)
+        } else {
+            vec![single(&mut tcp, items[0].clone())]
+        };
+        assert_eq!(over_tcp, answers(&mut oracle, items), "step {step}");
+    }
+    for addr in 0..BLOCKS {
+        assert_eq!(
+            tcp.read(addr).expect("tcp read"),
+            oracle.read(addr).unwrap(),
+            "final contents of block {addr}"
+        );
     }
 
     assert_eq!(server.panic_count(), 0);
@@ -175,18 +112,18 @@ fn tcp_responses_are_byte_identical_to_in_process_responses() {
 
 #[test]
 fn tenant_offset_translation_is_transparent() {
-    // Side A: two tenants; "beta" starts at global base 32.  Side B: the
-    // raw service addressed globally.  Writing beta-relative addr k must
-    // land exactly at global 32 + k.
+    // Two tenants; "beta" starts at global base 32.  Writing beta-relative
+    // addr k must land exactly at global 32 + k, and nowhere in alpha's
+    // range.
     let server = NetServer::spawn(
         build_service(),
         ServerConfig {
             tenants: vec![
-                oram_net::TenantSpec {
+                TenantSpec {
                     name: "alpha".to_string(),
                     blocks: 32,
                 },
-                oram_net::TenantSpec {
+                TenantSpec {
                     name: "beta".to_string(),
                     blocks: 64,
                 },
@@ -196,31 +133,30 @@ fn tenant_offset_translation_is_transparent() {
         "127.0.0.1:0",
     )
     .expect("spawn");
+    let mut alpha = NetClient::connect(server.local_addr(), "alpha").expect("connect");
     let mut beta = NetClient::connect(server.local_addr(), "beta").expect("connect");
+    let mut oracle = flat(BLOCKS, BLOCK_BYTES);
 
-    let reference_service = build_service();
-    let mut reference = reference_service.client();
-
-    let mut g = Gen(42);
-    for _ in 0..32 {
-        let addr = g.next() % 64;
-        let data = g.block();
+    for request in schedule(42, 32, 0..64, BLOCK_BYTES, &[Write]) {
+        let Request::Write { addr, data } = request else {
+            unreachable!("an all-write schedule")
+        };
         beta.write(addr, data.clone()).expect("tcp write");
-        reference
-            .access(Request::Write {
-                addr: 32 + addr,
-                data,
-            })
-            .expect("direct write");
+        oracle.write(32 + addr, &data).unwrap();
+    }
+    for addr in 0..32 {
+        assert_eq!(
+            alpha.read(addr).expect("tcp read"),
+            oracle.read(addr).unwrap(),
+            "alpha-relative {addr} diverged"
+        );
     }
     for addr in 0..64 {
-        let over_tcp = beta.read(addr).expect("tcp read");
-        let direct = reference
-            .access(Request::Read { addr: 32 + addr })
-            .expect("direct read")
-            .data
-            .expect("reads carry data");
-        assert_eq!(over_tcp, direct, "beta-relative {addr} diverged");
+        assert_eq!(
+            beta.read(addr).expect("tcp read"),
+            oracle.read(32 + addr).unwrap(),
+            "beta-relative {addr} diverged"
+        );
     }
 
     assert_eq!(server.panic_count(), 0);

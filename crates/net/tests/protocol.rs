@@ -11,13 +11,13 @@ use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
-use freecursive::{OramBuilder, SchemePoint};
+use freecursive::{OramBuilder, Request, SchemePoint};
 use oram_net::wire::{
     encode_header, read_frame, write_frame, KIND_BATCH, KIND_HELLO, KIND_READ, KIND_R_ERROR,
     MAX_BATCH_ITEMS, MAX_FRAME_BODY, PROTOCOL_VERSION,
 };
 use oram_net::{
-    ErrorCode, NetClient, NetServer, ServerConfig, TenantSpec, WireOp, WireRequest, WireResponse,
+    ErrorCode, NetClient, NetServer, ServerConfig, TenantSpec, WireRequest, WireResponse,
 };
 
 const BLOCK_BYTES: usize = 16;
@@ -335,11 +335,11 @@ fn quota_rejects_whole_batches_over_the_cap() {
     assert_eq!(client.session().max_inflight, 4);
 
     // Four items fit the quota exactly.
-    let ok: Vec<WireOp> = (0..4).map(|i| WireOp::Read { addr: i }).collect();
+    let ok: Vec<Request> = (0..4).map(|i| Request::Read { addr: i }).collect();
     assert_eq!(client.batch(ok).unwrap().len(), 4);
 
     // Five can never be admitted: refused without touching the ORAM.
-    let too_many: Vec<WireOp> = (0..5).map(|i| WireOp::Read { addr: i }).collect();
+    let too_many: Vec<Request> = (0..5).map(|i| Request::Read { addr: i }).collect();
     match client.batch(too_many) {
         Err(oram_net::ClientError::Server(e)) => {
             assert_eq!(e.code, ErrorCode::QuotaExceeded);
@@ -425,8 +425,8 @@ fn per_tenant_stats_count_operations_and_errors() {
     client.read_remove(0).unwrap();
     client
         .batch(vec![
-            WireOp::Read { addr: 1 },
-            WireOp::Write {
+            Request::Read { addr: 1 },
+            Request::Write {
                 addr: 1,
                 data: vec![9; BLOCK_BYTES],
             },

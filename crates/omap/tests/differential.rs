@@ -15,13 +15,13 @@
 //! requests, and input-validation failures cost exactly zero.
 
 use std::collections::HashMap;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::path::Path;
 
 use freecursive::{
     ConfigError, FreecursiveError, FrontendStats, MapError, Oram, OramBuilder, Request, Response,
     SchemePoint, StorageKind,
 };
+use freecursive_repro::ScratchDir;
 use omap::{BuildMap, MapConfig, ObliviousMap};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -32,16 +32,6 @@ const CAPACITY: u64 = 128;
 const BLOCK: usize = 128;
 const KEY_UNIVERSE: u64 = 48;
 const OPS: u64 = 600;
-
-static DIR_COUNTER: AtomicU64 = AtomicU64::new(0);
-
-fn snap_dir(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!(
-        "omap-differential-{tag}-{}-{}",
-        std::process::id(),
-        DIR_COUNTER.fetch_add(1, Ordering::Relaxed)
-    ))
-}
 
 fn builder(storage: StorageKind) -> OramBuilder {
     OramBuilder::for_scheme(SchemePoint::PcX32)
@@ -166,7 +156,7 @@ fn differential_against_hashmap_sharded_service() {
 
 #[test]
 fn persist_midway_and_resume_continues_the_differential_run() {
-    let dir = snap_dir("resume");
+    let dir = ScratchDir::new("omap-resume");
     let mut oracle = HashMap::new();
     let mut rng = StdRng::seed_from_u64(0x5EED);
 
@@ -187,12 +177,11 @@ fn persist_midway_and_resume_continues_the_differential_run() {
         step(&mut resumed, &mut oracle, &mut rng);
     }
     sweep(&mut resumed, &oracle);
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn resume_rejects_wrong_layout() {
-    let dir = snap_dir("tamper");
+    let dir = ScratchDir::new("omap-tamper");
     let map = builder(StorageKind::TempFile).build_map(&config()).unwrap();
     map.persist(&dir).unwrap();
     drop(map);
@@ -202,7 +191,6 @@ fn resume_rejects_wrong_layout() {
     let bytes = std::fs::read(&state).unwrap();
     std::fs::write(&state, &bytes[..bytes.len() / 2]).unwrap();
     assert!(ObliviousMap::resume(&dir).is_err());
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 // ---------------------------------------------------------------------------

@@ -3,9 +3,11 @@
 //! `Oram` trait, the `access_batch` equivalence guarantee, and the
 //! `OramBackend` seam.
 
-use freecursive::{FreecursiveError, InsecureBackend, Oram, OramBuilder, Request, SchemePoint};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use freecursive::{
+    FreecursiveError, InsecureBackend, Oram, OramBuilder, Request, Response, SchemePoint,
+};
+use freecursive_repro::Op::{Read, ReadRemove, Write};
+use freecursive_repro::{agree, answers, flat, same_contents, schedule};
 
 const N: u64 = 1 << 10;
 const BLOCK: usize = 32;
@@ -18,7 +20,7 @@ fn small_builder(scheme: SchemePoint) -> OramBuilder {
 }
 
 /// Every scheme point constructs through the builder and serves a mixed
-/// workload of 200 accesses against a reference memory.
+/// workload of 200 accesses against the flat oracle.
 #[test]
 fn every_scheme_point_builds_and_serves_mixed_accesses() {
     for scheme in SchemePoint::all_points() {
@@ -28,36 +30,14 @@ fn every_scheme_point_builds_and_serves_mixed_accesses() {
         assert_eq!(oram.num_blocks(), N, "{}", scheme.label());
         assert_eq!(oram.block_bytes(), BLOCK, "{}", scheme.label());
 
-        let mut rng = StdRng::seed_from_u64(0xA11 ^ scheme.label().len() as u64);
-        let mut reference: Vec<Vec<u8>> = vec![vec![0u8; BLOCK]; N as usize];
-        for i in 0..200u32 {
-            let addr = rng.gen_range(0..N);
-            match i % 4 {
-                0 | 1 => {
-                    let mut data = vec![0u8; BLOCK];
-                    rng.fill(&mut data[..]);
-                    oram.write(addr, &data).unwrap();
-                    reference[addr as usize] = data;
-                }
-                2 => {
-                    assert_eq!(
-                        oram.read(addr).unwrap(),
-                        reference[addr as usize],
-                        "{} access {i} addr {addr}",
-                        scheme.label()
-                    );
-                }
-                _ => {
-                    assert_eq!(
-                        oram.read_remove(addr).unwrap(),
-                        reference[addr as usize],
-                        "{} access {i} addr {addr}",
-                        scheme.label()
-                    );
-                    reference[addr as usize] = vec![0u8; BLOCK];
-                }
-            }
-        }
+        let requests = schedule(
+            0xA11 ^ scheme.label().len() as u64,
+            200,
+            0..N,
+            BLOCK,
+            &[Write, Write, Read, ReadRemove],
+        );
+        agree(&mut oram, &mut flat(N, BLOCK), &requests, scheme.label());
         assert_eq!(oram.stats().frontend_requests, 200, "{}", scheme.label());
     }
 }
@@ -81,66 +61,58 @@ fn oram_trait_objects_serve_requests() {
     }
 }
 
-/// `access_batch` on a 1k-request mixed trace produces byte-identical final
-/// contents to sequential `read`/`write` calls — on the full design and on
-/// the baseline, over both backends.
+/// `access_batch` on a 1k-request mixed trace and sequential
+/// `read`/`write`/`read_remove` calls both match the flat oracle, responses
+/// and final contents — on the full design and on the baseline, over both
+/// backends.
 #[test]
 fn access_batch_equals_sequential_on_a_1k_mixed_trace() {
-    let mut rng = StdRng::seed_from_u64(0xBA7C4);
-    let requests: Vec<Request> = (0..1000)
-        .map(|i| {
-            let addr = rng.gen_range(0..N);
-            match i % 5 {
-                0 | 1 => Request::Read { addr },
-                2 | 3 => {
-                    let mut data = vec![0u8; BLOCK];
-                    rng.fill(&mut data[..]);
-                    Request::Write { addr, data }
-                }
-                _ => Request::ReadRemove { addr },
-            }
-        })
-        .collect();
+    let requests = schedule(
+        0xBA7C4,
+        1000,
+        0..N,
+        BLOCK,
+        &[Read, Read, Write, Write, ReadRemove],
+    );
+    let mut oracle = flat(N, BLOCK);
+    let expected = answers(&mut oracle, &requests);
 
     for scheme in [SchemePoint::PicX32, SchemePoint::RX8, SchemePoint::Insecure] {
+        let label = scheme.label();
         let mut batched = small_builder(scheme).build().unwrap();
         let mut sequential = small_builder(scheme).build().unwrap();
 
-        let batch_responses = batched.access_batch(&requests).unwrap();
-        let mut seq_responses = Vec::new();
-        for request in &requests {
-            // Drive the sequential twin exclusively through the convenience
-            // wrappers, reconstructing the responses.
-            let response = match request {
-                Request::Read { addr } => freecursive::Response {
+        assert_eq!(
+            batched.access_batch(&requests).unwrap(),
+            expected,
+            "{label}"
+        );
+        // Drive the sequential subject exclusively through the convenience
+        // wrappers, reconstructing the responses.
+        let seq_responses: Vec<Response> = requests
+            .iter()
+            .map(|request| match request {
+                Request::Read { addr } => Response {
                     addr: *addr,
                     data: Some(sequential.read(*addr).unwrap()),
                 },
                 Request::Write { addr, data } => {
                     sequential.write(*addr, data).unwrap();
-                    freecursive::Response {
+                    Response {
                         addr: *addr,
                         data: None,
                     }
                 }
-                Request::ReadRemove { addr } => freecursive::Response {
+                Request::ReadRemove { addr } => Response {
                     addr: *addr,
                     data: Some(sequential.read_remove(*addr).unwrap()),
                 },
-            };
-            seq_responses.push(response);
-        }
-        assert_eq!(batch_responses, seq_responses, "{}", scheme.label());
+            })
+            .collect();
+        assert_eq!(seq_responses, expected, "{label} sequential");
 
-        // Byte-identical final contents.
-        for addr in 0..N {
-            assert_eq!(
-                batched.read(addr).unwrap(),
-                sequential.read(addr).unwrap(),
-                "{} final contents diverge at {addr}",
-                scheme.label()
-            );
-        }
+        same_contents(&mut batched, &mut oracle, format!("{label} batched"));
+        same_contents(&mut sequential, &mut oracle, format!("{label} sequential"));
     }
 }
 
@@ -166,26 +138,17 @@ fn access_batch_stops_at_the_first_error() {
 }
 
 /// The `OramBackend` seam: the same frontend configuration runs over the
-/// Path ORAM tree and over the flat insecure backend with identical
-/// contents semantics.
+/// Path ORAM tree and over the flat insecure backend, each with the flat
+/// oracle's contents semantics.
 #[test]
 fn freecursive_frontend_is_backend_generic() {
     let builder = small_builder(SchemePoint::PicX32);
     let mut on_tree = builder.build_freecursive().unwrap();
     let mut on_flat = builder.build_freecursive_on::<InsecureBackend>().unwrap();
 
-    let mut rng = StdRng::seed_from_u64(7);
-    for _ in 0..400 {
-        let addr = rng.gen_range(0..N);
-        if rng.gen_bool(0.5) {
-            let mut data = vec![0u8; BLOCK];
-            rng.fill(&mut data[..]);
-            on_tree.write(addr, &data).unwrap();
-            on_flat.write(addr, &data).unwrap();
-        } else {
-            assert_eq!(on_tree.read(addr).unwrap(), on_flat.read(addr).unwrap());
-        }
-    }
+    let requests = schedule(7, 400, 0..N, BLOCK, &[Write, Read]);
+    agree(&mut on_tree, &mut flat(N, BLOCK), &requests, "tree");
+    agree(&mut on_flat, &mut flat(N, BLOCK), &requests, "flat backend");
     // Both ran the full frontend: same request counts, PMMAC active on both.
     assert_eq!(
         on_tree.stats().frontend_requests,

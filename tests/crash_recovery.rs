@@ -29,25 +29,13 @@
 //! record reaches the file, nothing after it does), the recovery point is
 //! exact, not merely bounded.
 
+use freecursive_repro::ScratchDir;
 use path_oram::{Durability, OramParams, StorageKind, TreeStorage};
 use std::ffi::OsString;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-static DIR_COUNTER: AtomicU64 = AtomicU64::new(0);
+use std::path::Path;
 
 fn params() -> OramParams {
     OramParams::new(64, 16, 4)
-}
-
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "oram-crash-test-{tag}-{}-{}",
-        std::process::id(),
-        DIR_COUNTER.fetch_add(1, Ordering::Relaxed)
-    ));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
 }
 
 fn copy_dir(from: &Path, to: &Path) {
@@ -181,19 +169,19 @@ const WORKLOAD_LEN: usize = 12;
 /// its copy, whose bytes must come out unchanged.
 fn assert_recovers(p: &OramParams, wbs: &[Writeback], dir: &Path, writebacks: u64, context: &str) {
     let oracle = Oracle::after(p, wbs, writebacks as usize);
-    let copy = temp_dir("resume");
-    let kinds = [
-        StorageKind::File { dir: copy.clone() },
-        StorageKind::Tiered {
-            dir: copy.clone(),
-            // K = 2: the root and its two children.
-            memory_budget: 3 * p.bucket_bytes() as u64,
-        },
-        StorageKind::Mem,
-    ];
-    for kind in kinds {
-        std::fs::remove_dir_all(&copy).unwrap();
-        std::fs::create_dir(&copy).unwrap();
+    for kind in 0..3 {
+        let copy = ScratchDir::new("crash-resume");
+        let kind = match kind {
+            0 => StorageKind::File {
+                dir: copy.to_path_buf(),
+            },
+            1 => StorageKind::Tiered {
+                dir: copy.to_path_buf(),
+                // K = 2: the root and its two children.
+                memory_budget: 3 * p.bucket_bytes() as u64,
+            },
+            _ => StorageKind::Mem,
+        };
         copy_dir(dir, &copy);
         let before = dir_bytes(&copy);
         let context = format!("{context} as {kind:?}");
@@ -213,13 +201,12 @@ fn assert_recovers(p: &OramParams, wbs: &[Writeback], dir: &Path, writebacks: u6
             assert!(dir_bytes(&copy) == before, "{context}: the open wrote");
         }
     }
-    std::fs::remove_dir_all(&copy).unwrap();
 }
 
 /// Byte length of one WAL record for this geometry (header-relative), probed
 /// from a real log so the sweeps stay honest if the format changes.
 fn probe_record_len(p: &OramParams) -> (u64, u64) {
-    let dir = temp_dir("probe");
+    let dir = ScratchDir::new("crash-probe");
     let mut store = create(p, &dir, Durability::Strict);
     let wal_path = dir.join("tree0.wal");
     let header_len = std::fs::metadata(&wal_path).unwrap().len();
@@ -227,7 +214,6 @@ fn probe_record_len(p: &OramParams) -> (u64, u64) {
     store.write_path(&wb.indices, &wb.image).unwrap();
     let after_one = std::fs::metadata(&wal_path).unwrap().len();
     drop(store);
-    std::fs::remove_dir_all(&dir).unwrap();
     (header_len, after_one - header_len)
 }
 
@@ -242,7 +228,7 @@ fn kill_points_inside_every_wal_append_recover_the_exact_prefix() {
     let wbs = workload(&p, WORKLOAD_LEN);
     for k in 1..=WORKLOAD_LEN {
         for offset in [0, 1, rec_len / 2, rec_len - 1] {
-            let dir = temp_dir("sweep-a");
+            let dir = ScratchDir::new("crash-sweep-a");
             let mut store = create(&p, &dir, Durability::Strict);
             // Permit records 1..k in full, then `offset` bytes of record k.
             store.set_fail_after_wal_bytes((k as u64 - 1) * rec_len + offset);
@@ -267,7 +253,6 @@ fn kill_points_inside_every_wal_append_recover_the_exact_prefix() {
             drop(store);
             let context = format!("k={k} offset={offset}");
             assert_recovers(&p, &wbs, &dir, k as u64 - 1, &context);
-            std::fs::remove_dir_all(&dir).unwrap();
         }
     }
 }
@@ -285,7 +270,7 @@ fn kill_points_inside_every_tree_write_replay_to_completion() {
     let path_len = wbs[0].indices.len() as u64;
     for k in 1..=WORKLOAD_LEN {
         for torn_buckets in 0..path_len {
-            let dir = temp_dir("sweep-b");
+            let dir = ScratchDir::new("crash-sweep-b");
             let mut store = create(&p, &dir, Durability::Strict);
             store.set_fail_after_tree_writes((k as u64 - 1) * path_len + torn_buckets);
             let mut killed = false;
@@ -308,7 +293,6 @@ fn kill_points_inside_every_tree_write_replay_to_completion() {
             // The logged writeback must be replayed.
             let context = format!("k={k} torn={torn_buckets}");
             assert_recovers(&p, &wbs, &dir, k as u64, &context);
-            std::fs::remove_dir_all(&dir).unwrap();
         }
     }
 }
@@ -316,8 +300,8 @@ fn kill_points_inside_every_tree_write_replay_to_completion() {
 /// Builds a directory whose WAL holds the whole workload but whose tree
 /// file absorbed **none** of it (tree writes fail from the first bucket).
 /// This is the worst-case recovery shape: everything rides on the log.
-fn stale_tree_full_log(p: &OramParams, wbs: &[Writeback]) -> PathBuf {
-    let dir = temp_dir("stale");
+fn stale_tree_full_log(p: &OramParams, wbs: &[Writeback]) -> ScratchDir {
+    let dir = ScratchDir::new("crash-stale");
     let mut store = create(p, &dir, Durability::Strict);
     store.set_fail_after_tree_writes(0);
     for wb in wbs {
@@ -341,7 +325,7 @@ fn truncating_the_log_at_every_byte_recovers_a_valid_prefix() {
     let wal_bytes = std::fs::read(master.join("tree0.wal")).unwrap();
     assert_eq!(wal_bytes.len() as u64, header_len + 6 * rec_len);
 
-    let dir = temp_dir("trunc");
+    let dir = ScratchDir::new("crash-trunc");
     for len in 0..=wal_bytes.len() {
         copy_dir(&master, &dir);
         std::fs::write(dir.join("tree0.wal"), &wal_bytes[..len]).unwrap();
@@ -349,8 +333,6 @@ fn truncating_the_log_at_every_byte_recovers_a_valid_prefix() {
         let context = format!("truncation at {len}");
         assert_recovers(&p, &wbs, &dir, complete_records, &context);
     }
-    std::fs::remove_dir_all(&dir).unwrap();
-    std::fs::remove_dir_all(&master).unwrap();
 }
 
 /// Post-mortem corruption sweep: flip one byte at positions across the log
@@ -365,7 +347,7 @@ fn flipping_any_log_byte_recovers_the_checksummed_prefix() {
     let master = stale_tree_full_log(&p, &wbs);
     let wal_bytes = std::fs::read(master.join("tree0.wal")).unwrap();
 
-    let dir = temp_dir("flip");
+    let dir = ScratchDir::new("crash-flip");
     for pos in (0..wal_bytes.len()).step_by(3) {
         copy_dir(&master, &dir);
         let mut poisoned = wal_bytes.clone();
@@ -380,8 +362,6 @@ fn flipping_any_log_byte_recovers_the_checksummed_prefix() {
         };
         assert_recovers(&p, &wbs, &dir, intact_records, &format!("flip at {pos}"));
     }
-    std::fs::remove_dir_all(&dir).unwrap();
-    std::fs::remove_dir_all(&master).unwrap();
 }
 
 /// Batch mode buffers fsyncs but still orders the log ahead of the tree:
@@ -394,7 +374,7 @@ fn batch_mode_kill_points_recover_like_strict() {
     let (_, rec_len) = probe_record_len(&p);
     let wbs = workload(&p, WORKLOAD_LEN);
     for k in [1usize, 5, WORKLOAD_LEN] {
-        let dir = temp_dir("batch");
+        let dir = ScratchDir::new("crash-batch");
         let mut store = create(&p, &dir, Durability::Batch(4));
         store.set_fail_after_wal_bytes((k as u64 - 1) * rec_len + rec_len / 3);
         for wb in &wbs {
@@ -404,7 +384,6 @@ fn batch_mode_kill_points_recover_like_strict() {
         }
         drop(store);
         assert_recovers(&p, &wbs, &dir, k as u64 - 1, &format!("batch k={k}"));
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }
 
@@ -414,7 +393,7 @@ fn batch_mode_kill_points_recover_like_strict() {
 fn recovery_after_a_checkpoint_needs_no_log_tail() {
     let p = params();
     let wbs = workload(&p, WORKLOAD_LEN);
-    let dir = temp_dir("ckpt");
+    let dir = ScratchDir::new("crash-ckpt");
     let mut store = create(&p, &dir, Durability::Strict);
     for wb in &wbs {
         store.write_path(&wb.indices, &wb.image).unwrap();
@@ -424,7 +403,6 @@ fn recovery_after_a_checkpoint_needs_no_log_tail() {
     // Simulate the worst truncation crash: the log vanishes entirely.
     std::fs::remove_file(dir.join("tree0.wal")).unwrap();
     assert_recovers(&p, &wbs, &dir, WORKLOAD_LEN as u64, "post-checkpoint");
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 // ---------------------------------------------------------------------
@@ -444,8 +422,8 @@ const LIVE: usize = 2;
 /// 4 and 8) and then took `LIVE` records whose tree writes all failed, so
 /// recovery of writebacks 9 and 10 rides on the log alone — with records 7
 /// and 8 of the previous generation stale past them.
-fn recycled_log(p: &OramParams, wbs: &[Writeback]) -> PathBuf {
-    let dir = temp_dir("recycled");
+fn recycled_log(p: &OramParams, wbs: &[Writeback]) -> ScratchDir {
+    let dir = ScratchDir::new("crash-recycled");
     let mut store = create(p, &dir, Durability::Strict);
     store.set_checkpoint_interval(GENERATION as u64);
     for wb in &wbs[..FOLDED] {
@@ -483,7 +461,6 @@ fn a_recycled_log_recovers_exactly_its_live_records() {
     assert_eq!(replayed, [9, 10], "exactly the live records replay");
     assert!(summary.torn_tail, "the stale records end history");
     assert_recovers(&p, &wbs, &master, (FOLDED + LIVE) as u64, "recycled log");
-    std::fs::remove_dir_all(&master).unwrap();
 }
 
 /// The truncation sweep over a recycled log: a cut inside the live records
@@ -496,7 +473,7 @@ fn truncating_a_recycled_log_at_every_byte_recovers_a_valid_prefix() {
     let wbs = workload(&p, FOLDED + LIVE);
     let master = recycled_log(&p, &wbs);
     let wal_bytes = std::fs::read(master.join("tree0.wal")).unwrap();
-    let dir = temp_dir("recycled-trunc");
+    let dir = ScratchDir::new("crash-recycled-trunc");
     for len in 0..=wal_bytes.len() {
         copy_dir(&master, &dir);
         std::fs::write(dir.join("tree0.wal"), &wal_bytes[..len]).unwrap();
@@ -509,8 +486,6 @@ fn truncating_a_recycled_log_at_every_byte_recovers_a_valid_prefix() {
             &format!("truncation at {len}"),
         );
     }
-    std::fs::remove_dir_all(&dir).unwrap();
-    std::fs::remove_dir_all(&master).unwrap();
 }
 
 /// The corruption sweep over a recycled log: a flip in live record r stops
@@ -523,7 +498,7 @@ fn flipping_any_byte_of_a_recycled_log_recovers_the_checksummed_prefix() {
     let wbs = workload(&p, FOLDED + LIVE);
     let master = recycled_log(&p, &wbs);
     let wal_bytes = std::fs::read(master.join("tree0.wal")).unwrap();
-    let dir = temp_dir("recycled-flip");
+    let dir = ScratchDir::new("crash-recycled-flip");
     for pos in (0..wal_bytes.len()).step_by(3) {
         copy_dir(&master, &dir);
         let mut poisoned = wal_bytes.clone();
@@ -542,8 +517,6 @@ fn flipping_any_byte_of_a_recycled_log_recovers_the_checksummed_prefix() {
             &format!("flip at {pos}"),
         );
     }
-    std::fs::remove_dir_all(&dir).unwrap();
-    std::fs::remove_dir_all(&master).unwrap();
 }
 
 /// A kill inside the checkpoint's header rewrite: the meta file already
@@ -557,7 +530,7 @@ fn a_kill_inside_the_checkpoint_header_rewrite_recovers_from_the_meta_file() {
     let (header_len, _) = probe_record_len(&p);
     let header_len = header_len as usize;
     let wbs = workload(&p, FOLDED + LIVE);
-    let master = temp_dir("header-rewrite");
+    let master = ScratchDir::new("crash-header-rewrite");
     let mut store = create(&p, &master, Durability::Strict);
     store.set_checkpoint_interval(GENERATION as u64);
     for wb in &wbs {
@@ -575,7 +548,7 @@ fn a_kill_inside_the_checkpoint_header_rewrite_recovers_from_the_meta_file() {
     );
     assert_ne!(old[..header_len], new[..header_len]);
 
-    let dir = temp_dir("header-rewrite-cut");
+    let dir = ScratchDir::new("crash-header-rewrite-cut");
     for cut in 0..=header_len {
         copy_dir(&master, &dir);
         let mut torn = new.clone();
@@ -589,8 +562,6 @@ fn a_kill_inside_the_checkpoint_header_rewrite_recovers_from_the_meta_file() {
             &format!("header cut at {cut}"),
         );
     }
-    std::fs::remove_dir_all(&dir).unwrap();
-    std::fs::remove_dir_all(&master).unwrap();
 }
 
 // ---------------------------------------------------------------------
@@ -599,8 +570,8 @@ fn a_kill_inside_the_checkpoint_header_rewrite_recovers_from_the_meta_file() {
 // ---------------------------------------------------------------------
 
 mod oram_level {
-    use super::temp_dir;
     use freecursive::{Durability, FreecursiveError, Oram, OramBuilder, SchemePoint, StorageKind};
+    use freecursive_repro::ScratchDir;
 
     fn builder(dir: &std::path::Path) -> OramBuilder {
         OramBuilder::for_scheme(SchemePoint::PicX32)
@@ -618,7 +589,7 @@ mod oram_level {
     /// the resumed instance serves the persisted contents.
     #[test]
     fn persist_then_resume_round_trips_under_strict_durability() {
-        let dir = temp_dir("oram-ok");
+        let dir = ScratchDir::new("crash-oram-ok");
         let mut oram = builder(&dir).build_freecursive().unwrap();
         for addr in 0..16u64 {
             oram.write(addr, &[addr as u8 + 1; 64]).unwrap();
@@ -629,8 +600,6 @@ mod oram_level {
         for addr in 0..16u64 {
             assert_eq!(resumed.read(addr).unwrap(), vec![addr as u8 + 1; 64]);
         }
-        drop(resumed);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// Accesses after the last persist move the tree past the controller
@@ -639,7 +608,7 @@ mod oram_level {
     /// drifted tree and failed later with integrity errors.
     #[test]
     fn resume_past_the_barrier_is_a_clean_error_not_silent_corruption() {
-        let dir = temp_dir("oram-drift");
+        let dir = ScratchDir::new("crash-oram-drift");
         let mut oram = builder(&dir).build_freecursive().unwrap();
         for addr in 0..8u64 {
             oram.write(addr, &[addr as u8 + 1; 64]).unwrap();
@@ -661,24 +630,21 @@ mod oram_level {
             Err(other) => panic!("expected a clean barrier error, got: {other}"),
             Ok(_) => panic!("resume must not silently accept a drifted tree"),
         }
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// The durability knob rides the snapshot: a resumed instance keeps
     /// logging without the caller restating the mode.
     #[test]
     fn resumed_instances_keep_their_wal() {
-        let dir = temp_dir("oram-rewal");
+        let dir = ScratchDir::new("crash-oram-rewal");
         let mut oram = builder(&dir).build_freecursive().unwrap();
         oram.write(3, &[0x3A; 64]).unwrap();
         oram.persist(&dir).unwrap();
         drop(oram);
-        let resumed = OramBuilder::resume(&dir).unwrap();
+        let _resumed = OramBuilder::resume(&dir).unwrap();
         assert!(
             dir.join("tree0.wal").exists(),
             "resume under a logged config must reopen a log generation"
         );
-        drop(resumed);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

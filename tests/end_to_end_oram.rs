@@ -4,8 +4,8 @@
 
 use cache_sim::{FunctionalOramMemory, MainMemory, ProcessorConfig, SecureProcessor};
 use freecursive::{Oram, OramBuilder, SchemePoint};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use freecursive_repro::Op::{Read, Write};
+use freecursive_repro::{agree, flat, schedule};
 use trace_gen::{SpecBenchmark, TraceGenerator};
 
 const N: u64 = 1 << 12;
@@ -13,7 +13,7 @@ const BLOCK: usize = 64;
 
 /// The frontend with a PLB (`PIC_X32`) and without one (`R_X8`, one tree per
 /// level) implement the same `Oram` contract; drive them with the same
-/// request sequence and check they produce identical contents.
+/// request sequence and check each answers as the flat oracle does.
 #[test]
 fn freecursive_and_recursive_agree_on_contents() {
     let mut reference = OramBuilder::for_scheme(SchemePoint::RX8)
@@ -29,21 +29,10 @@ fn freecursive_and_recursive_agree_on_contents() {
         .build_freecursive()
         .unwrap();
 
-    let mut rng = StdRng::seed_from_u64(99);
-    for i in 0..1200u32 {
-        let addr = rng.gen_range(0..N);
-        if rng.gen_bool(0.4) {
-            let mut data = vec![0u8; BLOCK];
-            rng.fill(&mut data[..]);
-            data[0] = i as u8;
-            reference.write(addr, &data).unwrap();
-            freecursive.write(addr, &data).unwrap();
-        } else {
-            let a = reference.read(addr).unwrap();
-            let b = freecursive.read(addr).unwrap();
-            assert_eq!(a, b, "divergence at access {i}, addr {addr}");
-        }
-    }
+    // 40 % writes.
+    let requests = schedule(99, 1200, 0..N, BLOCK, &[Write, Read, Write, Read, Read]);
+    agree(&mut reference, &mut flat(N, BLOCK), &requests, "R_X8");
+    agree(&mut freecursive, &mut flat(N, BLOCK), &requests, "PIC_X32");
     // The PLB design used strictly fewer backend accesses for the PosMap.
     let h = u64::from(freecursive.num_levels());
     assert!(h >= 2);
@@ -135,14 +124,8 @@ fn frontend_statistics_are_internally_consistent() {
         .onchip_entries(64)
         .build_freecursive()
         .unwrap();
-    let mut rng = StdRng::seed_from_u64(3);
-    for _ in 0..800 {
-        let addr = rng.gen_range(0..N);
-        if rng.gen_bool(0.5) {
-            oram.write(addr, &[1u8; BLOCK]).unwrap();
-        } else {
-            oram.read(addr).unwrap();
-        }
+    for request in schedule(3, 800, 0..N, BLOCK, &[Write, Read]) {
+        oram.access(request).unwrap();
     }
     let s = oram.stats();
     assert_eq!(s.frontend_requests, 800);

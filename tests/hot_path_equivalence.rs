@@ -1,9 +1,10 @@
 //! Byte-level equivalence harness for the zero-copy backend hot path.
 //!
 //! The arena/in-place `PathOramBackend` must be observationally identical to
-//! the flat [`InsecureBackend`] contents oracle under the full Freecursive
-//! frontend, across several scheme points and a long seeded random workload.
-//! (`InsecureBackend` has no tree, so its *byte accounting* is
+//! the flat oracle under the full Freecursive frontend, across several
+//! scheme points and a long seeded random workload — and so must the same
+//! frontend over the flat [`InsecureBackend`], the backend the simulator
+//! runs on.  (`InsecureBackend` has no tree, so its *byte accounting* is
 //! block-granular by design; the tree-side accounting invariants and the
 //! run-to-run identity of `bytes_read` / `bytes_written` /
 //! `max_stash_occupancy` are pinned down separately below — the indexed
@@ -11,13 +12,13 @@
 //! hash-map-ordered eviction was not.)
 
 use freecursive::{InsecureBackend, Oram, OramBuilder, Request, SchemePoint};
+use freecursive_repro::Op::{Read, ReadRemove, Write};
+use freecursive_repro::{agree, flat, same_contents, schedule};
 use path_oram::{BackendStats, OramBackend as _};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 const N: u64 = 1 << 10;
 const BLOCK: usize = 32;
-const ACCESSES: u32 = 4000;
+const ACCESSES: usize = 4000;
 
 fn builder(scheme: SchemePoint) -> OramBuilder {
     OramBuilder::for_scheme(scheme)
@@ -26,29 +27,21 @@ fn builder(scheme: SchemePoint) -> OramBuilder {
         .onchip_entries(64)
 }
 
-/// The seeded random workload every harness below replays.
+/// The seeded random workload every harness below replays: two writes,
+/// two reads and a read-remove in turn.
 fn workload(seed: u64) -> Vec<Request> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..ACCESSES)
-        .map(|i| {
-            let addr = rng.gen_range(0..N);
-            match i % 5 {
-                0 | 1 => {
-                    let mut data = vec![0u8; BLOCK];
-                    rng.fill(&mut data[..]);
-                    data[0] = i as u8;
-                    Request::Write { addr, data }
-                }
-                4 => Request::ReadRemove { addr },
-                _ => Request::Read { addr },
-            }
-        })
-        .collect()
+    schedule(
+        seed,
+        ACCESSES,
+        0..N,
+        BLOCK,
+        &[Write, Write, Read, Read, ReadRemove],
+    )
 }
 
-/// Tree backend vs. flat oracle: identical responses over 4k accesses for
-/// five configurations (with and without compression, PMMAC and a PLB),
-/// and identical final contents.
+/// Tree backend and flat backend vs. the flat oracle: identical responses
+/// over 4k accesses for five configurations (with and without compression,
+/// PMMAC and a PLB), and identical final contents.
 #[test]
 fn path_backend_matches_insecure_oracle_across_scheme_points() {
     let configs = [
@@ -62,19 +55,21 @@ fn path_backend_matches_insecure_oracle_across_scheme_points() {
         ),
     ];
     for (i, (label, config)) in configs.into_iter().enumerate() {
-        let mut tree = config.build_freecursive().unwrap();
-        let mut flat = config.build_freecursive_on::<InsecureBackend>().unwrap();
-        for (j, request) in workload(0xE0_0001 + i as u64).into_iter().enumerate() {
-            let a = tree.access(request.clone()).unwrap();
-            let b = flat.access(request).unwrap();
-            assert_eq!(a, b, "{label} access {j}");
-        }
-        for addr in 0..N {
-            assert_eq!(
-                tree.read(addr).unwrap(),
-                flat.read(addr).unwrap(),
-                "{label} final contents at {addr}"
+        let requests = workload(0xE0_0001 + i as u64);
+        let mut on_tree = config.build_freecursive().unwrap();
+        let mut on_flat = config.build_freecursive_on::<InsecureBackend>().unwrap();
+        for (subject, backend) in [
+            (&mut on_tree as &mut dyn Oram, "tree"),
+            (&mut on_flat, "flat backend"),
+        ] {
+            let mut oracle = flat(N, BLOCK);
+            agree(
+                subject,
+                &mut oracle,
+                &requests,
+                format!("{label} on {backend}"),
             );
+            same_contents(subject, &mut oracle, format!("{label} on {backend}"));
         }
     }
 }

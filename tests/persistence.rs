@@ -5,9 +5,9 @@
 //! mid-run and resumed into a fresh instance (only the snapshot directory
 //! crosses the gap — the original instance is dropped first, so this is
 //! what a process restart sees) must produce byte-identical responses and
-//! final contents to an uninterrupted oracle, across every scheme point,
-//! both tree stores, and both AES engines (the CI matrix runs this file
-//! under `ORAM_CRYPTO_FORCE_SOFT` as well).
+//! final contents to the flat oracle run uninterrupted, across every scheme
+//! point, both tree stores, and both AES engines (the CI matrix runs this
+//! file under `ORAM_CRYPTO_FORCE_SOFT` as well).
 //!
 //! The fault-injection half flips and truncates bytes in the persisted
 //! state file and in tree bucket slots on disk: integrity-protected
@@ -18,26 +18,15 @@
 use freecursive::{
     Durability, FreecursiveError, Oram, OramBuilder, Request, SchemePoint, StorageKind,
 };
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use freecursive_repro::Op::{Read, ReadRemove, Write};
+use freecursive_repro::{agree, flat, same_contents, schedule, Op, ScratchDir};
 
 const N: u64 = 512;
 const BLOCK: usize = 32;
-const ACCESSES: u64 = 4000;
-const PERSIST_AT: u64 = ACCESSES / 2;
-
-static DIR_COUNTER: AtomicU64 = AtomicU64::new(0);
-
-/// A unique scratch directory for one snapshot.
-fn snap_dir(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!(
-        "oram-persistence-{tag}-{}-{}",
-        std::process::id(),
-        DIR_COUNTER.fetch_add(1, Ordering::Relaxed)
-    ))
-}
+const ACCESSES: usize = 4000;
+const PERSIST_AT: usize = ACCESSES / 2;
+/// Two reads, a write, a read-remove.
+const MIX: [Op; 4] = [Read, Read, Write, ReadRemove];
 
 fn builder(scheme: SchemePoint, storage: StorageKind) -> OramBuilder {
     OramBuilder::for_scheme(scheme)
@@ -48,25 +37,9 @@ fn builder(scheme: SchemePoint, storage: StorageKind) -> OramBuilder {
         .storage(storage)
 }
 
-/// The seeded mixed workload: reads, writes and read-removes drawn from one
-/// generator, so driver and oracle see the same stream.
-fn request(i: u64, rng: &mut StdRng) -> Request {
-    request_below(N, i, rng)
-}
-
-/// [`request`] over the first `blocks` addresses.
-fn request_below(blocks: u64, i: u64, rng: &mut StdRng) -> Request {
-    let addr = rng.gen_range(0..blocks);
-    match i % 4 {
-        0 | 1 => Request::Read { addr },
-        2 => {
-            let mut data = vec![0u8; BLOCK];
-            rng.fill(&mut data[..]);
-            data[0] = i as u8;
-            Request::Write { addr, data }
-        }
-        _ => Request::ReadRemove { addr },
-    }
+/// The seeded mixed workload over every block.
+fn requests(seed: u64, len: usize) -> Vec<Request> {
+    schedule(seed, len, 0..N, BLOCK, &MIX)
 }
 
 #[test]
@@ -74,46 +47,29 @@ fn persist_resume_is_byte_identical_to_an_uninterrupted_run() {
     for scheme in [SchemePoint::PX16, SchemePoint::PcX32, SchemePoint::PicX32] {
         for storage in [StorageKind::Mem, StorageKind::TempFile] {
             let label = format!("{}-{:?}", scheme.label(), storage);
-            let dir = snap_dir(&label.replace([' ', '{', '}'], ""));
+            let dir = ScratchDir::new("persistence");
 
-            // The oracle runs the whole workload uninterrupted (in memory;
-            // store choice is proven behaviour-neutral by this same test's
-            // subject leg).
-            let mut oracle = builder(scheme, StorageKind::Mem).build().unwrap();
+            // The flat oracle runs the whole workload uninterrupted.
+            let mut oracle = flat(N, BLOCK);
             let mut subject = builder(scheme, storage.clone()).build().unwrap();
-            let mut rng = StdRng::seed_from_u64(0xD1FF);
+            let stream = requests(0xD1FF, ACCESSES);
+            let (before, after) = stream.split_at(PERSIST_AT);
 
-            for i in 0..ACCESSES {
-                let req = request(i, &mut rng);
-                let expected = oracle.access(req.clone()).unwrap();
-                let got = subject.access(req).unwrap();
-                assert_eq!(got, expected, "{label}: access {i}");
+            agree(&mut subject, &mut oracle, before, &label);
+            subject.persist(&dir).unwrap();
+            // Drop before resuming: the resumed instance may see only what
+            // reached the snapshot directory, exactly as a fresh process
+            // would.
+            drop(subject);
+            subject = OramBuilder::resume(&dir).unwrap();
+            agree(&mut subject, &mut oracle, after, format!("{label} resumed"));
 
-                if i + 1 == PERSIST_AT {
-                    subject.persist(&dir).unwrap();
-                    // Drop before resuming: the resumed instance may see
-                    // only what reached the snapshot directory, exactly as
-                    // a fresh process would.
-                    drop(subject);
-                    subject = OramBuilder::resume(&dir).unwrap();
-                }
-            }
-
-            // Final-contents sweep: every block byte-identical.
-            for addr in 0..N {
-                assert_eq!(
-                    subject.read(addr).unwrap(),
-                    oracle.read(addr).unwrap(),
-                    "{label}: final contents of block {addr}"
-                );
-            }
+            same_contents(&mut subject, &mut oracle, &label);
             assert_eq!(
                 subject.stats().frontend_requests,
                 oracle.stats().frontend_requests,
                 "{label}: stats continue across the snapshot"
             );
-            drop(subject);
-            std::fs::remove_dir_all(&dir).ok();
         }
     }
 }
@@ -133,32 +89,26 @@ fn persist_resume_is_byte_identical_to_an_uninterrupted_run() {
 #[test]
 fn directory_persisted_before_the_fused_kernel_is_byte_identical_and_resumes() {
     const BLOCKS: u64 = 128;
-    const PERSISTED_AT: u64 = 1012;
+    const PERSISTED_AT: usize = 1012;
     const FILES: [&str; 4] = ["tree0.oram", "tree0.meta", "tree0.wal", "oram.state"];
     let fixture =
         std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/pr11_file_wal");
-    let golden = |storage: StorageKind| {
-        OramBuilder::for_scheme(SchemePoint::PicX32)
-            .num_blocks(BLOCKS)
-            .block_bytes(BLOCK)
-            .onchip_entries(32)
-            .seed(7)
-            .storage(storage)
-            .durability(Durability::Batch(8))
-            .build()
-            .unwrap()
-    };
-
-    let live = snap_dir("golden-live");
-    std::fs::create_dir_all(&live).unwrap();
-    let mut oracle = golden(StorageKind::Mem);
-    let mut fresh = golden(StorageKind::File { dir: live.clone() });
-    let mut rng = StdRng::seed_from_u64(0xF1C5);
-    for i in 0..PERSISTED_AT {
-        let req = request_below(BLOCKS, i, &mut rng);
-        let expected = oracle.access(req.clone()).unwrap();
-        assert_eq!(fresh.access(req).unwrap(), expected, "access {i}");
-    }
+    let stream = schedule(0xF1C5, PERSISTED_AT + 600, 0..BLOCKS, BLOCK, &MIX);
+    let (before, after) = stream.split_at(PERSISTED_AT);
+    let live = ScratchDir::new("golden-live");
+    let mut oracle = flat(BLOCKS, BLOCK);
+    let mut fresh = OramBuilder::for_scheme(SchemePoint::PicX32)
+        .num_blocks(BLOCKS)
+        .block_bytes(BLOCK)
+        .onchip_entries(32)
+        .seed(7)
+        .storage(StorageKind::File {
+            dir: live.to_path_buf(),
+        })
+        .durability(Durability::Batch(8))
+        .build()
+        .unwrap();
+    agree(&mut fresh, &mut oracle, before, "fresh");
     fresh.persist(&live).unwrap();
     drop(fresh);
     for file in FILES {
@@ -169,27 +119,13 @@ fn directory_persisted_before_the_fused_kernel_is_byte_identical_and_resumes() {
     }
 
     // Resume a copy (resuming appends to the WAL) of the checked-in files.
-    let copy = snap_dir("golden-copy");
-    std::fs::create_dir_all(&copy).unwrap();
+    let copy = ScratchDir::new("golden-copy");
     for file in FILES {
         std::fs::copy(fixture.join(file), copy.join(file)).unwrap();
     }
     let mut resumed = OramBuilder::resume(&copy).unwrap();
-    for i in PERSISTED_AT..PERSISTED_AT + 600 {
-        let req = request_below(BLOCKS, i, &mut rng);
-        let expected = oracle.access(req.clone()).unwrap();
-        assert_eq!(resumed.access(req).unwrap(), expected, "access {i}");
-    }
-    for addr in 0..BLOCKS {
-        assert_eq!(
-            resumed.read(addr).unwrap(),
-            oracle.read(addr).unwrap(),
-            "final contents of block {addr}"
-        );
-    }
-    drop(resumed);
-    std::fs::remove_dir_all(&live).ok();
-    std::fs::remove_dir_all(&copy).ok();
+    agree(&mut resumed, &mut oracle, after, "resumed");
+    same_contents(&mut resumed, &mut oracle, "final contents");
 }
 
 #[test]
@@ -211,54 +147,31 @@ fn recursive_and_insecure_schemes_roundtrip_too() {
             subject_builder.scheme().label(),
             subject_builder.storage_in_effect().unwrap()
         );
-        let dir = snap_dir(&format!("extra-{k}"));
-        let mut oracle = subject_builder
-            .clone()
-            .storage(StorageKind::Mem)
-            .build()
-            .unwrap();
+        let dir = ScratchDir::new(&format!("extra-{k}"));
+        let mut oracle = flat(N, BLOCK);
         let mut subject = subject_builder.build().unwrap();
-        let mut rng = StdRng::seed_from_u64(0xBEE);
-        for i in 0..600 {
-            let req = request(i, &mut rng);
-            let expected = oracle.access(req.clone()).unwrap();
-            let got = subject.access(req).unwrap();
-            assert_eq!(got, expected, "{label}: access {i}");
-            if i == 299 {
-                subject.persist(&dir).unwrap();
-                drop(subject);
-                subject = OramBuilder::resume(&dir).unwrap();
-            }
-        }
-        for addr in 0..N {
-            assert_eq!(
-                subject.read(addr).unwrap(),
-                oracle.read(addr).unwrap(),
-                "{label}: final contents of block {addr}"
-            );
-        }
+        let stream = requests(0xBEE, 600);
+        let (before, after) = stream.split_at(300);
+        agree(&mut subject, &mut oracle, before, &label);
+        subject.persist(&dir).unwrap();
         drop(subject);
-        std::fs::remove_dir_all(&dir).ok();
+        subject = OramBuilder::resume(&dir).unwrap();
+        agree(&mut subject, &mut oracle, after, format!("{label} resumed"));
+        same_contents(&mut subject, &mut oracle, &label);
     }
 }
 
 #[test]
 fn sharded_composites_persist_into_per_shard_subdirectories() {
-    let dir = snap_dir("sharded");
-    let make = || {
-        builder(SchemePoint::PicX32, StorageKind::Mem)
-            .shards(4)
-            .build_sharded()
-            .unwrap()
-    };
-    let mut oracle = make();
-    let mut subject = make();
-    let mut rng = StdRng::seed_from_u64(0x5AAD);
-    for i in 0..800 {
-        let req = request(i, &mut rng);
-        let expected = oracle.access(req.clone()).unwrap();
-        assert_eq!(subject.access(req).unwrap(), expected, "access {i}");
-    }
+    let dir = ScratchDir::new("sharded");
+    let mut oracle = flat(N, BLOCK);
+    let mut subject = builder(SchemePoint::PicX32, StorageKind::Mem)
+        .shards(4)
+        .build_sharded()
+        .unwrap();
+    let stream = requests(0x5AAD, 1200);
+    let (before, after) = stream.split_at(800);
+    agree(&mut subject, &mut oracle, before, "sharded");
     subject.persist(&dir).unwrap();
     for shard in 0..4 {
         assert!(
@@ -270,16 +183,8 @@ fn sharded_composites_persist_into_per_shard_subdirectories() {
     }
     drop(subject);
     let mut resumed = OramBuilder::resume(&dir).unwrap();
-    for i in 800..1200u64 {
-        let req = request(i, &mut rng);
-        let expected = oracle.access(req.clone()).unwrap();
-        assert_eq!(resumed.access(req).unwrap(), expected, "post-resume {i}");
-    }
-    for addr in 0..N {
-        assert_eq!(resumed.read(addr).unwrap(), oracle.read(addr).unwrap());
-    }
-    drop(resumed);
-    std::fs::remove_dir_all(&dir).ok();
+    agree(&mut resumed, &mut oracle, after, "post-resume");
+    same_contents(&mut resumed, &mut oracle, "post-resume");
 }
 
 // ---------------------------------------------------------------------
@@ -287,13 +192,11 @@ fn sharded_composites_persist_into_per_shard_subdirectories() {
 // ---------------------------------------------------------------------
 
 /// Builds a persisted PicX32 snapshot to corrupt, returning its directory.
-fn persisted_snapshot(tag: &str, storage: StorageKind) -> PathBuf {
-    let dir = snap_dir(tag);
+fn persisted_snapshot(tag: &str, storage: StorageKind) -> ScratchDir {
+    let dir = ScratchDir::new(tag);
     let mut subject = builder(SchemePoint::PicX32, storage).build().unwrap();
-    let mut rng = StdRng::seed_from_u64(0xFA);
-    for i in 0..400 {
-        let req = request(i, &mut rng);
-        subject.access(req).unwrap();
+    for request in requests(0xFA, 400) {
+        subject.access(request).unwrap();
     }
     subject.persist(&dir).unwrap();
     dir
@@ -335,7 +238,6 @@ fn flipping_any_state_file_byte_surfaces_as_integrity_violation() {
     }
     std::fs::write(&state, &pristine).unwrap();
     assert!(OramBuilder::resume(&dir).is_ok(), "pristine file resumes");
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -354,7 +256,6 @@ fn truncated_and_missing_state_files_are_backend_errors_not_panics() {
     std::fs::remove_file(&state).unwrap();
     let err = resume_err(&dir);
     assert!(is_backend_error(&err), "missing state file: got {err:?}");
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -381,7 +282,6 @@ fn torn_snapshot_temp_file_beside_a_valid_snapshot_is_ignored() {
             "resume should clean up the orphaned temp file"
         );
     }
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -402,7 +302,6 @@ fn version_mismatch_with_valid_digest_is_a_backend_error() {
         matches!(&err, FreecursiveError::Backend(e) if e.to_string().contains("version")),
         "got {err:?}"
     );
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -417,7 +316,6 @@ fn corrupt_tree_metadata_is_an_integrity_violation() {
         Err(FreecursiveError::Integrity { .. }) => {}
         other => panic!("expected Integrity, got {:?}", other.err()),
     }
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -425,19 +323,22 @@ fn tampered_tree_payload_bytes_on_disk_yield_integrity_never_wrong_data() {
     use freecursive::FreecursiveOram;
     // File-backed subject so the tamper API flips real bytes on disk; a
     // parallel oracle supplies the expected contents.
-    let dir = snap_dir("tree-flip");
-    let mut oracle = builder(SchemePoint::PicX32, StorageKind::Mem)
-        .build()
-        .unwrap();
-    let mut subject = builder(SchemePoint::PicX32, StorageKind::File { dir: dir.clone() })
-        .build_freecursive()
-        .unwrap();
-    let mut rng = StdRng::seed_from_u64(0xFA11);
-    for i in 0..600 {
-        let req = request(i, &mut rng);
-        let expected = oracle.access(req.clone()).unwrap();
-        assert_eq!(subject.access(req).unwrap(), expected);
-    }
+    let dir = ScratchDir::new("tree-flip");
+    let mut oracle = flat(N, BLOCK);
+    let mut subject = builder(
+        SchemePoint::PicX32,
+        StorageKind::File {
+            dir: dir.to_path_buf(),
+        },
+    )
+    .build_freecursive()
+    .unwrap();
+    agree(
+        &mut subject,
+        &mut oracle,
+        &requests(0xFA11, 600),
+        "tree-flip",
+    );
     subject.persist(&dir).unwrap();
     drop(subject);
 
@@ -479,8 +380,6 @@ fn tampered_tree_payload_bytes_on_disk_yield_integrity_never_wrong_data() {
         }
     }
     assert!(violations > 0, "corruption must be detected");
-    drop(resumed);
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -488,7 +387,6 @@ fn resuming_with_the_wrong_scheme_resumer_is_a_backend_error() {
     let dir = persisted_snapshot("wrong-kind", StorageKind::Mem);
     let err = freecursive::InsecureOram::resume(&dir).unwrap_err();
     assert!(is_backend_error(&err), "got {err:?}");
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -504,5 +402,4 @@ fn a_state_file_with_the_retired_kind_tag_is_a_snapshot_error() {
         matches!(&err, FreecursiveError::Backend(path_oram::OramError::Snapshot { detail }) if detail.contains("kind tag 2")),
         "got {err:?}"
     );
-    std::fs::remove_dir_all(&dir).ok();
 }

@@ -1,13 +1,15 @@
 //! Randomised property tests over the core data structures and the
 //! functional ORAM: serialisation roundtrips, counter monotonicity, tree
-//! index arithmetic, and linearisability of the ORAM against a reference
-//! memory under arbitrary request sequences.
+//! index arithmetic, and linearisability of the ORAM against the flat
+//! oracle under arbitrary request sequences.
 //!
 //! The environment has no crates.io access, so instead of proptest these
 //! properties are driven by a seeded RNG over many randomly drawn cases —
 //! deterministic across runs, with the failing case identified by its index.
 
-use freecursive::{Oram, OramBuilder, SchemePoint};
+use freecursive::{OramBuilder, SchemePoint};
+use freecursive_repro::Op::{Read, Write};
+use freecursive_repro::{agree, flat, schedule};
 use oram_crypto::mac::MacKey;
 use oram_crypto::prf::{AesPrf, Prf};
 use path_oram::tree;
@@ -191,21 +193,13 @@ fn oram_is_linearisable_against_reference_memory() {
             .onchip_entries(32)
             .build_freecursive()
             .unwrap();
-        let mut reference: Vec<Vec<u8>> = vec![vec![0u8; block]; n as usize];
         let ops = rng.gen_range(1usize..120);
-        for op in 0..ops {
-            let addr = rng.gen_range(0u64..n);
-            if rng.gen_bool(0.5) {
-                let data = vec![rng.gen::<u8>(); block];
-                oram.write(addr, &data).unwrap();
-                reference[addr as usize] = data;
-            } else {
-                assert_eq!(
-                    oram.read(addr).unwrap(),
-                    reference[addr as usize],
-                    "case {case} op {op} addr {addr}"
-                );
-            }
-        }
+        let requests = schedule(rng.gen(), ops, 0..n, block, &[Write, Read]);
+        agree(
+            &mut oram,
+            &mut flat(n, block),
+            &requests,
+            format!("case {case}"),
+        );
     }
 }

@@ -1,18 +1,21 @@
 //! Integration tests for the sharded oblivious memory service: the
 //! `ShardedOram` composite and the worker-thread `OramService` are checked
-//! byte-identical against a single-instance oracle on seeded mixed
-//! workloads — including concurrent clients and a final contents sweep —
-//! and worker panics are shown to surface as `FreecursiveError::Service`
-//! rather than hangs.
+//! byte-identical against the flat oracle on seeded mixed workloads —
+//! including concurrent clients and a final contents sweep — and worker
+//! panics are shown to surface as `FreecursiveError::Service` rather than
+//! hangs.
 
 use freecursive::{
-    FreecursiveError, FrontendStats, Oram, OramBuilder, OramService, Request, Response, SchemePoint,
+    FreecursiveError, FrontendStats, InsecureOram, Oram, OramBuilder, OramService, Request,
+    Response, SchemePoint,
 };
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use freecursive_repro::Op::{Read, ReadRemove, Write};
+use freecursive_repro::{answers, flat, same_contents, schedule, Op};
 
 const N: u64 = 256;
 const BLOCK: usize = 64;
+/// 2:2:1 reads, writes and read-removes.
+const MIX: [Op; 5] = [Read, Read, Write, Write, ReadRemove];
 
 /// The full PIC_X32 design at a debug-friendly size; encryption stays at
 /// the scheme default (AES global seed), so both CI engine legs exercise
@@ -24,41 +27,14 @@ fn small_builder() -> OramBuilder {
         .onchip_entries(32)
 }
 
-/// One seeded mixed request (2:2:1 read/write/read-remove) over `addrs`.
-fn mixed_request(rng: &mut StdRng, addrs: &[u64], i: usize) -> Request {
-    let addr = addrs[rng.gen_range(0..addrs.len() as u64) as usize];
-    match i % 5 {
-        0 | 1 => Request::Read { addr },
-        2 | 3 => {
-            let mut data = vec![0u8; BLOCK];
-            rng.fill(&mut data[..]);
-            Request::Write { addr, data }
-        }
-        _ => Request::ReadRemove { addr },
-    }
-}
-
-/// Drives `requests` through the single-instance oracle one by one.
-fn oracle_responses(oracle: &mut Box<dyn Oram>, requests: &[Request]) -> Vec<Response> {
-    requests
-        .iter()
-        .map(|request| oracle.access(request.clone()).unwrap())
-        .collect()
-}
-
 /// A 5k-request seeded mixed workload through `ShardedOram` at 1, 2 and 4
-/// shards is byte-identical — responses and final contents — to a single
-/// instance serving the same trace.
+/// shards is byte-identical — responses and final contents — to the flat
+/// oracle serving the same trace.
 #[test]
 fn sharded_composite_matches_the_single_instance_oracle() {
-    let addrs: Vec<u64> = (0..N).collect();
-    let mut rng = StdRng::seed_from_u64(0x5AAD);
-    let requests: Vec<Request> = (0..5000)
-        .map(|i| mixed_request(&mut rng, &addrs, i))
-        .collect();
-
-    let mut oracle = small_builder().build().unwrap();
-    let expected = oracle_responses(&mut oracle, &requests);
+    let requests = schedule(0x5AAD, 5000, 0..N, BLOCK, &MIX);
+    let mut oracle = flat(N, BLOCK);
+    let expected = answers(&mut oracle, &requests);
 
     for shards in [1u64, 2, 4] {
         let mut sharded = small_builder().shards(shards).build_sharded().unwrap();
@@ -78,14 +54,7 @@ fn sharded_composite_matches_the_single_instance_oracle() {
         }
         assert_eq!(responses, expected, "{shards} shards: responses diverge");
 
-        // Final contents sweep.
-        for addr in 0..N {
-            assert_eq!(
-                sharded.read(addr).unwrap(),
-                oracle.read(addr).unwrap(),
-                "{shards} shards: final contents diverge at {addr}"
-            );
-        }
+        same_contents(&mut sharded, &mut oracle, format!("{shards} shards"));
 
         // The merged stats saw the whole workload (5000 requests + the
         // sweep just performed), and per-shard stats partition it.
@@ -102,8 +71,8 @@ fn sharded_composite_matches_the_single_instance_oracle() {
 
 /// Four clients drive one 4-shard `OramService` concurrently over disjoint
 /// address ranges; every client's responses and the final contents are
-/// byte-identical to a single-instance oracle serving the same per-client
-/// traces sequentially.  (Disjoint high-bit ranges make the outcome
+/// byte-identical to the flat oracle serving the same per-client traces
+/// sequentially.  (Disjoint high-bit ranges make the outcome
 /// interleaving-independent, while low-bit routing still spreads every
 /// client across all four shards.)
 #[test]
@@ -117,11 +86,8 @@ fn concurrent_service_clients_match_the_single_instance_oracle() {
     let span = N / CLIENTS as u64;
     let client_requests: Vec<Vec<Request>> = (0..CLIENTS)
         .map(|c| {
-            let addrs: Vec<u64> = (c as u64 * span..(c as u64 + 1) * span).collect();
-            let mut rng = StdRng::seed_from_u64(0xC11E_0000 + c as u64);
-            (0..PER_CLIENT)
-                .map(|i| mixed_request(&mut rng, &addrs, i))
-                .collect()
+            let addrs = c as u64 * span..(c as u64 + 1) * span;
+            schedule(0xC11E_0000 + c as u64, PER_CLIENT, addrs, BLOCK, &MIX)
         })
         .collect();
 
@@ -156,9 +122,9 @@ fn concurrent_service_clients_match_the_single_instance_oracle() {
 
     // Oracle: same per-client traces, applied sequentially (any client
     // order gives the same answer because the address sets are disjoint).
-    let mut oracle = small_builder().build().unwrap();
+    let mut oracle = flat(N, BLOCK);
     for (client, requests) in client_requests.iter().enumerate() {
-        let expected = oracle_responses(&mut oracle, requests);
+        let expected = answers(&mut oracle, requests);
         assert_eq!(
             actual[client], expected,
             "client {client} responses diverge"
@@ -167,13 +133,7 @@ fn concurrent_service_clients_match_the_single_instance_oracle() {
 
     // Final contents sweep through a fresh client, against the oracle.
     let mut sweeper = service.client();
-    for addr in 0..N {
-        assert_eq!(
-            sweeper.read(addr).unwrap(),
-            oracle.read(addr).unwrap(),
-            "final contents diverge at {addr}"
-        );
-    }
+    same_contents(&mut sweeper, &mut oracle, "final contents");
 
     // The merged service stats account for every request all clients sent
     // (4 x 1250 + the N-sweep).
@@ -185,19 +145,17 @@ fn concurrent_service_clients_match_the_single_instance_oracle() {
     assert_eq!(shards.iter().map(|s| s.num_blocks()).sum::<u64>(), N);
 }
 
-/// An `Oram` that panics on a chosen address — fault injection for the
-/// worker-failure path.
+/// A flat memory that panics on a chosen address — fault injection for
+/// the worker-failure path.
 struct PanickingOram {
-    blocks: Vec<Vec<u8>>,
-    stats: FrontendStats,
+    flat: InsecureOram,
     panic_addr: u64,
 }
 
 impl PanickingOram {
     fn new(num_blocks: u64, panic_addr: u64) -> Self {
         Self {
-            blocks: vec![vec![0u8; BLOCK]; num_blocks as usize],
-            stats: FrontendStats::default(),
+            flat: flat(num_blocks, BLOCK),
             panic_addr,
         }
     }
@@ -205,43 +163,25 @@ impl PanickingOram {
 
 impl Oram for PanickingOram {
     fn block_bytes(&self) -> usize {
-        BLOCK
+        self.flat.block_bytes()
     }
 
     fn num_blocks(&self) -> u64 {
-        self.blocks.len() as u64
+        self.flat.num_blocks()
     }
 
     fn access(&mut self, request: Request) -> Result<Response, FreecursiveError> {
         let addr = request.addr();
         assert!(addr != self.panic_addr, "injected fault at address {addr}");
-        self.stats.frontend_requests += 1;
-        let slot = &mut self.blocks[addr as usize];
-        Ok(match request {
-            Request::Read { .. } => Response {
-                addr,
-                data: Some(slot.clone()),
-            },
-            Request::Write { data, .. } => {
-                *slot = data;
-                Response { addr, data: None }
-            }
-            Request::ReadRemove { .. } => {
-                let data = std::mem::replace(slot, vec![0u8; BLOCK]);
-                Response {
-                    addr,
-                    data: Some(data),
-                }
-            }
-        })
+        self.flat.access(request)
     }
 
     fn stats(&self) -> &FrontendStats {
-        &self.stats
+        self.flat.stats()
     }
 
     fn reset_stats(&mut self) {
-        self.stats = FrontendStats::default();
+        self.flat.reset_stats();
     }
 }
 
