@@ -7,7 +7,7 @@ use freecursive::FreecursiveConfig;
 use oram_crypto::ctr::{CtrKeystream, KeystreamSpan};
 use oram_crypto::keccak;
 use oram_crypto::mac::MacKey;
-use oram_crypto::prf::{AesPrf, Prf};
+use oram_crypto::prf::AesPrf;
 use oram_crypto::sha3::Sha3_224;
 use oram_crypto::{Aes128, PARALLEL_BLOCKS};
 use path_oram::OramParams;

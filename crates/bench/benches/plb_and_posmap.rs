@@ -2,7 +2,7 @@
 //! compressed PosMap block operations, and recursion addressing.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use oram_crypto::prf::{AesPrf, Prf};
+use oram_crypto::prf::AesPrf;
 use posmap::addressing::RecursionAddressing;
 use posmap::{CompressedPosMapBlock, Plb, PlbEntry, UncompressedPosMapBlock};
 

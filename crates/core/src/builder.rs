@@ -163,13 +163,13 @@ impl OramBuilder {
         self
     }
 
-    /// Sets the RNG/key seed.
+    /// Sets the key seed: every tree, PRF and MAC key derives from it.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = Some(seed);
         self
     }
 
-    /// The RNG/key seed in effect (explicit override, or the default seed 1
+    /// The key seed in effect (explicit override, or the default seed 1
     /// every configuration falls back to).  Layers stacked on top of the
     /// built instance (e.g. the oblivious map's key-hashing seed) derive
     /// their own randomness from this value so one builder knob seeds the
@@ -385,7 +385,7 @@ impl OramBuilder {
     /// `num_blocks` is divided across the shards (padding the per-shard
     /// capacity to `ceil(num_blocks / shards)` for uneven splits), the
     /// shared configuration is validated **once**, and each shard gets a
-    /// distinct RNG/key seed (`base_seed + shard_index`, base 1 unless
+    /// distinct key seed (`base_seed + shard_index`, base 1 unless
     /// [`OramBuilder::seed`] was set) so shards never share randomness or
     /// keys.
     ///
@@ -475,7 +475,7 @@ impl OramBuilder {
         let (kind, payload) =
             path_oram::snapshot::read_state_file(&crate::persist::state_path(dir))?;
         match kind {
-            crate::persist::KIND_FREECURSIVE => {
+            crate::persist::KIND_FREECURSIVE | crate::persist::KIND_FREECURSIVE_XOSHIRO => {
                 Ok(Box::new(FreecursiveOram::<PathOramBackend>::resume(dir)?))
             }
             crate::persist::KIND_INSECURE => Ok(Box::new(InsecureOram::resume(dir)?)),

@@ -17,17 +17,15 @@
 
 use crate::config::FreecursiveConfig;
 use crate::error::FreecursiveError;
-use crate::payload::{AdvanceResult, GroupRemapInfo, PosMapBlockPayload};
+use crate::payload::{draw_leaf, AdvanceResult, GroupRemapInfo, PosMapBlockPayload};
 use crate::stats::FrontendStats;
 use crate::traits::{Oram, Request, Response};
 use oram_crypto::mac::{Mac, MacKey, MAC_BYTES};
-use oram_crypto::prf::{AesPrf, Prf};
+use oram_crypto::prf::AesPrf;
 use path_oram::{AccessOp, OramBackend, OramError, OramParams, PathOramBackend};
 use posmap::addressing::{tag_address, untag_address, RecursionAddressing};
 use posmap::onchip::{OnChipEntryKind, OnChipPosMap};
 use posmap::{Plb, PlbEntry};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// What the frontend stores per PLB-resident PosMap block: the typed payload
 /// plus the access counter that will authenticate it when it is appended back
@@ -88,9 +86,13 @@ pub struct FreecursiveOram<B: OramBackend = PathOramBackend> {
     /// empty between requests, and unused with a PLB.
     parked: Option<PlbEntry<PlbPayload>>,
     onchip: OnChipPosMap,
+    /// Derives every leaf: counter leaves of blocks whose parent holds a
+    /// counter, and fresh draws of raw leaves (see `draw_leaf`).
     prf: AesPrf,
     mac_key: MacKey,
-    rng: StdRng,
+    /// How many fresh leaves have been drawn from `prf`: the next draw's
+    /// counter.  Persisted, so a resumed instance never repeats a draw.
+    draws: u64,
     stats: FrontendStats,
     /// Scratch: payloads fetched from the backend land here (capacity reused
     /// across requests, so the fetch path does not allocate).  Its length
@@ -187,7 +189,8 @@ impl<B: OramBackend> FreecursiveOram<B> {
             OnChipEntryKind::Leaf
         };
         let mut onchip = OnChipPosMap::new(rec.required_onchip_entries(), onchip_kind);
-        let mut rng = StdRng::seed_from_u64(config.seed ^ 0xF5EE_D123);
+        let prf = AesPrf::new(derived.prf_key);
+        let mut draws = 0;
         if !config.pmmac {
             // A deployed ORAM starts with every block mapped to a uniform
             // random leaf; with PMMAC the zero counters already map through
@@ -195,9 +198,9 @@ impl<B: OramBackend> FreecursiveOram<B> {
             // randomised explicitly or every first touch walks path 0.  The
             // top level's blocks live in the last tree.
             let top_tree = trees.last().expect("at least the data tree");
-            let leaves = top_tree.params().num_leaves();
+            let leaf_level = top_tree.params().leaf_level();
             for i in 0..onchip.len() as u64 {
-                onchip.set(i, rng.gen_range(0..leaves));
+                onchip.set(i, draw_leaf(&prf, &mut draws, leaf_level));
             }
         }
         let payload_bytes = trees
@@ -207,9 +210,9 @@ impl<B: OramBackend> FreecursiveOram<B> {
             .unwrap_or_default();
         let zero_block = vec![0u8; config.block_bytes];
         Self {
-            rng,
-            prf: AesPrf::new(derived.prf_key),
+            prf,
             mac_key: MacKey::new(derived.mac_key),
+            draws,
             config,
             rec,
             trees,
@@ -237,7 +240,8 @@ impl<B: OramBackend> FreecursiveOram<B> {
     }
 
     /// Mutable access to [`FreecursiveOram::backend`] — the active
-    /// adversary's handle on untrusted memory (see [`crate::adversary`]).
+    /// adversary's handle on untrusted memory (the test harness's
+    /// `freecursive_repro::Adversary` tampers through it).
     pub fn backend_mut(&mut self) -> &mut B {
         &mut self.trees[0]
     }
@@ -337,7 +341,7 @@ impl<B: OramBackend> FreecursiveOram<B> {
     }
 
     /// Persists the whole instance into `dir`: configuration, on-chip
-    /// PosMap, PLB contents (with LRU order), RNG stream position,
+    /// PosMap, PLB contents (with LRU order), the leaf-draw counter,
     /// statistics and each tree's backend controller state in a
     /// digest-sealed `oram.state`, plus each tree's files, written by its
     /// backend's store under its index as label.  Resume with
@@ -354,7 +358,7 @@ impl<B: OramBackend> FreecursiveOram<B> {
         std::fs::create_dir_all(dir).map_err(|e| crate::persist::dir_error(dir, e))?;
         let mut payload = Vec::new();
         Self::put_config(&mut payload, &self.config);
-        crate::persist::put_rng_state(&mut payload, self.rng.state());
+        put_u64(&mut payload, self.draws);
         put_u64(&mut payload, self.onchip.entries().len() as u64);
         for &entry in self.onchip.entries() {
             put_u64(&mut payload, entry);
@@ -406,13 +410,25 @@ impl<B: OramBackend> FreecursiveOram<B> {
         use path_oram::snapshot::SnapReader;
         let (kind, payload) =
             path_oram::snapshot::read_state_file(&crate::persist::state_path(dir))?;
-        if kind != crate::persist::KIND_FREECURSIVE {
-            return Err(crate::persist::wrong_kind("Freecursive ORAM", kind).into());
-        }
+        let xoshiro = match kind {
+            crate::persist::KIND_FREECURSIVE => false,
+            crate::persist::KIND_FREECURSIVE_XOSHIRO => true,
+            _ => return Err(crate::persist::wrong_kind("Freecursive ORAM", kind).into()),
+        };
         let mut r = SnapReader::new(&payload);
         let config = Self::get_config(&mut r, dir)?;
         config.validate()?;
-        let rng_state = crate::persist::get_rng_state(&mut r)?;
+        let draws = if xoshiro {
+            // The four words of the generator that drew leaves before the
+            // PRF did.  This instance never drew from the PRF, so its draws
+            // start at 0 without repeating one.
+            for _ in 0..4 {
+                r.u64()?;
+            }
+            0
+        } else {
+            r.u64()?
+        };
         let onchip_count = r.len(r.remaining() / 8)?;
         let mut onchip_entries = Vec::with_capacity(onchip_count);
         for _ in 0..onchip_count {
@@ -469,7 +485,7 @@ impl<B: OramBackend> FreecursiveOram<B> {
             })
             .collect::<Result<_, _>>()?;
         let mut oram = Self::assemble(config, derived, trees);
-        oram.rng = StdRng::from_state(rng_state);
+        oram.draws = draws;
         if !oram.onchip.load_entries(&onchip_entries) {
             return Err(OramError::Snapshot {
                 detail: "on-chip posmap size does not match the configuration".into(),
@@ -665,7 +681,7 @@ impl<B: OramBackend> FreecursiveOram<B> {
                 }
             } else {
                 let current_leaf = self.onchip.get(idx);
-                let new_leaf = self.rng.gen_range(0..(1u64 << leaf_level));
+                let new_leaf = draw_leaf(&self.prf, &mut self.draws, leaf_level);
                 self.onchip.set(idx, new_leaf);
                 ResolvedChild {
                     current_leaf,
@@ -680,8 +696,6 @@ impl<B: OramBackend> FreecursiveOram<B> {
         } else {
             let parent_unified = self.rec.unified_addr(level + 1, a0);
             let entry_index = self.rec.entry_index(level + 1, a0);
-            // lint: allow(no-alloc, AesPrf is a fixed round-key array; the clone is a stack copy)
-            let prf = self.prf.clone();
             let entry = match &mut self.plb {
                 Some(plb) => plb.peek_mut(parent_unified),
                 None => self.parked.as_mut(),
@@ -692,13 +706,13 @@ impl<B: OramBackend> FreecursiveOram<B> {
                 entry
                     .payload
                     .block
-                    .child_leaf(entry_index, child_unified, &prf, leaf_level);
+                    .child_leaf(entry_index, child_unified, &self.prf, leaf_level);
             let advance = entry.payload.block.advance_entry(
                 entry_index,
                 child_unified,
-                &prf,
+                &self.prf,
                 leaf_level,
-                &mut self.rng,
+                &mut self.draws,
             );
             ResolvedChild {
                 current_leaf,
@@ -798,11 +812,11 @@ impl<B: OramBackend> FreecursiveOram<B> {
         ) && data.iter().all(|&b| b == 0)
         {
             // The entries are leaves of the level below, in its tree.
-            let child_leaves = 1u64 << self.leaf_level(level - 1);
+            let child_level = self.leaf_level(level - 1);
             let mut block = PosMapBlockPayload::new_zeroed(self.config.posmap_format, x);
             if let PosMapBlockPayload::Leaves(leaves) = &mut block {
                 for j in 0..x as usize {
-                    leaves.set_leaf(j, self.rng.gen_range(0..child_leaves));
+                    leaves.set_leaf(j, draw_leaf(&self.prf, &mut self.draws, child_level));
                 }
             }
             return block;

@@ -73,7 +73,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod adversary;
 pub mod analysis;
 pub mod builder;
 pub mod config;
@@ -90,7 +89,6 @@ pub mod sharded;
 pub mod stats;
 pub mod traits;
 
-pub use adversary::Adversary;
 pub use analysis::AsymptoticParams;
 pub use builder::OramBuilder;
 pub use config::{FreecursiveConfig, PosMapFormat};

@@ -6,10 +6,26 @@
 //! configured.
 
 use crate::config::PosMapFormat;
-use oram_crypto::prf::Prf;
+use oram_crypto::prf::AesPrf;
 use posmap::compressed::IncrementOutcome;
 use posmap::{CompressedPosMapBlock, UncompressedPosMapBlock};
-use rand::Rng;
+
+/// The address half of every fresh-leaf draw's PRF input.  A unified
+/// address carries its recursion level in the top byte and H ≪ 255, so no
+/// block address equals it: a draw never shares a PRF input with a
+/// counter-derived leaf, and one key serves both.
+const DRAW_DOMAIN: u64 = u64::MAX;
+
+/// Draws a fresh uniform leaf in `[0, 2^levels)` in counter mode:
+/// `PRF_K(DRAW_DOMAIN ‖ n) mod 2^L`, where `n` is `*draws`, which then
+/// advances.  Every leaf the frontend picks at random comes from here, so
+/// `*draws` must never repeat under one key: it is persisted with the
+/// instance.
+pub(crate) fn draw_leaf(prf: &AesPrf, draws: &mut u64, levels: u32) -> u64 {
+    let leaf = prf.leaf_for(DRAW_DOMAIN, *draws, levels);
+    *draws += 1;
+    leaf
+}
 
 /// The result of advancing (remapping) one entry of a PosMap block.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -130,7 +146,7 @@ impl PosMapBlockPayload {
         &self,
         index: usize,
         child_unified_addr: u64,
-        prf: &dyn Prf,
+        prf: &AesPrf,
         leaf_level: u32,
     ) -> u64 {
         match self {
@@ -145,18 +161,19 @@ impl PosMapBlockPayload {
     /// Advances (remaps) entry `index`: assigns the child a fresh leaf and,
     /// for counter formats, increments its counter.  Returns the new leaf,
     /// the new counter, and group-remap information if an individual counter
-    /// overflowed.
-    pub fn advance_entry<R: Rng>(
+    /// overflowed.  The raw-leaf format draws the new leaf from the PRF in
+    /// counter mode, with `draws` as the counter.
+    pub fn advance_entry(
         &mut self,
         index: usize,
         child_unified_addr: u64,
-        prf: &dyn Prf,
+        prf: &AesPrf,
         leaf_level: u32,
-        rng: &mut R,
+        draws: &mut u64,
     ) -> AdvanceResult {
         match self {
             Self::Leaves(b) => {
-                let new_leaf = rng.gen_range(0..(1u64 << leaf_level));
+                let new_leaf = draw_leaf(prf, draws, leaf_level);
                 b.set_leaf(index, new_leaf);
                 AdvanceResult {
                     new_leaf,
@@ -174,27 +191,24 @@ impl PosMapBlockPayload {
                 }
             }
             Self::Compressed(b) => {
-                let old_counters: Vec<u64> = (0..b.x()).map(|j| b.counter_of(j)).collect();
-                match b.increment(index) {
-                    IncrementOutcome::Normal => {
-                        let new_counter = b.counter_of(index);
-                        AdvanceResult {
-                            new_leaf: prf.leaf_for(child_unified_addr, new_counter, leaf_level),
-                            new_counter: Some(new_counter),
-                            group_remap: None,
-                        }
-                    }
-                    IncrementOutcome::GroupRemap => {
-                        let new_counter = b.counter_of(index);
-                        AdvanceResult {
-                            new_leaf: prf.leaf_for(child_unified_addr, new_counter, leaf_level),
-                            new_counter: Some(new_counter),
-                            group_remap: Some(GroupRemapInfo {
-                                old_counters,
-                                new_counter,
-                            }),
-                        }
-                    }
+                // Only a group remap reads the old counters, and the
+                // increment remaps the group exactly when IC_index is at its
+                // β-bit maximum: collect them on that path alone.
+                let old_counters = (b.individual_counter(index) == (1u64 << b.beta()) - 1)
+                    .then(|| (0..b.x()).map(|j| b.counter_of(j)).collect());
+                let outcome = b.increment(index);
+                let new_counter = b.counter_of(index);
+                let group_remap = match outcome {
+                    IncrementOutcome::Normal => None,
+                    IncrementOutcome::GroupRemap => Some(GroupRemapInfo {
+                        old_counters: old_counters.expect("an overflowing IC remaps the group"),
+                        new_counter,
+                    }),
+                };
+                AdvanceResult {
+                    new_leaf: prf.leaf_for(child_unified_addr, new_counter, leaf_level),
+                    new_counter: Some(new_counter),
+                    group_remap,
                 }
             }
         }
@@ -204,9 +218,6 @@ impl PosMapBlockPayload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use oram_crypto::prf::AesPrf;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn prf() -> AesPrf {
         AesPrf::new([9u8; 16])
@@ -219,11 +230,11 @@ mod tests {
             (PosMapFormat::FlatCounters, 8),
             (PosMapFormat::compressed_default(), 32),
         ];
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut draws = 0;
         for (format, x) in formats {
             let mut payload = PosMapBlockPayload::new_zeroed(format, x);
             for j in 0..(x as usize).min(5) {
-                payload.advance_entry(j, 1000 + j as u64, &prf(), 20, &mut rng);
+                payload.advance_entry(j, 1000 + j as u64, &prf(), 20, &mut draws);
             }
             let bytes = payload.to_bytes(64);
             let parsed = PosMapBlockPayload::from_bytes(&bytes, format, x);
@@ -246,8 +257,8 @@ mod tests {
             let x = format.max_x(64);
             let mut payload = PosMapBlockPayload::new_zeroed(format, x);
             assert_eq!(payload.child_counter(3), Some(0));
-            let mut rng = StdRng::seed_from_u64(2);
-            let adv = payload.advance_entry(3, 77, &prf(), 24, &mut rng);
+            let mut draws = 0;
+            let adv = payload.advance_entry(3, 77, &prf(), 24, &mut draws);
             assert_eq!(adv.new_counter, Some(1));
             assert_eq!(payload.child_counter(3), Some(1));
             assert!(adv.group_remap.is_none());
@@ -263,8 +274,8 @@ mod tests {
         let l0 = payload.child_leaf(2, 55, &prf(), 20);
         let l0_again = payload.child_leaf(2, 55, &prf(), 20);
         assert_eq!(l0, l0_again);
-        let mut rng = StdRng::seed_from_u64(3);
-        payload.advance_entry(2, 55, &prf(), 20, &mut rng);
+        let mut draws = 0;
+        payload.advance_entry(2, 55, &prf(), 20, &mut draws);
         assert_ne!(payload.child_leaf(2, 55, &prf(), 20), l0);
     }
 
@@ -272,15 +283,15 @@ mod tests {
     fn compressed_overflow_reports_group_remap_with_old_counters() {
         let format = PosMapFormat::Compressed { alpha: 16, beta: 2 };
         let mut payload = PosMapBlockPayload::new_zeroed(format, 4);
-        let mut rng = StdRng::seed_from_u64(4);
+        let mut draws = 0;
         // Overflow entry 0: beta = 2 so the 4th increment remaps the group.
         for _ in 0..3 {
-            let adv = payload.advance_entry(0, 10, &prf(), 16, &mut rng);
+            let adv = payload.advance_entry(0, 10, &prf(), 16, &mut draws);
             assert!(adv.group_remap.is_none());
         }
         // Also bump entry 1 so old counters are distinguishable.
-        payload.advance_entry(1, 11, &prf(), 16, &mut rng);
-        let adv = payload.advance_entry(0, 10, &prf(), 16, &mut rng);
+        payload.advance_entry(1, 11, &prf(), 16, &mut draws);
+        let adv = payload.advance_entry(0, 10, &prf(), 16, &mut draws);
         let remap = adv.group_remap.expect("group remap expected");
         assert_eq!(remap.old_counters, vec![3, 1, 0, 0]);
         // After the remap every entry carries GC=1, IC=0 → counter 4.
@@ -293,9 +304,9 @@ mod tests {
     #[test]
     fn advance_changes_leaf_for_raw_leaf_format() {
         let mut payload = PosMapBlockPayload::new_zeroed(PosMapFormat::UncompressedLeaves, 16);
-        let mut rng = StdRng::seed_from_u64(5);
+        let mut draws = 0;
         let before = payload.child_leaf(7, 0, &prf(), 20);
-        let adv = payload.advance_entry(7, 0, &prf(), 20, &mut rng);
+        let adv = payload.advance_entry(7, 0, &prf(), 20, &mut draws);
         assert_eq!(payload.child_leaf(7, 0, &prf(), 20), adv.new_leaf);
         assert!(adv.new_leaf < (1 << 20));
         // With overwhelming probability the leaf changed.

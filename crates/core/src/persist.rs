@@ -2,8 +2,8 @@
 //!
 //! Every frontend persists into one directory: a digest-sealed
 //! `oram.state` file (see [`path_oram::snapshot`] for the framing) holding
-//! the controller's trusted state — configuration, PosMap/PLB contents, RNG
-//! stream position, statistics, and the backend's controller-side bytes —
+//! the controller's trusted state — configuration, PosMap/PLB contents, the
+//! leaf-draw counter, statistics, and the backend's controller-side bytes —
 //! plus the tree files the backend's store writes next to it.  This module
 //! holds the kind tags that dispatch `OramBuilder::resume`, and the
 //! field-by-field serialisation helpers for the structs shared across
@@ -21,9 +21,14 @@ use std::path::{Path, PathBuf};
 pub(crate) const STATE_FILE: &str = "oram.state";
 
 /// Snapshot kind tag: a [`crate::FreecursiveOram`] instance, with or
-/// without a PLB.  (Tag 2 is retired: it named the separate Recursive ORAM
-/// frontend that `R_X8` used to be, and now resumes as a snapshot error.)
-pub(crate) const KIND_FREECURSIVE: u8 = 1;
+/// without a PLB, that carries its leaf-draw counter.
+pub(crate) const KIND_FREECURSIVE: u8 = 5;
+/// Snapshot kind tag, read but never written: a [`crate::FreecursiveOram`]
+/// instance persisted while a xoshiro256++ generator drew its leaves, whose
+/// four state words sit where [`KIND_FREECURSIVE`] has the draw counter.
+/// (Tag 2 is retired: it named the separate Recursive ORAM frontend that
+/// `R_X8` used to be, and now resumes as a snapshot error.)
+pub(crate) const KIND_FREECURSIVE_XOSHIRO: u8 = 1;
 /// Snapshot kind tag: an [`crate::InsecureOram`] instance.
 pub(crate) const KIND_INSECURE: u8 = 3;
 /// Snapshot kind tag: a [`crate::ShardedOram`] composite (per-shard
@@ -92,16 +97,6 @@ pub(crate) fn get_posmap_format(r: &mut SnapReader<'_>) -> Result<PosMapFormat, 
             })
         }
     })
-}
-
-pub(crate) fn put_rng_state(out: &mut Vec<u8>, state: [u64; 4]) {
-    for word in state {
-        put_u64(out, word);
-    }
-}
-
-pub(crate) fn get_rng_state(r: &mut SnapReader<'_>) -> Result<[u64; 4], OramError> {
-    Ok([r.u64()?, r.u64()?, r.u64()?, r.u64()?])
 }
 
 pub(crate) fn put_plb_stats(out: &mut Vec<u8>, stats: &PlbStats) {

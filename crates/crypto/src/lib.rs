@@ -21,8 +21,8 @@
 //!   Keccak-f\[1600\] permutation with two kernels ([`keccak`]): a
 //!   two-state AVX-512VL kernel (x86_64, runtime detected) and the scalar
 //!   loop as fallback and reference.
-//! * [`prf::Prf`] / [`prf::AesPrf`] — the pseudorandom function
-//!   `PRF_K(x) mod 2^L` that maps (address, counter) pairs to leaves.
+//! * [`prf::AesPrf`] — the pseudorandom function `PRF_K(x) mod 2^L` that
+//!   maps (address, counter) pairs to leaves.
 //! * [`mac::MacKey`] — the keyed MAC `MAC_K(c || a || d)` of §6.2.1;
 //!   [`mac::MacKey::verify_and_compute`] checks one MAC and computes
 //!   another in a single two-state Keccak pass.
@@ -58,8 +58,8 @@
 //!   is the only engine off x86_64 and on the forced-soft CI leg.
 //! * [`aes::Aes128::encrypt_blocks`] — any whole number of caller-built
 //!   blocks in place (the PRF's input).
-//! * [`prf::Prf::eval_many`] / [`prf::Prf::leaf_pair_for`] — batched leaf
-//!   derivation.
+//! * [`prf::AesPrf::eval_many`] / [`prf::AesPrf::leaf_pair_for`] — batched
+//!   leaf derivation.
 //!
 //! None of these allocate; callers may rely on that on hot paths.
 //!
@@ -81,7 +81,7 @@
 //! # Examples
 //!
 //! ```
-//! use oram_crypto::prf::{AesPrf, Prf};
+//! use oram_crypto::prf::AesPrf;
 //!
 //! let prf = AesPrf::new([7u8; 16]);
 //! // Leaf for block address 42 with access count 3 in a tree with 2^20 leaves.
@@ -115,5 +115,5 @@ pub(crate) mod zeroize;
 pub use aes::{Aes128, EngineKind, PARALLEL_BLOCKS};
 pub use ctr::CtrKeystream;
 pub use mac::{Mac, MacKey};
-pub use prf::{AesPrf, Prf};
+pub use prf::AesPrf;
 pub use sha3::Sha3_224;

@@ -1,86 +1,25 @@
-//! The pseudorandom function used by the compressed PosMap and PMMAC.
+//! The pseudorandom function behind every leaf the frontend picks.
 //!
 //! §5.2.1: the current leaf of block `a + j` is
 //! `PRF_K(a + j || GC || IC_j) mod 2^L`; §6.2.1 uses the same construction
 //! with the per-block access count `c` as the counter.  The paper implements
 //! `PRF_K()` with AES-128 (§5.1); [`AesPrf`] mirrors that choice.
-//!
-//! The trait is object-safe so frontends can hold `Box<dyn Prf>` when the
-//! cipher choice is a runtime configuration.
 
 use crate::aes::Aes128;
 
-/// A keyed pseudorandom function producing 64-bit outputs.
-pub trait Prf: Send + Sync + std::fmt::Debug {
-    /// Evaluates the PRF on a 128-bit input and returns 64 pseudorandom bits.
-    fn eval(&self, input: u128) -> u64;
-
-    /// Evaluates the PRF on every input, batched where the implementation
-    /// supports it ([`AesPrf`] runs up to 8 evaluations per AES engine
-    /// call).  Semantically identical to calling [`Prf::eval`] per element.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs` and `out` differ in length.
-    fn eval_many(&self, inputs: &[u128], out: &mut [u64]) {
-        assert_eq!(inputs.len(), out.len(), "eval_many length mismatch");
-        for (input, slot) in inputs.iter().zip(out.iter_mut()) {
-            *slot = self.eval(*input);
-        }
-    }
-
-    /// Leaves for the same block under two counters in one batched PRF call
-    /// — the frontends' common pattern (current leaf from the old counter,
-    /// next leaf from the new one, §5.2.1).
-    fn leaf_pair_for(&self, addr: u64, counter_a: u64, counter_b: u64, levels: u32) -> (u64, u64) {
-        debug_assert!(levels <= 63, "leaf space must fit in u64");
-        if levels == 0 {
-            return (0, 0);
-        }
-        let base = u128::from(addr) << 64;
-        let inputs = [base | u128::from(counter_a), base | u128::from(counter_b)];
-        let mut out = [0u64; 2];
-        self.eval_many(&inputs, &mut out);
-        let mask = (1u64 << levels) - 1;
-        (out[0] & mask, out[1] & mask)
-    }
-
-    /// Convenience: the leaf for block `addr` with access counter `counter`
-    /// in a tree with `2^levels` leaves, i.e. `PRF_K(addr || counter) mod 2^L`.
-    fn leaf_for(&self, addr: u64, counter: u64, levels: u32) -> u64 {
-        debug_assert!(levels <= 63, "leaf space must fit in u64");
-        let input = (u128::from(addr) << 64) | u128::from(counter);
-        if levels == 0 {
-            0
-        } else {
-            self.eval(input) & ((1u64 << levels) - 1)
-        }
-    }
-
-    /// Leaf for a sub-block `k` of block `addr` (§5.4): the sub-block index is
-    /// folded into the PRF input so sibling sub-blocks get independent leaves.
-    fn subblock_leaf_for(&self, addr: u64, counter: u64, subblock: u32, levels: u32) -> u64 {
-        let input = (u128::from(addr) << 64) | (u128::from(subblock) << 48) | u128::from(counter);
-        if levels == 0 {
-            0
-        } else {
-            self.eval(input) & ((1u64 << levels) - 1)
-        }
-    }
-}
-
-/// AES-128 based PRF, matching the paper's instantiation (§5.1).
+/// AES-128 based PRF producing 64-bit outputs, matching the paper's
+/// instantiation (§5.1).
 ///
 /// # Examples
 ///
 /// ```
-/// use oram_crypto::prf::{AesPrf, Prf};
+/// use oram_crypto::prf::AesPrf;
 ///
 /// let prf = AesPrf::new([0u8; 16]);
 /// assert_eq!(prf.eval(1), prf.eval(1));
 /// assert_ne!(prf.eval(1), prf.eval(2));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct AesPrf {
     cipher: Aes128,
 }
@@ -92,17 +31,23 @@ impl AesPrf {
             cipher: Aes128::new(key),
         }
     }
-}
 
-impl Prf for AesPrf {
-    fn eval(&self, input: u128) -> u64 {
+    /// Evaluates the PRF on a 128-bit input and returns 64 pseudorandom bits.
+    pub fn eval(&self, input: u128) -> u64 {
         let ct = self.cipher.encrypt_block(input.to_be_bytes());
         let mut out = [0u8; 8];
         out.copy_from_slice(&ct[..8]);
         u64::from_be_bytes(out)
     }
 
-    fn eval_many(&self, inputs: &[u128], out: &mut [u64]) {
+    /// Evaluates the PRF on every input, up to
+    /// [`crate::aes::PARALLEL_BLOCKS`] evaluations per AES engine call.
+    /// Semantically identical to calling [`AesPrf::eval`] per element.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `inputs` and `out` differ in length.
+    pub fn eval_many(&self, inputs: &[u128], out: &mut [u64]) {
         assert_eq!(inputs.len(), out.len(), "eval_many length mismatch");
         let mut buf = [0u8; crate::aes::PARALLEL_BLOCKS * 16];
         for (input_group, out_group) in inputs
@@ -119,35 +64,39 @@ impl Prf for AesPrf {
             }
         }
     }
-}
 
-/// A trivially fast, non-cryptographic PRF for large-scale timing simulations
-/// where only the *distribution* of leaves matters, not unpredictability.
-///
-/// Uses the SplitMix64 finalizer, which passes basic avalanche tests.  Never
-/// use this where an adversary model matters; the functional ORAM frontends
-/// default to [`AesPrf`].
-#[derive(Debug, Clone)]
-pub struct SplitMixPrf {
-    key: u64,
-}
-
-impl SplitMixPrf {
-    /// Creates the PRF from a 64-bit seed.
-    pub fn new(key: u64) -> Self {
-        Self { key }
+    /// Leaves for the same block under two counters in one batched PRF call
+    /// — the frontends' common pattern (current leaf from the old counter,
+    /// next leaf from the new one, §5.2.1).
+    pub fn leaf_pair_for(
+        &self,
+        addr: u64,
+        counter_a: u64,
+        counter_b: u64,
+        levels: u32,
+    ) -> (u64, u64) {
+        debug_assert!(levels <= 63, "leaf space must fit in u64");
+        if levels == 0 {
+            return (0, 0);
+        }
+        let base = u128::from(addr) << 64;
+        let inputs = [base | u128::from(counter_a), base | u128::from(counter_b)];
+        let mut out = [0u64; 2];
+        self.eval_many(&inputs, &mut out);
+        let mask = (1u64 << levels) - 1;
+        (out[0] & mask, out[1] & mask)
     }
-}
 
-impl Prf for SplitMixPrf {
-    fn eval(&self, input: u128) -> u64 {
-        let mut z = (input as u64)
-            .wrapping_add((input >> 64) as u64)
-            .wrapping_mul(0x9e3779b97f4a7c15)
-            .wrapping_add(self.key);
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-        z ^ (z >> 31)
+    /// The leaf for block `addr` with access counter `counter` in a tree
+    /// with `2^levels` leaves, i.e. `PRF_K(addr || counter) mod 2^L`.
+    pub fn leaf_for(&self, addr: u64, counter: u64, levels: u32) -> u64 {
+        debug_assert!(levels <= 63, "leaf space must fit in u64");
+        let input = (u128::from(addr) << 64) | u128::from(counter);
+        if levels == 0 {
+            0
+        } else {
+            self.eval(input) & ((1u64 << levels) - 1)
+        }
     }
 }
 
@@ -195,13 +144,6 @@ mod tests {
         for (input, &got) in inputs.iter().zip(batched.iter()) {
             assert_eq!(got, prf.eval(*input));
         }
-        // Default trait impl (SplitMix) agrees with per-element eval too.
-        let sm = SplitMixPrf::new(3);
-        let mut out = vec![0u64; inputs.len()];
-        sm.eval_many(&inputs, &mut out);
-        for (input, &got) in inputs.iter().zip(out.iter()) {
-            assert_eq!(got, sm.eval(*input));
-        }
     }
 
     #[test]
@@ -212,31 +154,5 @@ mod tests {
             assert_eq!(a, prf.leaf_for(42, 5, levels));
             assert_eq!(b, prf.leaf_for(42, 6, levels));
         }
-    }
-
-    #[test]
-    fn subblock_index_decorrelates_leaves() {
-        let prf = AesPrf::new([5u8; 16]);
-        let l0 = prf.subblock_leaf_for(9, 1, 0, 24);
-        let l1 = prf.subblock_leaf_for(9, 1, 1, 24);
-        assert_ne!(l0, l1);
-    }
-
-    #[test]
-    fn splitmix_is_deterministic_and_roughly_uniform() {
-        let prf = SplitMixPrf::new(42);
-        assert_eq!(prf.eval(7), prf.eval(7));
-        // Crude uniformity check: leaves over a small space should hit most
-        // buckets.
-        let levels = 8u32;
-        let mut seen = std::collections::HashSet::new();
-        for i in 0..4096u64 {
-            seen.insert(prf.leaf_for(i, 0, levels));
-        }
-        assert!(
-            seen.len() > 240,
-            "expected near-complete coverage of 256 leaves, got {}",
-            seen.len()
-        );
     }
 }

@@ -243,7 +243,7 @@ impl<'a> BitReader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use oram_crypto::prf::{AesPrf, Prf};
+    use oram_crypto::prf::AesPrf;
 
     #[test]
     fn paper_packing_example() {

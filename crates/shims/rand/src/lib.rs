@@ -3,10 +3,15 @@
 //! The build environment has no crates.io access, so this crate implements
 //! the subset of the rand 0.8 API the workspace uses — `SeedableRng`,
 //! `Rng::{gen, gen_range, gen_bool, fill}` and `rngs::StdRng` — over a
-//! xoshiro256++ generator seeded through SplitMix64.  The statistical quality
-//! is more than sufficient for the simulator's uniform leaf draws; nothing
-//! here is cryptographic (the ORAM's security-relevant randomness goes
-//! through the AES-based PRF in `oram-crypto`, not this crate).
+//! xoshiro256++ generator seeded through SplitMix64, and nothing outside
+//! that subset.  Nothing here is cryptographic, and nothing here needs to
+//! be: it drives only the simulators, the workload generators and the
+//! tests.  No product crate depends on it; every leaf the ORAM picks comes
+//! from the AES-based PRF in `oram-crypto`.  Every caller names only
+//! `rngs::StdRng`, `Rng` and `SeedableRng` and calls only the methods
+//! above, all of which rand 0.8 has.  That was checked by reading the
+//! callers, not by building against the real crate, which needs network
+//! access.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -207,23 +212,6 @@ pub mod rngs {
             Self {
                 s: [next(), next(), next(), next()],
             }
-        }
-    }
-
-    impl StdRng {
-        /// The generator's full internal state.
-        ///
-        /// Extension over the rand 0.8 surface: the ORAM snapshot/restore
-        /// machinery persists the generator mid-stream so a resumed instance
-        /// draws exactly the numbers an uninterrupted run would have.
-        pub fn state(&self) -> [u64; 4] {
-            self.s
-        }
-
-        /// Rebuilds a generator from a state previously captured with
-        /// [`StdRng::state`]; the stream continues exactly where it left off.
-        pub fn from_state(s: [u64; 4]) -> Self {
-            Self { s }
         }
     }
 

@@ -7,7 +7,8 @@
 //! cargo run --release -p bench --example integrity_attack
 //! ```
 
-use freecursive::{Adversary, FreecursiveError, Oram, OramBuilder, SchemePoint};
+use freecursive::{FreecursiveError, Oram, OramBuilder, SchemePoint};
+use freecursive_repro::Adversary;
 use path_oram::encryption::{BucketCipher, EncryptionMode};
 use path_oram::OramParams;
 

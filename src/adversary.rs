@@ -2,8 +2,8 @@
 //! that observes and tampers with untrusted DRAM.
 //!
 //! These helpers operate on a [`FreecursiveOram`]'s backend storage and are
-//! used by the integrity tests, the `integrity_attack` example, and the
-//! security-oriented benches.  They demonstrate:
+//! used by the integrity tests and the `integrity_attack` example.  They
+//! demonstrate:
 //!
 //! * arbitrary bit flips in ORAM tree buckets (detected by PMMAC when the
 //!   block of interest is affected, §6.2.1),
@@ -13,7 +13,7 @@
 //!   against the per-bucket-seed encryption of \[26\] that motivates the
 //!   global-seed fix (§6.4).
 
-use crate::frontend::FreecursiveOram;
+use freecursive::FreecursiveOram;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -96,11 +96,7 @@ impl Adversary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::OramBuilder;
-    use crate::error::FreecursiveError;
-    use crate::scheme::SchemePoint;
-    use crate::traits::Oram;
-    use path_oram::OramError;
+    use freecursive::{FreecursiveError, Oram, OramBuilder, OramError, SchemePoint};
 
     fn pmmac_oram() -> FreecursiveOram {
         OramBuilder::for_scheme(SchemePoint::PicX32)

@@ -9,13 +9,27 @@
 //! directories from [`ScratchDir`], which cleans up even when an assertion
 //! fires first.
 //!
+//! The active [`Adversary`] of the threat model lives here too: it tampers
+//! with a [`freecursive::FreecursiveOram`]'s untrusted memory for the
+//! integrity tests and the `integrity_attack` example.  Its passive
+//! counterpart is [`LeafRecorder`], a backend that logs the leaf of every
+//! path access a frontend asks for.
+//!
 //! This package also owns the cross-crate integration tests (`tests/`) and
 //! the runnable examples (`examples/`); the functionality lives in the
 //! member crates.
 
 #![forbid(unsafe_code)]
 
-use freecursive::{InsecureOram, Oram, OramBuilder, Request, Response, SchemePoint};
+pub mod adversary;
+
+pub use adversary::Adversary;
+
+use freecursive::{
+    Durability, EncryptionMode, InsecureOram, Oram, OramBackend, OramBuilder, OramError,
+    PathOramBackend, Request, Response, SchemePoint, StorageKind,
+};
+use path_oram::{AccessOp, BackendStats, OramParams};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt::Display;
@@ -116,6 +130,82 @@ pub fn same_contents<S: Oram + ?Sized>(
             .unwrap_or_else(|e| panic!("{label}: block {addr}: {e}"));
         let expected = oracle.read(addr).expect("oracle read");
         assert_eq!(got, expected, "{label}: block {addr}");
+    }
+}
+
+/// A [`PathOramBackend`] that records the leaf of every path access it
+/// serves: the sequence of paths an observer of untrusted memory sees.
+/// Appends touch no path and are not recorded.  Build a frontend over it
+/// with [`OramBuilder::build_freecursive_on`]; read each tree's log through
+/// [`freecursive::FreecursiveOram::trees`].
+#[derive(Debug)]
+pub struct LeafRecorder {
+    inner: PathOramBackend,
+    leaves: Vec<u64>,
+}
+
+impl LeafRecorder {
+    /// The leaf of every path access so far, in order.
+    pub fn leaves(&self) -> &[u64] {
+        &self.leaves
+    }
+
+    fn wrap(inner: PathOramBackend) -> Self {
+        Self {
+            inner,
+            leaves: Vec::new(),
+        }
+    }
+}
+
+impl OramBackend for LeafRecorder {
+    fn new_backend(
+        params: OramParams,
+        encryption: EncryptionMode,
+        key: [u8; 16],
+        seed: u64,
+    ) -> Result<Self, OramError> {
+        PathOramBackend::new_backend(params, encryption, key, seed).map(Self::wrap)
+    }
+
+    fn new_backend_with(
+        params: OramParams,
+        encryption: EncryptionMode,
+        key: [u8; 16],
+        seed: u64,
+        storage: &StorageKind,
+        durability: Durability,
+        label: u32,
+    ) -> Result<Self, OramError> {
+        PathOramBackend::new_backend_with(params, encryption, key, seed, storage, durability, label)
+            .map(Self::wrap)
+    }
+
+    fn params(&self) -> &OramParams {
+        self.inner.params()
+    }
+
+    fn access_into(
+        &mut self,
+        op: AccessOp,
+        addr: u64,
+        leaf: u64,
+        new_leaf: u64,
+        data: Option<&[u8]>,
+        out: &mut Vec<u8>,
+    ) -> Result<bool, OramError> {
+        if op != AccessOp::Append {
+            self.leaves.push(leaf);
+        }
+        self.inner.access_into(op, addr, leaf, new_leaf, data, out)
+    }
+
+    fn stats(&self) -> &BackendStats {
+        self.inner.stats()
+    }
+
+    fn reset_stats(&mut self) {
+        self.inner.reset_stats();
     }
 }
 

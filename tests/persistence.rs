@@ -20,6 +20,7 @@ use freecursive::{
 };
 use freecursive_repro::Op::{Read, ReadRemove, Write};
 use freecursive_repro::{agree, flat, same_contents, schedule, Op, ScratchDir};
+use std::collections::BTreeMap;
 
 const N: u64 = 512;
 const BLOCK: usize = 32;
@@ -42,21 +43,44 @@ fn requests(seed: u64, len: usize) -> Vec<Request> {
     schedule(seed, len, 0..N, BLOCK, &MIX)
 }
 
+/// Every file of a snapshot directory, by name.
+fn snapshot_files(dir: &std::path::Path) -> BTreeMap<String, Vec<u8>> {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| {
+            let path = entry.unwrap().path();
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            (name, std::fs::read(&path).unwrap())
+        })
+        .collect()
+}
+
 #[test]
 fn persist_resume_is_byte_identical_to_an_uninterrupted_run() {
-    for scheme in [SchemePoint::PX16, SchemePoint::PcX32, SchemePoint::PicX32] {
+    let schemes = [
+        SchemePoint::RX8,
+        SchemePoint::PX16,
+        SchemePoint::PcX32,
+        SchemePoint::PicX32,
+    ];
+    for scheme in schemes {
         for storage in [StorageKind::Mem, StorageKind::TempFile] {
             let label = format!("{}-{:?}", scheme.label(), storage);
             let dir = ScratchDir::new("persistence");
 
-            // The flat oracle runs the whole workload uninterrupted.
+            // The flat oracle runs the whole workload uninterrupted, and so
+            // does the subject's twin, which persists at the same point but
+            // goes on running.
             let mut oracle = flat(N, BLOCK);
             let mut subject = builder(scheme, storage.clone()).build().unwrap();
+            let mut twin = builder(scheme, storage.clone()).build().unwrap();
             let stream = requests(0xD1FF, ACCESSES);
             let (before, after) = stream.split_at(PERSIST_AT);
 
             agree(&mut subject, &mut oracle, before, &label);
+            twin.access_batch(before).unwrap();
             subject.persist(&dir).unwrap();
+            twin.persist(&ScratchDir::new("persistence-twin")).unwrap();
             // Drop before resuming: the resumed instance may see only what
             // reached the snapshot directory, exactly as a fresh process
             // would.
@@ -70,27 +94,58 @@ fn persist_resume_is_byte_identical_to_an_uninterrupted_run() {
                 oracle.stats().frontend_requests,
                 "{label}: stats continue across the snapshot"
             );
+
+            // The twin runs the rest of the stream and the same final reads.
+            // Responses alone cannot show that the resumed instance goes on
+            // drawing the leaves the twin draws (a restarted draw counter
+            // answers every request correctly); the two final snapshots,
+            // trees and controller state alike, must be the same bytes.
+            twin.access_batch(after).unwrap();
+            same_contents(&mut twin, &mut oracle, format!("{label} twin"));
+            let (resumed_end, twin_end) = (ScratchDir::new("resumed"), ScratchDir::new("twin"));
+            subject.persist(&resumed_end).unwrap();
+            twin.persist(&twin_end).unwrap();
+            let (resumed_files, twin_files) =
+                (snapshot_files(&resumed_end), snapshot_files(&twin_end));
+            assert_eq!(
+                resumed_files.keys().collect::<Vec<_>>(),
+                twin_files.keys().collect::<Vec<_>>(),
+                "{label}"
+            );
+            for (name, bytes) in &resumed_files {
+                assert!(
+                    bytes == &twin_files[name],
+                    "{label}: {name} differs from the twin's"
+                );
+            }
         }
     }
 }
 
-/// Ciphertext compatibility across the keystream kernel change.
+/// Ciphertext compatibility across the keystream kernel change, and
+/// resumption across the change of leaf source.
 ///
 /// `tests/fixtures/pr11_file_wal/` is a file-backed PIC_X32 instance (128
 /// blocks of 32 B, builder seed 7, `Durability::Batch(8)`) that the commit
 /// *before* the fused AES-CTR kernel drove through the first 1012 requests
 /// of the `0xF1C5` stream and persisted in place: tree file, tree metadata,
 /// a WAL holding the records since its last checkpoint, and the controller
-/// snapshot.  The keystream construction is part of that on-disk format, so:
+/// snapshot `oram.state`.  The keystream construction is part of that
+/// on-disk format, so running the same requests today must leave
+/// byte-identical tree files.
 ///
-/// * running the same requests today must leave byte-identical files, and
-/// * the checked-in directory must resume and go on answering exactly as an
-///   uninterrupted run does.
+/// That `oram.state` carries the four words of the xoshiro256++ generator
+/// that drew leaves then, under the read-only legacy kind tag.  Today's
+/// controller snapshot carries the PRF's draw counter instead, so it is
+/// pinned against `oram.state.draw_counter`, recorded at the same stream
+/// point.  Both resume, with the checked-in tree files, and go on
+/// answering exactly as an uninterrupted run does.
 #[test]
 fn directory_persisted_before_the_fused_kernel_is_byte_identical_and_resumes() {
     const BLOCKS: u64 = 128;
     const PERSISTED_AT: usize = 1012;
-    const FILES: [&str; 4] = ["tree0.oram", "tree0.meta", "tree0.wal", "oram.state"];
+    const TREE_FILES: [&str; 3] = ["tree0.oram", "tree0.meta", "tree0.wal"];
+    const STATES: [&str; 2] = ["oram.state", "oram.state.draw_counter"];
     let fixture =
         std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/pr11_file_wal");
     let stream = schedule(0xF1C5, PERSISTED_AT + 600, 0..BLOCKS, BLOCK, &MIX);
@@ -111,21 +166,42 @@ fn directory_persisted_before_the_fused_kernel_is_byte_identical_and_resumes() {
     agree(&mut fresh, &mut oracle, before, "fresh");
     fresh.persist(&live).unwrap();
     drop(fresh);
-    for file in FILES {
+    let read = |dir: &std::path::Path, file: &str| std::fs::read(dir.join(file)).unwrap();
+    for file in TREE_FILES {
         assert!(
-            std::fs::read(live.join(file)).unwrap() == std::fs::read(fixture.join(file)).unwrap(),
+            read(&live, file) == read(&fixture, file),
             "{file} differs from the one the previous kernel wrote"
         );
     }
+    assert!(
+        read(&live, "oram.state") == read(&fixture, STATES[1]),
+        "oram.state differs from {}",
+        STATES[1]
+    );
 
-    // Resume a copy (resuming appends to the WAL) of the checked-in files.
-    let copy = ScratchDir::new("golden-copy");
-    for file in FILES {
-        std::fs::copy(fixture.join(file), copy.join(file)).unwrap();
+    // Resume a copy (resuming appends to the WAL) of the checked-in files,
+    // once under each state file.
+    for state in STATES {
+        let copy = ScratchDir::new("golden-copy");
+        for file in TREE_FILES {
+            std::fs::copy(fixture.join(file), copy.join(file)).unwrap();
+        }
+        std::fs::copy(fixture.join(state), copy.join("oram.state")).unwrap();
+        let mut oracle = flat(BLOCKS, BLOCK);
+        oracle.access_batch(before).unwrap();
+        let mut resumed = OramBuilder::resume(&copy).unwrap();
+        agree(
+            &mut resumed,
+            &mut oracle,
+            after,
+            format!("resumed from {state}"),
+        );
+        same_contents(
+            &mut resumed,
+            &mut oracle,
+            format!("{state}: final contents"),
+        );
     }
-    let mut resumed = OramBuilder::resume(&copy).unwrap();
-    agree(&mut resumed, &mut oracle, after, "resumed");
-    same_contents(&mut resumed, &mut oracle, "final contents");
 }
 
 #[test]

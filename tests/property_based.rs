@@ -11,7 +11,7 @@ use freecursive::{OramBuilder, SchemePoint};
 use freecursive_repro::Op::{Read, Write};
 use freecursive_repro::{agree, flat, schedule};
 use oram_crypto::mac::MacKey;
-use oram_crypto::prf::{AesPrf, Prf};
+use oram_crypto::prf::AesPrf;
 use path_oram::tree;
 use path_oram::OramParams;
 use posmap::addressing::{tag_address, untag_address, RecursionAddressing};
